@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 
 from .errors import ConfigError, PromptRegError
-from .evaluation import evaluate, load_dataset, report_to_dict
+from .evaluation import evaluate, load_dataset
 from .gateway import (
     EngineConfig,
     Gateway,
@@ -25,14 +26,7 @@ from .loop import (
     run_optimization,
 )
 from .metrics import PromptVersion
-from .rulebank import load_rulebank, summarize
-
-ROLE_FLAG_NAMES = {
-    Role.FORWARD: "forward_engine",
-    Role.GRADIENT: "gradient_engine",
-    Role.REGULARIZATION: "regularization_engine",
-    Role.OPTIMIZER: "optimizer_engine",
-}
+from .rulebank import load_rulebank, summarize, write_json
 
 
 def _load_engines_file(path: str) -> tuple[dict[str, EngineConfig], dict[str, str]]:
@@ -49,11 +43,11 @@ def _load_engines_file(path: str) -> tuple[dict[str, EngineConfig], dict[str, st
 
 
 def _build_gateway(
+    transcript_path: Path | None,
     backend: str,
     fixtures: str | None,
     engines_file: str | None,
-    overrides: dict[str, str | None],
-    transcript_path: Path | None,
+    **engine_flags: str | None,
 ) -> Gateway:
     if backend == "scripted":
         if not fixtures:
@@ -64,13 +58,10 @@ def _build_gateway(
     engines, role_names = _load_engines_file(engines_file)
 
     def pick(role: Role) -> EngineConfig:
-        name = overrides.get(ROLE_FLAG_NAMES[role]) or role_names.get(
-            role.value.lower()
-        )
+        key = role.value.lower()
+        name = engine_flags[f"{key}_engine"] or role_names.get(key)
         if name is None:
-            raise click.UsageError(
-                f"no engine configured for role {role.value.lower()}"
-            )
+            raise click.UsageError(f"no engine configured for role {key}")
         if name not in engines:
             raise click.UsageError(f"unknown engine name: {name}")
         return engines[name]
@@ -137,14 +128,11 @@ def main() -> None:
 def optimize(
     train, val, run_dir, batch_size, iterations, tau_c,
     acceptance_relaxation, seed, initial_prompt, initial_prompt_file,
-    val_subsample, concurrency_cap, backend, fixtures, engines_file,
-    forward_engine, gradient_engine, regularization_engine, optimizer_engine,
+    val_subsample, concurrency_cap, **backend_flags,
 ) -> None:
     """Run the three-stage optimization loop."""
     if initial_prompt_file:
         initial_prompt = Path(initial_prompt_file).read_text(encoding="utf-8")
-    if tau_c <= -1:
-        raise click.UsageError("tau_c must exceed -1")
     for path in (train, val):
         if not Path(path).exists():
             raise click.UsageError(f"dataset not found: {path}")
@@ -165,18 +153,7 @@ def optimize(
         config.validate()
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
-    gateway = _build_gateway(
-        backend, fixtures, engines_file,
-        {
-            "forward_engine": forward_engine,
-            "gradient_engine": gradient_engine,
-            "regularization_engine": regularization_engine,
-            "optimizer_engine": optimizer_engine,
-        },
-        transcript_path=Path(run_dir) / TRANSCRIPT_FILE
-        if Path(run_dir) else None,
-    )
-    Path(run_dir).mkdir(parents=True, exist_ok=True)
+    gateway = _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **backend_flags)
     try:
         summary = run_optimization(config, gateway)
     except PromptRegError as exc:
@@ -202,8 +179,7 @@ def optimize(
 @add_options(backend_options)
 def evaluate_cmd(
     prompt_file, dataset, out_report, gap_report, dataset_name, engine_name,
-    concurrency_cap, prompt_version, backend, fixtures, engines_file,
-    forward_engine, gradient_engine, regularization_engine, optimizer_engine,
+    concurrency_cap, prompt_version, **backend_flags,
 ) -> None:
     """Score a prompt on a dataset with strict exact match."""
     for path in (prompt_file, dataset):
@@ -213,16 +189,7 @@ def evaluate_cmd(
         Path(prompt_file).read_text(encoding="utf-8"), version=prompt_version
     )
     samples = load_dataset(dataset)
-    gateway = _build_gateway(
-        backend, fixtures, engines_file,
-        {
-            "forward_engine": forward_engine,
-            "gradient_engine": gradient_engine,
-            "regularization_engine": regularization_engine,
-            "optimizer_engine": optimizer_engine,
-        },
-        transcript_path=None,
-    )
+    gateway = _build_gateway(None, **backend_flags)
     try:
         report = evaluate(
             prompt, samples, gateway,
@@ -234,10 +201,7 @@ def evaluate_cmd(
         click.echo(f"evaluation aborted: {exc}", err=True)
         sys.exit(1)
     if out_report:
-        Path(out_report).write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(out_report, asdict(report))
     click.echo(f"accuracy={report.accuracy:.4f}")
     if gap_report:
         if not Path(gap_report).exists():

@@ -171,19 +171,3 @@ def generalization_gap(report_ood: EvalReport, report_train: EvalReport) -> floa
         )
     return report_train.accuracy - report_ood.accuracy
 
-
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "dataset": report.dataset,
-        "engine": report.engine,
-        "prompt_version": report.prompt_version,
-        "accuracy": report.accuracy,
-        "per_sample": [
-            {
-                "correct": r.correct,
-                "extracted": r.extracted,
-                "raw_output": r.raw_output,
-            }
-            for r in report.per_sample
-        ],
-    }

@@ -93,6 +93,7 @@ class HttpBackend:
 
     Retries only network failures and rate-limit responses, with fixed
     backoff; other client errors surface immediately with the response body.
+    A success response without string content raises MalformedOutputError.
     """
 
     def __init__(self, timeout: float = 120.0, sleep=time.sleep) -> None:
@@ -144,8 +145,17 @@ class HttpBackend:
                 raise BackendUnavailableError(
                     f"backend unavailable ({resp.status_code}): {resp.text}"
                 )
-            payload = resp.json()
-            return payload["choices"][0]["message"]["content"]
+            try:
+                content = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                raise MalformedOutputError(
+                    f"malformed response body: {exc!r}"
+                ) from exc
+            if not isinstance(content, str):
+                raise MalformedOutputError(
+                    f"malformed response body: content is {content!r}"
+                )
+            return content
         raise BackendUnavailableError(
             f"backend unavailable after {len(RETRY_BACKOFF_SECONDS)} attempts: "
             f"{last_error}"

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, RunStateError
 from .evaluation import Sample, evaluate, load_dataset
 from .gateway import Gateway
-from .metrics import PromptVersion, whitespace_token_count
+from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import (
     NEUTRAL_DIFF,
@@ -27,7 +27,7 @@ from .regularization import (
     semantic_diff,
     synthesize_reg_gradient,
 )
-from .rulebank import RuleBank, load_rulebank, save_rulebank
+from .rulebank import RuleBank, load_rulebank, save_rulebank, write_json
 from .updater import (
     DEFAULT_ROLE_DESC,
     UpdateTags,
@@ -80,43 +80,9 @@ class RunConfig:
         if not self.initial_prompt.strip():
             raise ConfigError("initial_prompt must be nonempty")
 
-    def to_dict(self) -> dict:
-        return {
-            "train_path": self.train_path,
-            "val_path": self.val_path,
-            "run_dir": self.run_dir,
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "tau_c": self.tau_c,
-            "acceptance_relaxation": self.acceptance_relaxation,
-            "seed": self.seed,
-            "initial_prompt": self.initial_prompt,
-            "role_desc": self.role_desc,
-            "tags": {"start": self.tags.start, "end": self.tags.end},
-            "concurrency_cap": self.concurrency_cap,
-            "val_subsample": self.val_subsample,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        tags = UpdateTags(
-            start=data["tags"]["start"], end=data["tags"]["end"]
-        )
-        return cls(
-            train_path=data["train_path"],
-            val_path=data["val_path"],
-            run_dir=data["run_dir"],
-            batch_size=data["batch_size"],
-            iterations=data["iterations"],
-            tau_c=data["tau_c"],
-            acceptance_relaxation=data["acceptance_relaxation"],
-            seed=data["seed"],
-            initial_prompt=data["initial_prompt"],
-            role_desc=data["role_desc"],
-            tags=tags,
-            concurrency_cap=data["concurrency_cap"],
-            val_subsample=data.get("val_subsample"),
-        )
+        return cls(**{**data, "tags": UpdateTags(**data["tags"])})
 
 
 def next_batch(
@@ -153,32 +119,12 @@ class RunState:
     step_completed: int  # -1 before the first step
 
 
-def _prompt_to_dict(p: PromptVersion) -> dict:
-    return {"text": p.text, "token_count": p.token_count, "version": p.version}
-
-
-def _prompt_from_dict(d: dict) -> PromptVersion:
-    return PromptVersion(
-        text=d["text"], token_count=d["token_count"], version=d["version"]
-    )
-
-
-def _context_to_dict(c: ExecutionContext) -> dict:
-    return {
-        "sample_input": c.sample_input,
-        "model_output": c.model_output,
-        "expected": c.expected,
-        "correct": c.correct,
-    }
-
-
-def _context_from_dict(d: dict) -> ExecutionContext:
-    return ExecutionContext(
-        sample_input=d["sample_input"],
-        model_output=d["model_output"],
-        expected=d["expected"],
-        correct=d["correct"],
-    )
+def _load_snapshot(run_dir: Path) -> RunConfig:
+    path = run_dir / CONFIG_SNAPSHOT_FILE
+    try:
+        return RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise RunStateError(f"{path} unreadable: {exc}") from exc
 
 
 class OptimizationRun:
@@ -205,55 +151,56 @@ class OptimizationRun:
         state = self.state
         assert state is not None
         save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
-        transition = None
-        if state.last_transition is not None:
-            transition = {
-                "prev": _prompt_to_dict(state.last_transition.prev),
-                "curr": _prompt_to_dict(state.last_transition.curr),
-                "contexts": [
-                    _context_to_dict(c) for c in state.last_transition.contexts
-                ],
+        # vars(), not asdict(): this runs every step, and asdict deep-copies.
+        document = dict(vars(state), current=vars(state.current),
+                        best=vars(state.best))
+        del document["bank"]
+        transition = state.last_transition
+        if transition is not None:
+            document["last_transition"] = {
+                "prev": vars(transition.prev),
+                "curr": vars(transition.curr),
+                "contexts": [vars(c) for c in transition.contexts],
             }
-        document = {
-            "current": _prompt_to_dict(state.current),
-            "best": _prompt_to_dict(state.best),
-            "best_val": state.best_val,
-            "current_val": state.current_val,
-            "last_transition": transition,
-            "step_completed": state.step_completed,
-        }
-        self._state_path().write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(self._state_path(), document)
 
     def _load_state(self) -> RunState:
         try:
             document = json.loads(self._state_path().read_text(encoding="utf-8"))
-            bank = load_rulebank(self.run_dir / RULEBANK_FILE)
-            transition = None
-            if document["last_transition"] is not None:
-                t = document["last_transition"]
+            transition = document["last_transition"]
+            if transition is not None:
                 transition = Transition(
-                    prev=_prompt_from_dict(t["prev"]),
-                    curr=_prompt_from_dict(t["curr"]),
+                    prev=PromptVersion(**transition["prev"]),
+                    curr=PromptVersion(**transition["curr"]),
                     contexts=tuple(
-                        _context_from_dict(c) for c in t["contexts"]
+                        ExecutionContext(**c) for c in transition["contexts"]
                     ),
                 )
-            return RunState(
-                current=_prompt_from_dict(document["current"]),
-                best=_prompt_from_dict(document["best"]),
-                best_val=document["best_val"],
-                current_val=document["current_val"],
-                bank=bank,
-                last_transition=transition,
-                step_completed=document["step_completed"],
-            )
+            return RunState(**{
+                **document,
+                "current": PromptVersion(**document["current"]),
+                "best": PromptVersion(**document["best"]),
+                "bank": load_rulebank(self.run_dir / RULEBANK_FILE),
+                "last_transition": transition,
+            })
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise RunStateError(
                 f"run state unreadable in {self.run_dir}: {exc}"
             ) from exc
+
+    def _check_snapshot(self) -> None:
+        """Refuse to resume a run under a config other than its own."""
+        snapshot = _load_snapshot(self.run_dir)
+        changed = [
+            f.name for f in fields(RunConfig)
+            if f.name != "run_dir"
+            and getattr(snapshot, f.name) != getattr(self.config, f.name)
+        ]
+        if changed:
+            raise RunStateError(
+                f"config differs from {CONFIG_SNAPSHOT_FILE} in {self.run_dir}: "
+                + ", ".join(changed)
+            )
 
     def _truncate_log(self, name: str, step_completed: int) -> None:
         path = self.run_dir / name
@@ -281,10 +228,7 @@ class OptimizationRun:
 
     def _initialize(self) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / CONFIG_SNAPSHOT_FILE).write_text(
-            json.dumps(self.config.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(self.run_dir / CONFIG_SNAPSHOT_FILE, asdict(self.config))
         current = PromptVersion.create(self.config.initial_prompt, version=0)
         self._write_prompt_file(current)
         initial_report = evaluate(
@@ -352,7 +296,8 @@ class OptimizationRun:
             self.train, step, self.config.batch_size, self.config.seed
         )
         stage1 = run_purification_stage(
-            state.current, batch, state.bank, self.gateway, step
+            state.current, batch, state.bank, self.gateway, step,
+            self.config.concurrency_cap,
         )
 
         trace: dict = {
@@ -440,6 +385,7 @@ class OptimizationRun:
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps."""
         if self._state_path().exists():
+            self._check_snapshot()
             self.state = self._load_state()
             self._truncate_log(TRACE_FILE, self.state.step_completed)
             self._truncate_log(METRICS_FILE, self.state.step_completed)
@@ -455,8 +401,8 @@ class OptimizationRun:
                 break
         state = self.state
         return {
-            "current": _prompt_to_dict(state.current),
-            "best": _prompt_to_dict(state.best),
+            "current": asdict(state.current),
+            "best": asdict(state.best),
             "best_val": state.best_val,
             "current_val": state.current_val,
             "steps_completed": state.step_completed + 1,
@@ -476,16 +422,14 @@ def replay_divergences(
     Returns the steps at which the replayed trace differs from the recorded
     one (including steps present in only one of the two).
     """
-    run_dir = Path(run_dir)
-    snapshot = run_dir / CONFIG_SNAPSHOT_FILE
-    if not snapshot.exists():
-        raise RunStateError(f"missing {CONFIG_SNAPSHOT_FILE} in {run_dir}")
-    config = RunConfig.from_dict(json.loads(snapshot.read_text(encoding="utf-8")))
-    config = replace(config, run_dir=str(replay_dir))
+    run_dir, replay_dir = Path(run_dir), Path(replay_dir)
+    if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
+        # Running into it would resume the old replay, not re-execute.
+        raise RunStateError(f"replay directory already holds a run: {replay_dir}")
+    config = replace(_load_snapshot(run_dir), run_dir=str(replay_dir))
     gateway = Gateway.scripted(
-        fixtures_path, transcript_path=Path(replay_dir) / TRANSCRIPT_FILE
+        fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )
-    Path(replay_dir).mkdir(parents=True, exist_ok=True)
     OptimizationRun(config, gateway).run()
 
     def trace_by_step(path: Path) -> dict[int, str]:
@@ -496,7 +440,7 @@ def replay_divergences(
         return entries
 
     recorded = trace_by_step(run_dir / TRACE_FILE)
-    replayed = trace_by_step(Path(replay_dir) / TRACE_FILE)
+    replayed = trace_by_step(replay_dir / TRACE_FILE)
     diverged = [
         step
         for step in sorted(set(recorded) | set(replayed))

@@ -12,9 +12,9 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-from . import templates
+from . import evaluation, templates
 from .errors import MalformedOutputError
-from .evaluation import Sample, exact_match, extract_answer
+from .evaluation import Sample
 from .gateway import ChatRequest, Gateway, Role
 from .metrics import PromptVersion
 from .rulebank import RuleBank, RuleBankOp, apply_ops, canonicalize_and_match, summarize
@@ -66,25 +66,25 @@ def forward_eval(
     batch: list[Sample],
     gateway: Gateway,
     step: int,
+    concurrency_cap: int = 1,
 ) -> list[ExecutionContext]:
-    """Run the prompt on each batch sample via the forward engine."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    contexts = []
-    for sample in batch:
-        request = ChatRequest(
-            role=Role.FORWARD, system=prompt.text, user=sample.question, step=step
+    """Run the prompt on each batch sample via the forward engine.
+
+    ``evaluate`` is looked up on its module at call time, so a wrapper
+    installed on ``evaluation.evaluate`` also sees the stage-1 batch.
+    """
+    report = evaluation.evaluate(
+        prompt, batch, gateway, step=step, concurrency_cap=concurrency_cap
+    )
+    return [
+        ExecutionContext(
+            sample_input=sample.question,
+            model_output=result.raw_output,
+            expected=sample.answer,
+            correct=result.correct,
         )
-        output = gateway.complete(request)
-        contexts.append(
-            ExecutionContext(
-                sample_input=sample.question,
-                model_output=output,
-                expected=sample.answer,
-                correct=exact_match(extract_answer(output), sample.answer),
-            )
-        )
-    return contexts
+        for sample, result in zip(batch, report.per_sample)
+    ]
 
 
 def generate_raw_gradient(
@@ -132,13 +132,6 @@ def purify(
     return PurifiedGradient(text=text, source_step=raw.step)
 
 
-def assemble_task_gradient(purified: list[PurifiedGradient]) -> Optional[str]:
-    """Concatenate surviving gradients; None when everything was rejected."""
-    if not purified:
-        return None
-    return "\n\n".join(p.text for p in purified)
-
-
 @dataclass(frozen=True)
 class StageOneResult:
     contexts: tuple[ExecutionContext, ...]
@@ -154,9 +147,10 @@ def run_purification_stage(
     bank: RuleBank,
     gateway: Gateway,
     step: int,
+    concurrency_cap: int = 1,
 ) -> StageOneResult:
     """Full Stage 1 for one mini-batch: eval, critique, purify, bank update."""
-    contexts = forward_eval(prompt, batch, gateway, step)
+    contexts = forward_eval(prompt, batch, gateway, step, concurrency_cap)
     raw = generate_raw_gradient(prompt, contexts, gateway, step)
     purified = purify(raw, bank, prompt, gateway)
     applied_ops: tuple[RuleBankOp, ...] = ()
@@ -164,13 +158,10 @@ def run_purification_stage(
         ops = canonicalize_and_match(purified.text, bank, gateway, step)
         apply_ops(bank, ops, step)
         applied_ops = tuple(ops)
-    task_gradient = assemble_task_gradient(
-        [purified] if purified is not None else []
-    )
     batch_accuracy = sum(c.correct for c in contexts) / len(contexts)
     return StageOneResult(
         contexts=tuple(contexts),
-        task_gradient=task_gradient,
+        task_gradient=purified.text if purified is not None else None,
         accepted=purified is not None,
         applied_ops=applied_ops,
         batch_accuracy=batch_accuracy,

@@ -41,7 +41,6 @@ class Rule:
 @dataclass
 class RuleBank:
     entries: list[Rule] = field(default_factory=list)
-    created_step: int = 0
     updated_step: int = 0
 
     def get(self, rule_id: str) -> Optional[Rule]:
@@ -164,38 +163,23 @@ def summarize(bank: RuleBank, max_rules: int = DEFAULT_SUMMARY_LIMIT) -> str:
     return "\n".join(lines)
 
 
-def save_rulebank(bank: RuleBank, path: str | Path) -> None:
-    document = {
-        "created_step": bank.created_step,
-        "updated_step": bank.updated_step,
-        "entries": [
-            {
-                "id": rule.id,
-                "canonical_description": rule.canonical_description,
-                "mention_count": rule.mention_count,
-            }
-            for rule in bank.entries
-        ],
-    }
+def write_json(path: str | Path, document: dict) -> None:
+    """Write one run file: sorted keys, two-space indent, trailing newline."""
     Path(path).write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
+def save_rulebank(bank: RuleBank, path: str | Path) -> None:
+    write_json(path, {**vars(bank), "entries": [vars(r) for r in bank.entries]})
+
+
 def load_rulebank(path: str | Path) -> RuleBank:
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = [
-            Rule(
-                id=entry["id"],
-                canonical_description=entry["canonical_description"],
-                mention_count=entry["mention_count"],
-            )
-            for entry in document["entries"]
-        ]
+        # Older files also carry a created_step key, which is ignored.
         return RuleBank(
-            entries=entries,
-            created_step=document["created_step"],
+            entries=[Rule(**entry) for entry in document["entries"]],
             updated_step=document["updated_step"],
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -201,3 +201,14 @@ class TestReplayCommand:
         )
         assert result.exit_code == 1
         assert "diverged steps: 10" in result.output
+
+    def test_second_replay_into_default_directory_is_usage_error(
+        self, runner, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        args = ["replay", "--run-dir", str(run_dir), "--fixtures", FIXTURES]
+        assert runner.invoke(main, args).exit_code == 0
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "already holds a run" in result.output

@@ -225,3 +225,31 @@ class TestHttpBackend:
         with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
             backend.complete(req(Role.FORWARD), engine)
         assert sleeps == [1.0, 4.0, 16.0]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b"[1]",
+            b"{}",
+            b'{"choices": []}',
+            b'{"choices": [{"message": {}}]}',
+            b'{"choices": [{"message": {"content": null}}]}',
+        ],
+    )
+    def test_malformed_success_body(self, monkeypatch, body):
+        import requests
+
+        from promptreg.gateway import HttpBackend
+
+        response = requests.Response()
+        response.status_code = 200
+        response._content = body
+        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: response)
+        engine = EngineConfig(
+            name="live",
+            endpoint="http://127.0.0.1:9/v1/chat/completions",
+            model_id="m",
+        )
+        with pytest.raises(MalformedOutputError, match="malformed response body"):
+            HttpBackend().complete(req(Role.FORWARD), engine)

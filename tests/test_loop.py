@@ -1,9 +1,11 @@
 import json
+import shutil
+from dataclasses import asdict, replace
 
 import pytest
 
 from conftest import DATA_DIR, scripted_gateway
-from promptreg.errors import ConfigError
+from promptreg.errors import ConfigError, RunStateError
 from promptreg.evaluation import Sample
 from promptreg.gateway import Gateway, Role
 from promptreg.loop import (
@@ -96,7 +98,7 @@ class TestRunConfig:
 
     def test_round_trip(self):
         config = RunConfig(**self.kwargs(seed=9, acceptance_relaxation=0.01))
-        assert RunConfig.from_dict(config.to_dict()) == config
+        assert RunConfig.from_dict(asdict(config)) == config
 
 
 class TestAcceptanceGate:
@@ -214,6 +216,25 @@ class TestGoldenRun:
         second.run()
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
+    def test_resume_with_changed_config_is_refused(self, tmp_path):
+        run_dir = tmp_path / "run"
+        first = OptimizationRun(golden_config(run_dir), Gateway.scripted(FIXTURES))
+        first.run(stop_after_step=5)
+        changed = replace(golden_config(run_dir), seed=99, batch_size=2, tau_c=0.5)
+        second = OptimizationRun(changed, Gateway.scripted(FIXTURES))
+        with pytest.raises(RunStateError, match="batch_size, tau_c, seed"):
+            second.run()
+        assert len((run_dir / TRACE_FILE).read_text().splitlines()) == 6
+
+    def test_resume_after_moving_the_run_directory(self, tmp_path):
+        OptimizationRun(
+            golden_config(tmp_path / "run"), Gateway.scripted(FIXTURES)
+        ).run(stop_after_step=5)
+        moved = tmp_path / "moved"
+        shutil.copytree(tmp_path / "run", moved)
+        OptimizationRun(golden_config(moved), Gateway.scripted(FIXTURES)).run()
+        assert (moved / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
     def test_identity_transition_makes_no_regularization_calls(self, tmp_path):
         """Steps whose prior update was skipped must not call the analyzer
         or the generator at all."""
@@ -262,6 +283,15 @@ class TestReplay:
         run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
         diverged = replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
         assert diverged == []
+
+    def test_existing_replay_directory_is_refused(self, tmp_path):
+        # A second replay into the same directory would resume the first
+        # one and re-execute nothing.
+        run_dir = tmp_path / "run"
+        run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
+        assert replay_divergences(run_dir, FIXTURES, tmp_path / "replay") == []
+        with pytest.raises(RunStateError, match="already holds a run"):
+            replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
 
     def test_mutated_fixture_reports_divergence(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -1,14 +1,15 @@
 import json
+import threading
 
 import pytest
 
 from conftest import scripted_gateway
 from promptreg.evaluation import Sample
+from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import PromptVersion
 from promptreg.purification import (
     ExecutionContext,
     RawGradient,
-    assemble_task_gradient,
     format_contexts,
     forward_eval,
     generate_raw_gradient,
@@ -77,6 +78,25 @@ class TestForwardEval:
         with pytest.raises(ValueError):
             forward_eval(PROMPT, [], scripted_gateway([]), step=0)
 
+    def test_concurrency_cap_runs_batch_in_parallel(self):
+        # Each call waits until all three are in flight, so this only
+        # completes when the batch really runs three at a time.
+        barrier = threading.Barrier(3, timeout=5)
+
+        class Rendezvous:
+            def complete(self, request, engine):
+                barrier.wait()
+                return "Answer: 1"
+
+        gw = Gateway(
+            engines=RoleAssignment.uniform(EngineConfig(name="rendezvous")),
+            backends={role: Rendezvous() for role in Role},
+        )
+        batch = [Sample(f"q{i}", "1") for i in range(3)]
+        contexts = forward_eval(PROMPT, batch, gw, step=0, concurrency_cap=3)
+        assert [c.sample_input for c in contexts] == ["q0", "q1", "q2"]
+        assert all(c.correct for c in contexts)
+
 
 class TestGenerateRawGradient:
     def test_prompt_and_context_reach_engine(self, tmp_path):
@@ -141,26 +161,6 @@ class TestPurify:
         assert result.task_gradient is None
         assert result.applied_ops == ()
         assert bank.total_mentions() == 0
-
-
-class TestAssembleTaskGradient:
-    def test_none_for_empty(self):
-        assert assemble_task_gradient([]) is None
-
-    def test_single(self):
-        from promptreg.purification import PurifiedGradient
-
-        assert assemble_task_gradient(
-            [PurifiedGradient("only one", 0)]
-        ) == "only one"
-
-    def test_join_order(self):
-        from promptreg.purification import PurifiedGradient
-
-        joined = assemble_task_gradient(
-            [PurifiedGradient("first", 0), PurifiedGradient("second", 0)]
-        )
-        assert joined == "first\n\nsecond"
 
 
 class TestRunPurificationStage:

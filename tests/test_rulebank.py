@@ -183,7 +183,6 @@ class TestSummarize:
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         bank = bank_with(2, 5, 1)
-        bank.created_step = 1
         bank.updated_step = 4
         path = tmp_path / "bank.json"
         save_rulebank(bank, path)
