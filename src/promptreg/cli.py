@@ -10,7 +10,13 @@ from pathlib import Path
 import click
 
 from .errors import ConfigError, PromptRegError
-from .evaluation import evaluate, load_dataset
+from .evaluation import (
+    EvalReport,
+    SampleResult,
+    evaluate,
+    generalization_gap,
+    load_dataset,
+)
 from .gateway import (
     EngineConfig,
     Gateway,
@@ -78,6 +84,15 @@ def _build_gateway(
         backends={role: http for role in Role},
         transcript_path=transcript_path,
     )
+
+
+def _load_report(path: str) -> EvalReport:
+    try:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        per_sample = tuple(SampleResult(**r) for r in document["per_sample"])
+        return EvalReport(**{**document, "per_sample": per_sample})
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"report unreadable: {path}: {exc}") from exc
 
 
 backend_options = [
@@ -189,6 +204,7 @@ def evaluate_cmd(
         Path(prompt_file).read_text(encoding="utf-8"), version=prompt_version
     )
     samples = load_dataset(dataset)
+    train_report = _load_report(gap_report) if gap_report else None
     gateway = _build_gateway(None, **backend_flags)
     try:
         report = evaluate(
@@ -203,11 +219,11 @@ def evaluate_cmd(
     if out_report:
         write_json(out_report, asdict(report))
     click.echo(f"accuracy={report.accuracy:.4f}")
-    if gap_report:
-        if not Path(gap_report).exists():
-            raise click.UsageError(f"file not found: {gap_report}")
-        other = json.loads(Path(gap_report).read_text(encoding="utf-8"))
-        gap = other["accuracy"] - report.accuracy
+    if train_report is not None:
+        try:
+            gap = generalization_gap(report, train_report)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
         click.echo(f"gap={gap:+.4f}")
 
 

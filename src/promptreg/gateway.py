@@ -14,10 +14,10 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Callable, Optional, Protocol, TypeVar
 
 from .errors import (
     BackendUnavailableError,
@@ -31,6 +31,8 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 RETRY_BACKOFF_SECONDS = (1.0, 4.0, 16.0)
+
+T = TypeVar("T")
 
 
 class Role(str, Enum):
@@ -266,26 +268,40 @@ class Gateway:
         self._record(request, response, latency_ms)
         return response
 
+    def complete_parsed(
+        self,
+        request: ChatRequest,
+        parse: Callable[[str], T],
+        reask_note: str,
+        reask_on: type[Exception],
+    ) -> T:
+        """Completion passed through ``parse``, with one bounded re-ask.
+
+        When ``parse`` raises ``reask_on``, the request is sent once more with
+        ``reask_note`` appended to its user message; a second failure raises.
+        """
+        text = self.complete(request)
+        try:
+            return parse(text)
+        except reask_on:
+            logger.warning(
+                "unparseable output from %s at step %d; re-asking",
+                request.role.value, request.step,
+            )
+        retry = replace(request, user=request.user + reask_note)
+        return parse(self.complete(retry))
+
     def complete_json(
         self, request: ChatRequest, required_keys: list[str]
     ) -> dict:
         """Completion plus strict JSON parsing with one bounded repair re-ask."""
-        text = self.complete(request)
-        try:
-            return parse_json_object(text, required_keys)
-        except MalformedOutputError:
-            logger.warning(
-                "malformed structured output from %s at step %d; re-asking",
-                request.role.value, request.step,
-            )
-        retry = ChatRequest(
-            role=request.role,
-            system=request.system,
-            user=request.user + "\n\nYour previous reply was not parseable. "
+        return self.complete_parsed(
+            request,
+            lambda text: parse_json_object(text, required_keys),
+            "\n\nYour previous reply was not parseable. "
             "Respond with valid JSON only.",
-            step=request.step,
+            MalformedOutputError,
         )
-        return parse_json_object(self.complete(retry), required_keys)
 
     def _record(self, request: ChatRequest, response: str, latency_ms: int) -> None:
         if self.transcript_path is None:

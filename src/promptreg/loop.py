@@ -3,14 +3,15 @@
 Each step runs: regularization diagnosis of the previous accepted transition,
 mini-batch execution and gradient purification, an optional guided rewrite,
 and a validation gate. Every decision lands in an append-only trace so that a
-scripted run is replayable byte-for-byte. State is persisted after every step
-and a run can resume from the last completed step.
+scripted run is replayable byte-for-byte. State is committed after every step,
+with the length of every step log, and a run resumes from the last commit.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import random
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -21,19 +22,9 @@ from .evaluation import Sample, evaluate, load_dataset
 from .gateway import Gateway
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
-from .regularization import (
-    NEUTRAL_DIFF,
-    diagnose,
-    semantic_diff,
-    synthesize_reg_gradient,
-)
+from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
 from .rulebank import RuleBank, load_rulebank, save_rulebank, write_json
-from .updater import (
-    DEFAULT_ROLE_DESC,
-    UpdateTags,
-    apply_update,
-    noop_guard,
-)
+from .updater import apply_update
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +39,8 @@ STATE_FILE = "state.json"
 RULEBANK_FILE = "rulebank.json"
 CONFIG_SNAPSHOT_FILE = "config.snapshot"
 TRANSCRIPT_FILE = "transcript.jsonl"
+# Append-only logs that state.json records the committed length of.
+STEP_LOGS = (TRACE_FILE, METRICS_FILE, TRANSCRIPT_FILE)
 
 
 @dataclass(frozen=True)
@@ -61,8 +54,6 @@ class RunConfig:
     acceptance_relaxation: float = 0.0
     seed: int = 0
     initial_prompt: str = DEFAULT_INITIAL_PROMPT
-    role_desc: str = DEFAULT_ROLE_DESC
-    tags: UpdateTags = UpdateTags()
     concurrency_cap: int = 1
     val_subsample: Optional[int] = None
 
@@ -80,10 +71,6 @@ class RunConfig:
         if not self.initial_prompt.strip():
             raise ConfigError("initial_prompt must be nonempty")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(**{**data, "tags": UpdateTags(**data["tags"])})
-
 
 def next_batch(
     train: list[Sample], step: int, batch_size: int, seed: int
@@ -97,17 +84,6 @@ def next_batch(
     return [train[order[(start + i) % len(train)]] for i in range(batch_size)]
 
 
-@dataclass(frozen=True)
-class Transition:
-    prev: PromptVersion
-    curr: PromptVersion
-    contexts: tuple[ExecutionContext, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.prev.text == self.curr.text
-
-
 @dataclass
 class RunState:
     current: PromptVersion
@@ -115,14 +91,17 @@ class RunState:
     best_val: float
     current_val: float
     bank: RuleBank
-    last_transition: Optional[Transition]
+    # The last realized transition is previous -> current, made on the batch
+    # records in contexts; previous is None before the first step.
+    previous: Optional[PromptVersion]
+    contexts: tuple[ExecutionContext, ...]
     step_completed: int  # -1 before the first step
 
 
 def _load_snapshot(run_dir: Path) -> RunConfig:
     path = run_dir / CONFIG_SNAPSHOT_FILE
     try:
-        return RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        return RunConfig(**json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise RunStateError(f"{path} unreadable: {exc}") from exc
 
@@ -147,46 +126,58 @@ class OptimizationRun:
     def _state_path(self) -> Path:
         return self.run_dir / STATE_FILE
 
+    def _log_size(self, name: str) -> int:
+        path = self.run_dir / name
+        return path.stat().st_size if path.exists() else 0
+
     def _save_state(self) -> None:
+        """Commit the step: bank, state and the length of every step log."""
         state = self.state
         assert state is not None
         save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
         # vars(), not asdict(): this runs every step, and asdict deep-copies.
-        document = dict(vars(state), current=vars(state.current),
-                        best=vars(state.best))
+        document = dict(
+            vars(state),
+            current=vars(state.current),
+            best=vars(state.best),
+            previous=vars(state.previous) if state.previous else None,
+            contexts=[vars(c) for c in state.contexts],
+            log_bytes={name: self._log_size(name) for name in STEP_LOGS},
+        )
         del document["bank"]
-        transition = state.last_transition
-        if transition is not None:
-            document["last_transition"] = {
-                "prev": vars(transition.prev),
-                "curr": vars(transition.curr),
-                "contexts": [vars(c) for c in transition.contexts],
-            }
         write_json(self._state_path(), document)
 
-    def _load_state(self) -> RunState:
+    def _resume(self) -> RunState:
+        """Load the last commit and cut every step log back to its length."""
         try:
             document = json.loads(self._state_path().read_text(encoding="utf-8"))
-            transition = document["last_transition"]
-            if transition is not None:
-                transition = Transition(
-                    prev=PromptVersion(**transition["prev"]),
-                    curr=PromptVersion(**transition["curr"]),
-                    contexts=tuple(
-                        ExecutionContext(**c) for c in transition["contexts"]
-                    ),
-                )
-            return RunState(**{
+            log_bytes = document.pop("log_bytes")
+            committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
+            previous = document["previous"]
+            state = RunState(**{
                 **document,
                 "current": PromptVersion(**document["current"]),
                 "best": PromptVersion(**document["best"]),
+                "previous": PromptVersion(**previous) if previous else None,
+                "contexts": tuple(
+                    ExecutionContext(**c) for c in document["contexts"]
+                ),
                 "bank": load_rulebank(self.run_dir / RULEBANK_FILE),
-                "last_transition": transition,
             })
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise RunStateError(
                 f"run state unreadable in {self.run_dir}: {exc}"
             ) from exc
+        for name, length in committed:
+            size = self._log_size(name)
+            if size < length:
+                raise RunStateError(
+                    f"{self.run_dir / name} holds {size} bytes, fewer than "
+                    f"the {length} committed in {STATE_FILE}"
+                )
+            if size > length:
+                os.truncate(self.run_dir / name, length)
+        return state
 
     def _check_snapshot(self) -> None:
         """Refuse to resume a run under a config other than its own."""
@@ -201,20 +192,6 @@ class OptimizationRun:
                 f"config differs from {CONFIG_SNAPSHOT_FILE} in {self.run_dir}: "
                 + ", ".join(changed)
             )
-
-    def _truncate_log(self, name: str, step_completed: int) -> None:
-        path = self.run_dir / name
-        if not path.exists():
-            return
-        kept = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            if json.loads(line)["step"] <= step_completed:
-                kept.append(line)
-        path.write_text(
-            "".join(entry + "\n" for entry in kept), encoding="utf-8"
-        )
 
     def _append_log(self, name: str, entry: dict) -> None:
         with open(self.run_dir / name, "a", encoding="utf-8") as handle:
@@ -242,17 +219,17 @@ class OptimizationRun:
             best_val=initial_report.accuracy,
             current_val=initial_report.accuracy,
             bank=RuleBank(),
-            last_transition=None,
+            previous=None,
+            contexts=(),
             step_completed=-1,
         )
         self._save_state()
 
     def _regularization_phase(self, step: int) -> tuple[Optional[object], dict]:
         state = self.state
-        transition = state.last_transition
-        if transition is None:
+        if state.previous is None:
             return None, {"status": "skipped_no_transition"}
-        if transition.is_identity:
+        if state.previous.text == state.current.text:
             # Nothing changed, so neither channel can have degraded; no
             # analyzer or generator call is made.
             return None, {
@@ -265,17 +242,17 @@ class OptimizationRun:
                 "reg_present": False,
             }
         diff = semantic_diff(
-            transition.prev,
-            transition.curr,
+            state.previous,
+            state.current,
             state.bank,
-            transition.contexts,
+            state.contexts,
             self.config.initial_prompt,
             self.gateway,
             step,
         )
-        diag = diagnose(transition.prev, transition.curr, diff, self.config.tau_c)
+        diag = diagnose(state.previous, state.current, diff, self.config.tau_c)
         reg = synthesize_reg_gradient(
-            diag, diff, transition.curr, self.gateway, step
+            diag, diff, state.current, self.gateway, step
         )
         record = {
             "status": "diagnosed",
@@ -304,7 +281,7 @@ class OptimizationRun:
             "step": step,
             "ser": ser_record,
             "batch_accuracy": stage1.batch_accuracy,
-            "gradient_accepted": stage1.accepted,
+            "gradient_accepted": stage1.task_gradient is not None,
             "bank_ops": [
                 {
                     "kind": op.kind,
@@ -315,12 +292,10 @@ class OptimizationRun:
             ],
         }
 
-        if not noop_guard(stage1.task_gradient):
+        if stage1.task_gradient is None:
             # No surviving task signal: the prompt is unchanged and the next
             # step sees an identity transition.
-            state.last_transition = Transition(
-                prev=state.current, curr=state.current, contexts=stage1.contexts
-            )
+            state.previous, state.contexts = state.current, stage1.contexts
             trace.update(
                 update="skipped_empty_gradient",
                 candidate_version=None,
@@ -334,8 +309,6 @@ class OptimizationRun:
                 reg,
                 self.gateway,
                 step,
-                role_desc=self.config.role_desc,
-                tags=self.config.tags,
             )
             report = evaluate(
                 candidate, self.val, self.gateway,
@@ -352,9 +325,7 @@ class OptimizationRun:
                 accepted=accepted,
             )
             if accepted:
-                state.last_transition = Transition(
-                    prev=state.current, curr=candidate, contexts=stage1.contexts
-                )
+                state.previous, state.contexts = state.current, stage1.contexts
                 state.current = candidate
                 state.current_val = report.accuracy
                 self._write_prompt_file(candidate)
@@ -386,9 +357,7 @@ class OptimizationRun:
         """Execute (or resume) the configured number of steps."""
         if self._state_path().exists():
             self._check_snapshot()
-            self.state = self._load_state()
-            self._truncate_log(TRACE_FILE, self.state.step_completed)
-            self._truncate_log(METRICS_FILE, self.state.step_completed)
+            self.state = self._resume()
             logger.info(
                 "resuming from step %d", self.state.step_completed + 1
             )

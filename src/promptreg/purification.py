@@ -37,16 +37,6 @@ class RawGradient:
     step: int
 
 
-@dataclass(frozen=True)
-class PurifiedGradient:
-    text: str
-    source_step: int
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("purified gradient text must be nonempty")
-
-
 def format_contexts(contexts: tuple[ExecutionContext, ...] | list) -> str:
     blocks = []
     for i, ctx in enumerate(contexts, start=1):
@@ -111,8 +101,8 @@ def purify(
     bank: RuleBank,
     prompt: PromptVersion,
     gateway: Gateway,
-) -> Optional[PurifiedGradient]:
-    """Dual-evidence projection: returns None when the gradient is rejected."""
+) -> Optional[str]:
+    """Dual-evidence projection: the purified text, or None when rejected."""
     user = templates.render_asset(
         templates.PURIFIER,
         current_prompt=prompt.text,
@@ -126,17 +116,13 @@ def purify(
     except MalformedOutputError:
         logger.warning("purifier output unparseable at step %d; rejecting", raw.step)
         return None
-    text = str(payload["purified_gradient"]).strip()
-    if not text:
-        return None
-    return PurifiedGradient(text=text, source_step=raw.step)
+    return str(payload["purified_gradient"]).strip() or None
 
 
 @dataclass(frozen=True)
 class StageOneResult:
     contexts: tuple[ExecutionContext, ...]
-    task_gradient: Optional[str]
-    accepted: bool
+    task_gradient: Optional[str]  # None when the purifier rejected
     applied_ops: tuple[RuleBankOp, ...]
     batch_accuracy: float
 
@@ -155,14 +141,13 @@ def run_purification_stage(
     purified = purify(raw, bank, prompt, gateway)
     applied_ops: tuple[RuleBankOp, ...] = ()
     if purified is not None:
-        ops = canonicalize_and_match(purified.text, bank, gateway, step)
+        ops = canonicalize_and_match(purified, bank, gateway, step)
         apply_ops(bank, ops, step)
         applied_ops = tuple(ops)
     batch_accuracy = sum(c.correct for c in contexts) / len(contexts)
     return StageOneResult(
         contexts=tuple(contexts),
-        task_gradient=purified.text if purified is not None else None,
-        accepted=purified is not None,
+        task_gradient=purified,
         applied_ops=applied_ops,
         batch_accuracy=batch_accuracy,
     )

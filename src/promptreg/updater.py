@@ -76,11 +76,6 @@ def build_update_messages(
     )
 
 
-def noop_guard(task_gradient: Optional[str]) -> bool:
-    """False when there is no task signal; the update step is then skipped."""
-    return bool(task_gradient)
-
-
 def apply_update(
     prompt: PromptVersion,
     task_gradient: str,
@@ -96,24 +91,16 @@ def apply_update(
     request = ChatRequest(
         role=Role.OPTIMIZER, system=messages.system, user=messages.user, step=step
     )
-    response = gateway.complete(request)
     try:
-        new_text = extract_tagged_variable(response, tags.start, tags.end)
-    except TagsAbsentError:
-        retry = ChatRequest(
-            role=Role.OPTIMIZER,
-            system=messages.system,
-            user=messages.user
-            + f"\n\nYour previous reply did not contain the improved variable. "
+        new_text = gateway.complete_parsed(
+            request,
+            lambda text: extract_tagged_variable(text, tags.start, tags.end),
+            "\n\nYour previous reply did not contain the improved variable. "
             f"You MUST wrap it between {tags.start} and {tags.end} tags.",
-            step=step,
+            TagsAbsentError,
         )
-        try:
-            new_text = extract_tagged_variable(
-                gateway.complete(retry), tags.start, tags.end
-            )
-        except TagsAbsentError as exc:
-            raise UpdateExtractionError("update extraction failed") from exc
+    except TagsAbsentError as exc:
+        raise UpdateExtractionError("update extraction failed") from exc
     return PromptVersion(
         text=new_text,
         token_count=counter(new_text),

@@ -105,7 +105,8 @@ class TestEvaluate:
         assert result.exit_code == 0, result.output
         assert "accuracy=1.0000" in result.output
 
-    def test_report_and_gap(self, runner, tmp_path):
+    def evaluate_with_gap(self, runner, tmp_path, gap_text):
+        """Evaluate a 2-question dataset at accuracy 0.5, with --gap."""
         prompt_file = tmp_path / "p.txt"
         prompt_file.write_text("Reply with the letter.")
         dataset = tmp_path / "d.jsonl"
@@ -118,21 +119,54 @@ class TestEvaluate:
             json.dumps({"role": "FORWARD", "response": "Answer: A"}) + "\n"
         )
         train_report = tmp_path / "train_report.json"
-        train_report.write_text(json.dumps({"accuracy": 0.75}))
-        out_report = tmp_path / "report.json"
-        result = runner.invoke(
+        train_report.write_text(gap_text)
+        return runner.invoke(
             main,
             ["evaluate", "--prompt-file", str(prompt_file),
              "--dataset", str(dataset), "--fixtures", str(fixtures),
-             "--out-report", str(out_report),
+             "--out-report", str(tmp_path / "report.json"),
              "--gap", str(train_report)],
+        )
+
+    @staticmethod
+    def report_text(accuracy, prompt_version=0):
+        return json.dumps({
+            "dataset": "train", "engine": "", "accuracy": accuracy,
+            "prompt_version": prompt_version, "per_sample": [],
+        })
+
+    def test_report_and_gap(self, runner, tmp_path):
+        result = self.evaluate_with_gap(
+            runner, tmp_path, self.report_text(0.75)
         )
         assert result.exit_code == 0, result.output
         assert "accuracy=0.5000" in result.output
         assert "gap=+0.2500" in result.output
-        saved = json.loads(out_report.read_text())
+        saved = json.loads((tmp_path / "report.json").read_text())
         assert saved["accuracy"] == 0.5
         assert len(saved["per_sample"]) == 2
+
+    def test_gap_against_another_prompt_version_is_usage_error(
+        self, runner, tmp_path
+    ):
+        result = self.evaluate_with_gap(
+            runner, tmp_path, self.report_text(0.75, prompt_version=5)
+        )
+        assert result.exit_code == 2
+        assert "same prompt version" in result.output
+        assert "gap=" not in result.output
+
+    @pytest.mark.parametrize(
+        "gap_text",
+        ["{broken", json.dumps({"accuracy": 0.75})],
+        ids=["not-json", "missing-fields"],
+    )
+    def test_unreadable_gap_report_is_usage_error(
+        self, runner, tmp_path, gap_text
+    ):
+        result = self.evaluate_with_gap(runner, tmp_path, gap_text)
+        assert result.exit_code == 2
+        assert "report unreadable" in result.output
 
 
 class TestRulebankShow:

@@ -5,11 +5,13 @@ from dataclasses import asdict, replace
 import pytest
 
 from conftest import DATA_DIR, scripted_gateway
-from promptreg.errors import ConfigError, RunStateError
+from promptreg.errors import ConfigError, FixtureMissError, RunStateError
 from promptreg.evaluation import Sample
 from promptreg.gateway import Gateway, Role
 from promptreg.loop import (
+    CONFIG_SNAPSHOT_FILE,
     DEFAULT_INITIAL_PROMPT,
+    STATE_FILE,
     TRACE_FILE,
     TRANSCRIPT_FILE,
     OptimizationRun,
@@ -19,6 +21,11 @@ from promptreg.loop import (
     run_optimization,
 )
 from promptreg.rulebank import load_rulebank
+from promptreg.updater import (
+    DEFAULT_END_TAG,
+    DEFAULT_ROLE_DESC,
+    DEFAULT_START_TAG,
+)
 
 FIXTURES = DATA_DIR / "fixtures.jsonl"
 GOLDEN_TRACE = DATA_DIR / "golden_trace.jsonl"
@@ -98,7 +105,7 @@ class TestRunConfig:
 
     def test_round_trip(self):
         config = RunConfig(**self.kwargs(seed=9, acceptance_relaxation=0.01))
-        assert RunConfig.from_dict(asdict(config)) == config
+        assert RunConfig(**asdict(config)) == config
 
 
 class TestAcceptanceGate:
@@ -275,6 +282,80 @@ class TestGoldenRun:
         # step 5 re-diagnoses the transition accepted at step 3, so rho_c must
         # equal step 4's value, not one derived from the rejected candidate
         assert lines[5]["ser"]["rho_c"] == rejected["ser"]["rho_c"]
+
+
+class TestResumeFromCommit:
+    """Resume cuts every step log back to the lengths state.json committed."""
+
+    def run(self, run_dir, **kwargs):
+        return OptimizationRun(
+            golden_config(run_dir), Gateway.scripted(FIXTURES)
+        ).run(**kwargs)
+
+    def test_crash_mid_step_leaves_clean_transcript(self, tmp_path):
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+        # Without step 6's OPTIMIZER fixture the run dies inside step 6,
+        # after that step's forward, gradient and regularization calls.
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("".join(
+            line + "\n" for line in FIXTURES.read_text().splitlines()
+            if not ('"OPTIMIZER"' in line and '"step": 6' in line)
+        ))
+        with pytest.raises(FixtureMissError):
+            OptimizationRun(
+                golden_config(run_dir),
+                Gateway.scripted(partial, transcript_path=transcript),
+            ).run()
+        OptimizationRun(
+            golden_config(run_dir),
+            Gateway.scripted(FIXTURES, transcript_path=transcript),
+        ).run()
+        steps = [json.loads(line)["step"]
+                 for line in transcript.read_text().splitlines()]
+        assert steps.count(6) == 19
+        assert len(steps) == 190
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_torn_trace_line_is_cut(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=5)
+        with open(run_dir / TRACE_FILE, "a") as handle:
+            handle.write('{"step": 6, "ser": {"sta')
+        self.run(run_dir)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_log_shorter_than_commit_is_refused(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=5)
+        lines = (run_dir / TRACE_FILE).read_text().splitlines(keepends=True)
+        (run_dir / TRACE_FILE).write_text("".join(lines[:-1]))
+        with pytest.raises(RunStateError, match="fewer than"):
+            self.run(run_dir)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            (STATE_FILE, lambda d: d.pop("log_bytes", None)),
+            # The fields a snapshot held before role_desc and tags were
+            # dropped from RunConfig, at their only values.
+            (CONFIG_SNAPSHOT_FILE, lambda d: d.update(
+                role_desc=DEFAULT_ROLE_DESC,
+                tags={"start": DEFAULT_START_TAG, "end": DEFAULT_END_TAG},
+            )),
+        ],
+        ids=["state-without-log-lengths", "snapshot-with-dropped-fields"],
+    )
+    def test_run_directory_of_older_format_is_refused(
+        self, tmp_path, name, edit
+    ):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=5)
+        document = json.loads((run_dir / name).read_text())
+        edit(document)
+        (run_dir / name).write_text(json.dumps(document))
+        with pytest.raises(RunStateError):
+            self.run(run_dir)
 
 
 class TestReplay:

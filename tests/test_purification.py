@@ -131,7 +131,7 @@ class TestPurify:
             [purifier_fixture(json.dumps({"purified_gradient": "tighten checks"}))]
         )
         out = purify(self.raw(), RuleBank(), PROMPT, gw)
-        assert out is not None and out.text == "tighten checks"
+        assert out == "tighten checks"
 
     def test_reject_empty_string(self):
         gw = scripted_gateway(
@@ -157,7 +157,6 @@ class TestPurify:
         result = run_purification_stage(
             PROMPT, [Sample("q", "a")], bank, gw, step=0
         )
-        assert result.accepted is False
         assert result.task_gradient is None
         assert result.applied_ops == ()
         assert bank.total_mentions() == 0
@@ -191,7 +190,6 @@ class TestRunPurificationStage:
         result = run_purification_stage(
             PROMPT, [Sample("convert 3km", "3000")], bank, gw, step=1
         )
-        assert result.accepted
         assert result.task_gradient == "check units"
         assert len(result.applied_ops) == 1
         assert bank.entries[0].canonical_description == "verify unit conversions"

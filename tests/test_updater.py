@@ -10,7 +10,6 @@ from promptreg.updater import (
     UpdateTags,
     apply_update,
     build_update_messages,
-    noop_guard,
 )
 
 PROMPT = PromptVersion.create("Solve the task carefully.", version=3)
@@ -60,17 +59,6 @@ class TestBuildUpdateMessages:
     def test_empty_gradient_rejected(self):
         with pytest.raises(ValueError):
             build_update_messages(PROMPT, "", None)
-
-
-class TestNoopGuard:
-    def test_none(self):
-        assert noop_guard(None) is False
-
-    def test_empty(self):
-        assert noop_guard("") is False
-
-    def test_present(self):
-        assert noop_guard("do better") is True
 
 
 def tagged(text):
