@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from .errors import DatasetError
 from .gateway import ChatRequest, Gateway, Role
@@ -123,6 +125,30 @@ def exact_match(extracted: str, gold: str) -> bool:
     return normalize_answer(extracted) == normalize_answer(gold)
 
 
+class InlineExecutor(Executor):
+    """Runs every task at once in the calling thread, in submission order.
+
+    ``submit`` raises a task's exception itself instead of storing it in the
+    future, so a failure stops the caller where it would without a pool.
+    """
+
+    map = map  # the builtin: no Future per call on the forward path
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def call_pool(cap: int) -> Executor:
+    """The executor that LLM calls run on, used as a context manager.
+
+    Above cap 1 it is a pool of ``cap`` threads, so at most ``cap`` tasks run
+    at once; at cap 1 every task runs inline and in order.
+    """
+    return ThreadPoolExecutor(max_workers=cap) if cap > 1 else InlineExecutor()
+
+
 def evaluate(
     prompt: PromptVersion,
     samples: list[Sample],
@@ -131,8 +157,13 @@ def evaluate(
     concurrency_cap: int = 1,
     dataset_name: str = "",
     engine_name: str = "",
+    pool: Optional[Executor] = None,
 ) -> EvalReport:
-    """Run one forward call per sample; results stay in dataset order."""
+    """Run one forward call per sample; results stay in dataset order.
+
+    The calls run on ``pool`` when given, else on a ``call_pool`` of
+    ``concurrency_cap`` opened for this evaluation.
+    """
     if not samples:
         raise ValueError("dataset must be nonempty")
 
@@ -148,11 +179,9 @@ def evaluate(
             raw_output=output,
         )
 
-    if concurrency_cap <= 1:
-        results = [run_one(sample) for sample in samples]
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency_cap) as pool:
-            results = list(pool.map(run_one, samples))
+    opened = call_pool(concurrency_cap) if pool is None else nullcontext(pool)
+    with opened as executor:
+        results = list(executor.map(run_one, samples))
     accuracy = sum(r.correct for r in results) / len(results)
     return EvalReport(
         dataset=dataset_name,

@@ -2,7 +2,10 @@
 
 Each step runs: regularization diagnosis of the previous accepted transition,
 mini-batch execution and gradient purification, an optional guided rewrite,
-and a validation gate. Every decision lands in an append-only trace so that a
+and a validation gate. The diagnosis reads only the last commit, so it runs
+beside stage 1; rule canonicalization feeds only the bank, so it runs beside
+the rewrite and the gate. All of it shares one call pool per run, bounded by
+``concurrency_cap``. Every decision lands in an append-only trace so that a
 scripted run is replayable byte-for-byte. State is committed after every step,
 with the length of every step log, and a run resumes from the last commit.
 """
@@ -13,12 +16,13 @@ import json
 import logging
 import os
 import random
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, RunStateError
-from .evaluation import Sample, evaluate, load_dataset
+from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
@@ -203,15 +207,19 @@ class OptimizationRun:
 
     # -- pipeline ---------------------------------------------------------
 
-    def _initialize(self) -> None:
+    def _initialize(self, pool: Executor) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        # A start that failed before its first commit left logs but no
+        # state.json to cut them back by; this start logs anew.
+        for name in STEP_LOGS:
+            if self._log_size(name):
+                os.truncate(self.run_dir / name, 0)
         write_json(self.run_dir / CONFIG_SNAPSHOT_FILE, asdict(self.config))
         current = PromptVersion.create(self.config.initial_prompt, version=0)
         self._write_prompt_file(current)
         initial_report = evaluate(
-            current, self.val, self.gateway,
-            step=0, concurrency_cap=self.config.concurrency_cap,
-            dataset_name="val",
+            current, self.val, self.gateway, step=0, dataset_name="val",
+            pool=pool,
         )
         self.state = RunState(
             current=current,
@@ -265,31 +273,24 @@ class OptimizationRun:
         }
         return reg, record
 
-    def _step(self, step: int) -> None:
+    def _step(self, step: int, pool: Executor) -> None:
         state = self.state
-        reg, ser_record = self._regularization_phase(step)
+        # Nothing below changes state or the bank before this is joined.
+        diagnosis = pool.submit(self._regularization_phase, step)
 
         batch = next_batch(
             self.train, step, self.config.batch_size, self.config.seed
         )
         stage1 = run_purification_stage(
-            state.current, batch, state.bank, self.gateway, step,
-            self.config.concurrency_cap,
+            state.current, batch, state.bank, self.gateway, step, pool
         )
+        reg, ser_record = diagnosis.result()
 
         trace: dict = {
             "step": step,
             "ser": ser_record,
             "batch_accuracy": stage1.batch_accuracy,
             "gradient_accepted": stage1.task_gradient is not None,
-            "bank_ops": [
-                {
-                    "kind": op.kind,
-                    "rule_id": op.rule_id,
-                    "canonical_description": op.canonical_description,
-                }
-                for op in stage1.applied_ops
-            ],
         }
 
         if stage1.task_gradient is None:
@@ -311,9 +312,8 @@ class OptimizationRun:
                 step,
             )
             report = evaluate(
-                candidate, self.val, self.gateway,
-                step=step, concurrency_cap=self.config.concurrency_cap,
-                dataset_name="val",
+                candidate, self.val, self.gateway, step=step,
+                dataset_name="val", pool=pool,
             )
             accepted = report.accuracy >= (
                 state.current_val - self.config.acceptance_relaxation
@@ -335,6 +335,16 @@ class OptimizationRun:
             # Rejected candidates leave current, the cached validation score,
             # and the previous transition untouched; bank updates remain.
 
+        # Neither the rewrite nor the gate reads the bank, so canonicalization
+        # could run beside them; its ops land only now.
+        trace["bank_ops"] = [
+            {
+                "kind": op.kind,
+                "rule_id": op.rule_id,
+                "canonical_description": op.canonical_description,
+            }
+            for op in stage1.apply_bank_ops(state.bank, step)
+        ]
         trace["current_val"] = state.current_val
         trace["version_after"] = state.current.version
         self._append_log(TRACE_FILE, trace)
@@ -355,19 +365,22 @@ class OptimizationRun:
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps."""
-        if self._state_path().exists():
-            self._check_snapshot()
-            self.state = self._resume()
-            logger.info(
-                "resuming from step %d", self.state.step_completed + 1
-            )
-        else:
-            self._initialize()
-        first = self.state.step_completed + 1
-        for step in range(first, self.config.iterations):
-            self._step(step)
-            if stop_after_step is not None and step >= stop_after_step:
-                break
+        # On an error the pool's exit waits for the calls still in flight, so
+        # their transcript lines land before a resume cuts them back.
+        with call_pool(self.config.concurrency_cap) as pool:
+            if self._state_path().exists():
+                self._check_snapshot()
+                self.state = self._resume()
+                logger.info(
+                    "resuming from step %d", self.state.step_completed + 1
+                )
+            else:
+                self._initialize(pool)
+            first = self.state.step_completed + 1
+            for step in range(first, self.config.iterations):
+                self._step(step, pool)
+                if stop_after_step is not None and step >= stop_after_step:
+                    break
         state = self.state
         return {
             "current": asdict(state.current),

@@ -2,13 +2,16 @@
 dual-evidence projection, with accepted rules folded into the rule bank.
 
 A raw gradient that the purifier rejects contributes nothing downstream: no
-task-gradient text and no rule-bank operations. The rule bank is mutated only
-here, and only after acceptance.
+task-gradient text and no rule-bank operations. An accepted gradient is
+canonicalized into bank operations on the run's call pool while the caller
+goes on; the rule bank is mutated only by ``StageOneResult.apply_bank_ops``,
+after that work is joined.
 """
 
 from __future__ import annotations
 
 import logging
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,16 +59,15 @@ def forward_eval(
     batch: list[Sample],
     gateway: Gateway,
     step: int,
-    concurrency_cap: int = 1,
+    pool: Optional[Executor] = None,
 ) -> list[ExecutionContext]:
-    """Run the prompt on each batch sample via the forward engine.
+    """Run the prompt on each batch sample via the forward engine, on ``pool``
+    (inline when None).
 
     ``evaluate`` is looked up on its module at call time, so a wrapper
     installed on ``evaluation.evaluate`` also sees the stage-1 batch.
     """
-    report = evaluation.evaluate(
-        prompt, batch, gateway, step=step, concurrency_cap=concurrency_cap
-    )
+    report = evaluation.evaluate(prompt, batch, gateway, step=step, pool=pool)
     return [
         ExecutionContext(
             sample_input=sample.question,
@@ -123,8 +125,18 @@ def purify(
 class StageOneResult:
     contexts: tuple[ExecutionContext, ...]
     task_gradient: Optional[str]  # None when the purifier rejected
-    applied_ops: tuple[RuleBankOp, ...]
     batch_accuracy: float
+    # The canonicalization of the accepted gradient, possibly still running;
+    # None when the purifier rejected.
+    bank_ops: Optional[Future]
+
+    def apply_bank_ops(self, bank: RuleBank, step: int) -> tuple[RuleBankOp, ...]:
+        """Wait for canonicalization, apply its ops to the bank, return them."""
+        if self.bank_ops is None:
+            return ()
+        ops = tuple(self.bank_ops.result())
+        apply_ops(bank, ops, step)
+        return ops
 
 
 def run_purification_stage(
@@ -133,21 +145,25 @@ def run_purification_stage(
     bank: RuleBank,
     gateway: Gateway,
     step: int,
-    concurrency_cap: int = 1,
+    pool: Optional[Executor] = None,
 ) -> StageOneResult:
-    """Full Stage 1 for one mini-batch: eval, critique, purify, bank update."""
-    contexts = forward_eval(prompt, batch, gateway, step, concurrency_cap)
+    """Full Stage 1 for one mini-batch: eval, critique, purify, and
+    canonicalization submitted to ``pool`` (inline when None).
+
+    The bank is left untouched until the caller applies the result's ops.
+    """
+    if pool is None:
+        pool = evaluation.InlineExecutor()
+    contexts = forward_eval(prompt, batch, gateway, step, pool)
     raw = generate_raw_gradient(prompt, contexts, gateway, step)
     purified = purify(raw, bank, prompt, gateway)
-    applied_ops: tuple[RuleBankOp, ...] = ()
+    bank_ops = None
     if purified is not None:
-        ops = canonicalize_and_match(purified, bank, gateway, step)
-        apply_ops(bank, ops, step)
-        applied_ops = tuple(ops)
+        bank_ops = pool.submit(canonicalize_and_match, purified, bank, gateway, step)
     batch_accuracy = sum(c.correct for c in contexts) / len(contexts)
     return StageOneResult(
         contexts=tuple(contexts),
         task_gradient=purified,
-        applied_ops=applied_ops,
         batch_accuracy=batch_accuracy,
+        bank_ops=bank_ops,
     )

@@ -35,3 +35,39 @@ def test_every_traced_target_resolves(bench_modules):
     ]
     assert targets
     assert missing == []
+
+
+def test_traced_stages_are_called_through_patched_names(bench_modules, tmp_path):
+    """The loop calls each stage through the name the tracer patches, also
+    when the stage runs on a pool thread, so ``--trace 1`` sees every one."""
+    from conftest import DATA_DIR
+    from promptreg.gateway import Gateway
+    from promptreg.loop import OptimizationRun, RunConfig
+
+    tracing, workloads = bench_modules
+    config = RunConfig(
+        train_path=str(DATA_DIR / "train.jsonl"),
+        val_path=str(DATA_DIR / "val.jsonl"),
+        run_dir=str(tmp_path / "run"),
+        seed=7,
+        concurrency_cap=2,
+    )
+    tracer = tracing.Tracer()
+    tracer.install(workloads.ScriptedBackend)
+    try:
+        OptimizationRun(
+            config, Gateway.scripted(DATA_DIR / "fixtures.jsonl")
+        ).run()
+    finally:
+        tracer.uninstall()
+    seen = {span.name for span in tracer.spans}
+    assert {
+        "evaluation.evaluate",
+        "purification.run_purification_stage",
+        "regularization.semantic_diff",
+        "regularization.diagnose",
+        "regularization.synthesize_reg_gradient",
+        "updater.apply_update",
+        "rulebank.canonicalize_and_match",
+        "rulebank.apply_ops",
+    } <= seen

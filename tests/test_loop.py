@@ -1,13 +1,29 @@
 import json
 import shutil
+import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR, scripted_gateway
-from promptreg.errors import ConfigError, FixtureMissError, RunStateError
+from promptreg.errors import (
+    BackendUnavailableError,
+    ConfigError,
+    FixtureMissError,
+    RunStateError,
+)
 from promptreg.evaluation import Sample
-from promptreg.gateway import Gateway, Role
+from promptreg.gateway import (
+    EngineConfig,
+    Gateway,
+    Role,
+    RoleAssignment,
+    ScriptedBackend,
+)
 from promptreg.loop import (
     CONFIG_SNAPSHOT_FILE,
     DEFAULT_INITIAL_PROMPT,
@@ -31,7 +47,7 @@ FIXTURES = DATA_DIR / "fixtures.jsonl"
 GOLDEN_TRACE = DATA_DIR / "golden_trace.jsonl"
 
 
-def golden_config(run_dir) -> RunConfig:
+def golden_config(run_dir, concurrency_cap=1) -> RunConfig:
     return RunConfig(
         train_path=str(DATA_DIR / "train.jsonl"),
         val_path=str(DATA_DIR / "val.jsonl"),
@@ -39,6 +55,31 @@ def golden_config(run_dir) -> RunConfig:
         batch_size=3,
         iterations=12,
         seed=7,
+        concurrency_cap=concurrency_cap,
+    )
+
+
+def gateway_over(backend, transcript_path=None) -> Gateway:
+    return Gateway(
+        engines=RoleAssignment.uniform(EngineConfig(name="scripted")),
+        backends={role: backend for role in Role},
+        transcript_path=transcript_path,
+    )
+
+
+def fixtures_without(tmp_path, dropped) -> Path:
+    """A copy of the golden fixtures without the lines ``dropped`` selects."""
+    path = tmp_path / "partial.jsonl"
+    path.write_text("".join(
+        line + "\n" for line in FIXTURES.read_text().splitlines()
+        if not dropped(line)
+    ))
+    return path
+
+
+def transcript_roles(path) -> Counter:
+    return Counter(
+        json.loads(line)["role"] for line in path.read_text().splitlines()
     )
 
 
@@ -297,11 +338,9 @@ class TestResumeFromCommit:
         transcript = run_dir / TRANSCRIPT_FILE
         # Without step 6's OPTIMIZER fixture the run dies inside step 6,
         # after that step's forward, gradient and regularization calls.
-        partial = tmp_path / "partial.jsonl"
-        partial.write_text("".join(
-            line + "\n" for line in FIXTURES.read_text().splitlines()
-            if not ('"OPTIMIZER"' in line and '"step": 6' in line)
-        ))
+        partial = fixtures_without(
+            tmp_path, lambda line: '"OPTIMIZER"' in line and '"step": 6' in line
+        )
         with pytest.raises(FixtureMissError):
             OptimizationRun(
                 golden_config(run_dir),
@@ -315,6 +354,36 @@ class TestResumeFromCommit:
                  for line in transcript.read_text().splitlines()]
         assert steps.count(6) == 19
         assert len(steps) == 190
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_failed_first_start_leaves_no_transcript_lines(self, tmp_path):
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+
+        class FailsOnFourthCall:
+            def __init__(self):
+                self.calls = 0
+                self.inner = ScriptedBackend.from_jsonl(FIXTURES)
+
+            def complete(self, request, engine):
+                self.calls += 1
+                if self.calls == 4:
+                    raise BackendUnavailableError("backend unavailable")
+                return self.inner.complete(request, engine)
+
+        # The 4th call is inside the initial evaluation, before any commit.
+        with pytest.raises(BackendUnavailableError):
+            OptimizationRun(
+                golden_config(run_dir),
+                gateway_over(FailsOnFourthCall(), transcript),
+            ).run()
+        assert not (run_dir / STATE_FILE).exists()
+        assert len(transcript.read_text().splitlines()) == 3
+        OptimizationRun(
+            golden_config(run_dir),
+            Gateway.scripted(FIXTURES, transcript_path=transcript),
+        ).run()
+        assert len(transcript.read_text().splitlines()) == 190
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     def test_torn_trace_line_is_cut(self, tmp_path):
@@ -356,6 +425,120 @@ class TestResumeFromCommit:
         (run_dir / name).write_text(json.dumps(document))
         with pytest.raises(RunStateError):
             self.run(run_dir)
+
+
+GOLDEN_CALLS = {"FORWARD": 136, "GRADIENT": 33, "REGULARIZATION": 12,
+                "OPTIMIZER": 9}
+
+
+class Rendezvous:
+    """Golden replies, but the first call that matches each of two predicates
+    waits at a two-party barrier, which only opens when those calls are in
+    flight together; otherwise the wait times out and the call raises."""
+
+    def __init__(self, first, second):
+        self.inner = ScriptedBackend.from_jsonl(FIXTURES)
+        self.barrier = threading.Barrier(2, timeout=5)
+        self.pending = [first, second]
+        self.lock = threading.Lock()
+
+    def complete(self, request, engine):
+        with self.lock:
+            match = next((p for p in self.pending if p(request)), None)
+            if match is not None:
+                self.pending.remove(match)
+        if match is not None:
+            self.barrier.wait()
+        return self.inner.complete(request, engine)
+
+
+class InFlight:
+    """Golden replies, counting the calls in flight at once."""
+
+    def __init__(self):
+        self.inner = ScriptedBackend.from_jsonl(FIXTURES)
+        self.lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def complete(self, request, engine):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            time.sleep(0.002)  # long enough for the calls beside it to start
+            return self.inner.complete(request, engine)
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+class TestCallPool:
+    """One cap-bounded pool per run: the diagnosis runs beside stage 1 and
+    canonicalization beside the update and the gate."""
+
+    def run_with(self, run_dir, backend, cap):
+        OptimizationRun(
+            golden_config(run_dir, concurrency_cap=cap),
+            gateway_over(backend, run_dir / TRANSCRIPT_FILE),
+        ).run()
+
+    def test_diagnosis_overlaps_stage_one_forward_batch(self, tmp_path):
+        backend = Rendezvous(
+            lambda r: r.role == Role.REGULARIZATION and r.step == 3,
+            lambda r: r.role == Role.FORWARD and r.step == 3,
+        )
+        self.run_with(tmp_path / "run", backend, cap=2)
+        assert backend.pending == []
+        assert (tmp_path / "run" / TRACE_FILE).read_bytes() == \
+            GOLDEN_TRACE.read_bytes()
+
+    def test_canonicalization_overlaps_update(self, tmp_path):
+        backend = Rendezvous(
+            lambda r: r.role == Role.GRADIENT and r.step == 0
+            and "rule canonicalization" in r.user,
+            lambda r: r.role == Role.OPTIMIZER and r.step == 0,
+        )
+        self.run_with(tmp_path / "run", backend, cap=2)
+        assert backend.pending == []
+        assert (tmp_path / "run" / TRACE_FILE).read_bytes() == \
+            GOLDEN_TRACE.read_bytes()
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_cap_bounds_every_call_in_flight(self, tmp_path, cap):
+        backend = InFlight()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches per call
+        try:
+            self.run_with(tmp_path / "run", backend, cap)
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.peak == cap
+        transcript = tmp_path / "run" / TRANSCRIPT_FILE
+        assert transcript_roles(transcript) == GOLDEN_CALLS
+        assert (tmp_path / "run" / TRACE_FILE).read_bytes() == \
+            GOLDEN_TRACE.read_bytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_golden_run_at_any_cap(self, tmp_path, cap):
+        run_dir = tmp_path / "run"
+        self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+    def test_failure_on_a_pool_thread_surfaces_and_resumes(self, tmp_path):
+        run_dir = tmp_path / "run"
+        # Step 5's semantic diff runs on a pool thread at cap 2.
+        partial = fixtures_without(
+            tmp_path, lambda line: '"REGULARIZATION"' in line
+            and '"step": 5' in line and "Semantic Delta Analyzer" in line
+        )
+        with pytest.raises(FixtureMissError) as raised:
+            self.run_with(run_dir, ScriptedBackend.from_jsonl(partial), cap=2)
+        assert raised.type is FixtureMissError
+        assert "REGULARIZATION step=5" in str(raised.value)
+        self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap=2)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
 
 
 class TestReplay:

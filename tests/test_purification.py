@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from conftest import scripted_gateway
-from promptreg.evaluation import Sample
+from promptreg.evaluation import Sample, call_pool
 from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import PromptVersion
 from promptreg.purification import (
@@ -93,7 +93,8 @@ class TestForwardEval:
             backends={role: Rendezvous() for role in Role},
         )
         batch = [Sample(f"q{i}", "1") for i in range(3)]
-        contexts = forward_eval(PROMPT, batch, gw, step=0, concurrency_cap=3)
+        with call_pool(3) as pool:
+            contexts = forward_eval(PROMPT, batch, gw, step=0, pool=pool)
         assert [c.sample_input for c in contexts] == ["q0", "q1", "q2"]
         assert all(c.correct for c in contexts)
 
@@ -158,7 +159,8 @@ class TestPurify:
             PROMPT, [Sample("q", "a")], bank, gw, step=0
         )
         assert result.task_gradient is None
-        assert result.applied_ops == ()
+        assert result.bank_ops is None
+        assert result.apply_bank_ops(bank, step=0) == ()
         assert bank.total_mentions() == 0
 
 
@@ -191,7 +193,10 @@ class TestRunPurificationStage:
             PROMPT, [Sample("convert 3km", "3000")], bank, gw, step=1
         )
         assert result.task_gradient == "check units"
-        assert len(result.applied_ops) == 1
+        # The ops reach the bank only when the caller applies them.
+        assert bank.entries == []
+        assert len(result.apply_bank_ops(bank, step=1)) == 1
+        assert bank.updated_step == 1
         assert bank.entries[0].canonical_description == "verify unit conversions"
         assert result.batch_accuracy == 0.0
 
