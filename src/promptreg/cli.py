@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from .errors import ConfigError, PromptRegError
+from .errors import ConfigError, DatasetError, PromptRegError
 from .evaluation import (
     EvalReport,
     SampleResult,
@@ -58,7 +58,10 @@ def _build_gateway(
     if backend == "scripted":
         if not fixtures:
             raise click.UsageError("--backend scripted requires --fixtures")
-        return Gateway.scripted(fixtures, transcript_path=transcript_path)
+        try:
+            return Gateway.scripted(fixtures, transcript_path=transcript_path)
+        except ConfigError as exc:
+            raise click.UsageError(str(exc)) from exc
     if not engines_file:
         raise click.UsageError("--backend http requires --engines")
     engines, role_names = _load_engines_file(engines_file)
@@ -203,7 +206,10 @@ def evaluate_cmd(
     prompt = PromptVersion.create(
         Path(prompt_file).read_text(encoding="utf-8"), version=prompt_version
     )
-    samples = load_dataset(dataset)
+    try:
+        samples = load_dataset(dataset)
+    except DatasetError as exc:
+        raise click.UsageError(str(exc)) from exc
     train_report = _load_report(gap_report) if gap_report else None
     gateway = _build_gateway(None, **backend_flags)
     try:

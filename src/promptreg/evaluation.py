@@ -8,7 +8,6 @@ strips trailing punctuation, and canonicalizes plain numeric strings.
 
 from __future__ import annotations
 
-import json
 import re
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -18,6 +17,7 @@ from typing import Optional
 
 from .errors import DatasetError
 from .gateway import ChatRequest, Gateway, Role
+from .jsonl import iter_jsonl
 from .metrics import PromptVersion
 
 _ANSWER_MARKER = "answer:"
@@ -50,24 +50,17 @@ class EvalReport:
 
 def load_dataset(path: str | Path) -> list[Sample]:
     """Parse a JSONL file of {"question", "answer"} records, order-preserving."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset not found: {path}")
     samples: list[Sample] = []
-    for number, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"line {number}: invalid JSON: {exc}") from exc
+    for number, record in iter_jsonl(path, "dataset", DatasetError):
         for fieldname in ("question", "answer"):
             if fieldname not in record:
-                raise DatasetError(f"line {number}: missing field {fieldname}")
+                raise DatasetError(
+                    f"dataset {path}: line {number}: missing field {fieldname}"
+                )
             if not str(record[fieldname]):
-                raise DatasetError(f"line {number}: empty field {fieldname}")
+                raise DatasetError(
+                    f"dataset {path}: line {number}: empty field {fieldname}"
+                )
         samples.append(
             Sample(question=str(record["question"]), answer=str(record["answer"]))
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -21,12 +22,14 @@ from typing import Callable, Optional, Protocol, TypeVar
 
 from .errors import (
     BackendUnavailableError,
+    ConfigError,
     FixtureMissError,
     MalformedOutputError,
     MissingFieldError,
     RequestRejectedError,
     TagsAbsentError,
 )
+from .jsonl import iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +96,11 @@ class Backend(Protocol):
 class HttpBackend:
     """OpenAI-compatible chat-completions transport with bounded retries.
 
-    Retries only network failures and rate-limit responses, with fixed
-    backoff; other client errors surface immediately with the response body.
-    A success response without string content raises MalformedOutputError.
+    Network failures, rate limits (429) and server errors (5xx) are retried
+    after a fixed backoff, or after a longer numeric ``Retry-After`` on a 429
+    or 503, and the last failure raises without a further wait. Other client
+    errors surface immediately with the response body. A success response
+    without string content raises MalformedOutputError.
     """
 
     def __init__(self, timeout: float = 120.0, sleep=time.sleep) -> None:
@@ -125,7 +130,12 @@ class HttpBackend:
             "max_tokens": engine.max_new_tokens,
         }
         last_error: Exception | None = None
-        for attempt, backoff in enumerate(RETRY_BACKOFF_SECONDS):
+        retry_after = 0.0
+        # One attempt, then one retry after each backoff; no wait follows
+        # the last attempt.
+        for backoff in (None, *RETRY_BACKOFF_SECONDS):
+            if backoff is not None:
+                self._sleep(max(backoff, retry_after))
             try:
                 resp = requests.post(
                     engine.endpoint, headers=headers, json=body,
@@ -133,35 +143,48 @@ class HttpBackend:
                 )
             except requests.RequestException as exc:
                 last_error = exc
-                self._sleep(backoff)
+                retry_after = 0.0
                 continue
-            if resp.status_code == 429:
+            status = resp.status_code
+            if status == 429:
                 last_error = RequestRejectedError("rate limited")
-                self._sleep(backoff)
-                continue
-            if 400 <= resp.status_code < 500:
+            elif status >= 500:
+                last_error = BackendUnavailableError(
+                    f"backend unavailable ({status}): {resp.text}"
+                )
+            elif status >= 400:
                 raise RequestRejectedError(
-                    f"request rejected ({resp.status_code}): {resp.text}"
+                    f"request rejected ({status}): {resp.text}"
                 )
-            if resp.status_code >= 500:
-                raise BackendUnavailableError(
-                    f"backend unavailable ({resp.status_code}): {resp.text}"
-                )
-            try:
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError) as exc:
-                raise MalformedOutputError(
-                    f"malformed response body: {exc!r}"
-                ) from exc
-            if not isinstance(content, str):
-                raise MalformedOutputError(
-                    f"malformed response body: content is {content!r}"
-                )
-            return content
+            else:
+                return _content(resp)
+            retry_after = _retry_after(resp) if status in (429, 503) else 0.0
         raise BackendUnavailableError(
-            f"backend unavailable after {len(RETRY_BACKOFF_SECONDS)} attempts: "
-            f"{last_error}"
+            f"backend unavailable after {len(RETRY_BACKOFF_SECONDS) + 1} "
+            f"attempts: {last_error}"
         )
+
+
+def _retry_after(resp) -> float:
+    """A numeric ``Retry-After`` header in seconds, else 0."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return 0.0
+    return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
+
+
+def _content(resp) -> str:
+    """The message content of a success response."""
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise MalformedOutputError(f"malformed response body: {exc!r}") from exc
+    if not isinstance(content, str):
+        raise MalformedOutputError(
+            f"malformed response body: content is {content!r}"
+        )
+    return content
 
 
 @dataclass(frozen=True)
@@ -171,60 +194,72 @@ class Fixture:
     match_substring: Optional[str]
     response: str
 
-    @property
-    def specificity(self) -> int:
-        return (2 if self.step is not None else 0) + (
-            1 if self.match_substring is not None else 0
-        )
+
+_ROLES = {role.value: role for role in Role}
 
 
 class ScriptedBackend:
     """Replays fixture responses keyed by (role, step) and/or user substring.
 
     The most specific matching fixture wins (step + substring beats step
-    beats substring); ties resolve to file order. Fixtures are reusable and
-    the matcher holds no mutable state, so concurrent calls are safe.
+    beats substring); ties resolve to file order. Fixtures are indexed by
+    (role, step), step-less ones under (role, None), so a call scans two
+    short lists however large the fixture set is. The index is never
+    mutated after construction, so concurrent calls are safe.
     """
 
     def __init__(self, fixtures: list[Fixture]) -> None:
-        self.fixtures = list(fixtures)
+        # role -> step (None for step-less) -> [(match_substring, response)],
+        # each list in file order
+        self._index: dict[Role, dict[Optional[int], list]] = {}
+        for f in fixtures:
+            self._add(f.role, f.step, f.match_substring, f.response)
+
+    def _add(self, role: Role, step: Optional[int],
+             substring: Optional[str], response: str) -> None:
+        by_step = self._index.setdefault(role, {})
+        by_step.setdefault(step, []).append((substring, response))
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        fixtures = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
+        """Load a fixture JSONL file; a malformed one raises ConfigError."""
+        backend = cls([])
+        for number, record in iter_jsonl(path, "fixture file", ConfigError):
+            name = record.get("role")
+            role = _ROLES.get(name) if type(name) is str else None
+            step = record.get("step")
+            substring = record.get("match_substring")
+            response = record.get("response")
+            if role is None:
+                problem = f"role {name!r} is not one of {list(_ROLES)}"
+            elif step is not None and (type(step) is not int or step < 0):
+                problem = f"step {step!r} is not a nonnegative integer"
+            elif substring is not None and type(substring) is not str:
+                problem = f"match_substring {substring!r} is not a string"
+            elif type(response) is not str:
+                problem = ("missing field response" if "response" not in record
+                           else f"response {response!r} is not a string")
+            else:
+                backend._add(role, step, substring, response)
                 continue
-            record = json.loads(line)
-            fixtures.append(
-                Fixture(
-                    role=Role(record["role"]),
-                    step=record.get("step"),
-                    match_substring=record.get("match_substring"),
-                    response=record["response"],
-                )
-            )
-        return cls(fixtures)
+            raise ConfigError(f"fixture file {path}: line {number}: {problem}")
+        return backend
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
-        best: Fixture | None = None
-        for fixture in self.fixtures:
-            if fixture.role != request.role:
-                continue
-            if fixture.step is not None and fixture.step != request.step:
-                continue
-            if (
-                fixture.match_substring is not None
-                and fixture.match_substring not in request.user
-            ):
-                continue
-            if best is None or fixture.specificity > best.specificity:
-                best = fixture
-        if best is None:
-            raise FixtureMissError(
-                f"fixture miss: role={request.role.value} step={request.step}"
-            )
-        return best.response
+        by_step = self._index.get(request.role, {})
+        for step in (request.step, None):
+            bare = None
+            for substring, response in by_step.get(step, ()):
+                if substring is None:
+                    if bare is None:
+                        bare = response
+                elif substring in request.user:
+                    return response
+            if bare is not None:
+                return bare
+        raise FixtureMissError(
+            f"fixture miss: role={request.role.value} step={request.step}"
+        )
 
 
 class Gateway:

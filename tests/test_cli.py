@@ -14,6 +14,30 @@ TRAIN = str(DATA_DIR / "train.jsonl")
 VAL = str(DATA_DIR / "val.jsonl")
 
 
+# Each fixture file is malformed on its second line, or absent.
+BAD_FIXTURE_FILES = {
+    "not-json": '{"role": "FORWARD", "response": "r"}\n{"role": \n',
+    "no-response": '{"role": "FORWARD", "response": "r"}\n{"role": "FORWARD"}\n',
+    "bad-role": '{"role": "FORWARD", "response": "r"}\n'
+                '{"role": "NOPE", "response": "r"}\n',
+    "missing": None,
+}
+
+
+def bad_fixture_file(tmp_path, case):
+    path = tmp_path / "bad-fixtures.jsonl"
+    if BAD_FIXTURE_FILES[case] is not None:
+        path.write_text(BAD_FIXTURE_FILES[case])
+    return path
+
+
+def assert_names_fixture_file(result, path, case):
+    assert result.exit_code == 2, result.output
+    assert str(path) in result.output
+    if BAD_FIXTURE_FILES[case] is not None:
+        assert "line 2: " in result.output
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -58,6 +82,14 @@ class TestOptimize:
         result = runner.invoke(main, args[:cut])
         assert result.exit_code == 2
         assert "--fixtures" in result.output
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIXTURE_FILES))
+    def test_bad_fixture_file_is_usage_error(self, runner, tmp_path, case):
+        path = bad_fixture_file(tmp_path, case)
+        args = golden_args(tmp_path / "run")
+        args[args.index("--fixtures") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert_names_fixture_file(result, path, case)
 
     def test_fixture_miss_is_runtime_failure(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -104,6 +136,31 @@ class TestEvaluate:
         )
         assert result.exit_code == 0, result.output
         assert "accuracy=1.0000" in result.output
+
+    def evaluate_args(self, tmp_path, dataset_text, fixtures):
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_text("Reply with the letter.")
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(dataset_text)
+        return ["evaluate", "--prompt-file", str(prompt_file),
+                "--dataset", str(dataset), "--fixtures", str(fixtures)]
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIXTURE_FILES))
+    def test_bad_fixture_file_is_usage_error(self, runner, tmp_path, case):
+        path = bad_fixture_file(tmp_path, case)
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        result = runner.invoke(main, self.evaluate_args(tmp_path, dataset, path))
+        assert_names_fixture_file(result, path, case)
+
+    def test_malformed_dataset_is_usage_error(self, runner, tmp_path):
+        fixtures = tmp_path / "f.jsonl"
+        fixtures.write_text('{"role": "FORWARD", "response": "Answer: A"}\n')
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n[1, 2]\n"
+        result = runner.invoke(
+            main, self.evaluate_args(tmp_path, dataset, fixtures)
+        )
+        assert result.exit_code == 2, result.output
+        assert "line 2: not a JSON object" in result.output
 
     def evaluate_with_gap(self, runner, tmp_path, gap_text):
         """Evaluate a 2-question dataset at accuracy 0.5, with --gap."""
@@ -235,6 +292,20 @@ class TestReplayCommand:
         )
         assert result.exit_code == 1
         assert "diverged steps: 10" in result.output
+
+    @pytest.mark.parametrize(
+        "case", sorted(set(BAD_FIXTURE_FILES) - {"missing"})
+    )
+    def test_bad_fixture_file_is_usage_error(self, runner, tmp_path, case):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        path = bad_fixture_file(tmp_path, case)
+        result = runner.invoke(
+            main,
+            ["replay", "--run-dir", str(run_dir), "--fixtures", str(path),
+             "--replay-dir", str(tmp_path / "replay")],
+        )
+        assert_names_fixture_file(result, path, case)
 
     def test_second_replay_into_default_directory_is_usage_error(
         self, runner, tmp_path

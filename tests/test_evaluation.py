@@ -47,6 +47,26 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="empty"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"question": "q", "answer": "a"}\n\n{"question": \n',
+             "line 3: invalid JSON"),
+            ('{"question": "q", "answer": "a"}\n"q, a"\n', "line 2: not a JSON object"),
+            ('{"question": "q", "answer": "a"}\n5\n', "line 2: not a JSON object"),
+        ],
+        ids=["not-json-after-blank", "string", "number"],
+    )
+    def test_malformed_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DatasetError, match="dataset not found"):
+            load_dataset(tmp_path / "absent.jsonl")
+
     def test_crlf_equals_lf(self, tmp_path):
         records = [{"question": "q", "answer": "a"}] * 2
         lf = tmp_path / "lf.jsonl"

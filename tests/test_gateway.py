@@ -1,19 +1,28 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+import requests
+from hypothesis import given, settings, strategies as st
 
 from conftest import scripted_gateway
 from promptreg.errors import (
+    BackendUnavailableError,
+    ConfigError,
     FixtureMissError,
     MalformedOutputError,
     MissingFieldError,
+    RequestRejectedError,
     TagsAbsentError,
 )
 from promptreg.gateway import (
     ChatRequest,
     EngineConfig,
+    Fixture,
+    HttpBackend,
     Role,
+    ScriptedBackend,
     extract_tagged_variable,
     parse_json_object,
 )
@@ -68,6 +77,149 @@ class TestScriptedBackend:
                 [gw.complete(req(Role.OPTIMIZER, step=i)) for i in range(5)]
             )
         assert runs[0] == runs[1]
+
+
+class TestFixtureFile:
+    GOOD = '{"role": "FORWARD", "step": 0, "response": "r"}'
+
+    @pytest.mark.parametrize(
+        "lines, line_number, message",
+        [
+            (['{"role": "FORWARD", "response": '], 2, "invalid JSON"),
+            (['{"role": "FORWARD", "step": 1}'], 2, "missing field response"),
+            (['{"role": "NOPE", "response": "r"}'], 2, "role 'NOPE'"),
+            (['{"role": ["FORWARD"], "response": "r"}'], 2, "role ['FORWARD']"),
+            (["", '["FORWARD", "r"]'], 3, "not a JSON object"),
+            (['{"role": "FORWARD", "response": null}'], 2, "not a string"),
+            (['{"role": "FORWARD", "step": "1", "response": "r"}'], 2,
+             "step '1'"),
+            (['{"role": "FORWARD", "response": "a"}, {"role": "FORWARD", '
+              '"response": "b"}'], 2, "invalid JSON"),
+            (['{"role": "FORWARD", "response": ["a"', '"b"], "step": 0}'], 2,
+             "invalid JSON"),
+        ],
+        ids=["not-json", "no-response", "bad-role", "list-role", "not-object",
+             "null-response", "string-step", "two-per-line", "split-record"],
+    )
+    def test_malformed_file_names_path_and_line(
+        self, tmp_path, lines, line_number, message
+    ):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text("\n".join([self.GOOD, *lines]) + "\n")
+        with pytest.raises(ConfigError) as caught:
+            ScriptedBackend.from_jsonl(path)
+        assert str(path) in str(caught.value)
+        assert f"line {line_number}: " in str(caught.value)
+        assert message in str(caught.value)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(ConfigError, match="fixture file not found: .*absent"):
+            ScriptedBackend.from_jsonl(path)
+
+    def test_line_numbers_across_decode_blocks(self, tmp_path, monkeypatch):
+        from promptreg import jsonl
+
+        monkeypatch.setattr(jsonl, "BLOCK_BYTES", 120)
+        path = tmp_path / "fixtures.jsonl"
+        lines = [
+            json.dumps({"role": "OPTIMIZER", "step": i, "response": f"r{i}"})
+            for i in range(30)
+        ]
+        lines[11:11] = ["", "  "]
+        path.write_text("\n".join(lines) + "\n")
+        backend = ScriptedBackend.from_jsonl(path)
+        engine = EngineConfig(name="scripted")
+        assert [backend.complete(req(Role.OPTIMIZER, step=i), engine)
+                for i in range(30)] == [f"r{i}" for i in range(30)]
+        lines[25] = lines[25][:-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="line 26: invalid JSON"):
+            ScriptedBackend.from_jsonl(path)
+
+    def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(
+            b'\r\n{"role": "GRADIENT", "step": 0, "response": "a"}\r\n  \r\n'
+            b'{"role": "GRADIENT", "response": "b"}\r\n'
+        )
+        backend = ScriptedBackend.from_jsonl(path)
+        engine = EngineConfig(name="scripted")
+        assert backend.complete(req(step=0), engine) == "a"
+        assert backend.complete(req(step=1), engine) == "b"
+
+
+def linear_scan(fixtures: list[Fixture], request: ChatRequest) -> str:
+    """The matcher before the (role, step) index: one pass over all fixtures."""
+
+    def specificity(fixture: Fixture) -> int:
+        return (2 if fixture.step is not None else 0) + (
+            1 if fixture.match_substring is not None else 0
+        )
+
+    best = None
+    for fixture in fixtures:
+        if fixture.role != request.role:
+            continue
+        if fixture.step is not None and fixture.step != request.step:
+            continue
+        if (
+            fixture.match_substring is not None
+            and fixture.match_substring not in request.user
+        ):
+            continue
+        if best is None or specificity(fixture) > specificity(best):
+            best = fixture
+    if best is None:
+        raise FixtureMissError(
+            f"fixture miss: role={request.role.value} step={request.step}"
+        )
+    return best.response
+
+
+ROLES = st.sampled_from([Role.FORWARD, Role.GRADIENT])
+STEPS = st.integers(min_value=0, max_value=2)
+FIXTURES = st.lists(
+    st.builds(
+        Fixture,
+        role=ROLES,
+        step=st.none() | STEPS,
+        match_substring=st.none() | st.text(alphabet="ab", max_size=2),
+        response=st.text(alphabet="xyz", max_size=2),
+    ),
+    max_size=12,
+)
+REQUESTS = st.builds(
+    ChatRequest, role=ROLES, system=st.just(""),
+    user=st.text(alphabet="ab", max_size=4), step=STEPS,
+)
+
+
+class TestMatcherAgainstLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(FIXTURES, st.lists(REQUESTS, min_size=1, max_size=5))
+    def test_same_response_or_same_miss(self, fixtures, requests_):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fixtures.jsonl"
+            path.write_text("".join(
+                json.dumps({"role": f.role.value, "step": f.step,
+                            "match_substring": f.match_substring,
+                            "response": f.response}) + "\n"
+                for f in fixtures
+            ))
+            backends = [ScriptedBackend(fixtures), ScriptedBackend.from_jsonl(path)]
+        engine = EngineConfig(name="scripted")
+        for request in requests_:
+            try:
+                expected = linear_scan(fixtures, request)
+            except FixtureMissError as miss:
+                for backend in backends:
+                    with pytest.raises(FixtureMissError) as caught:
+                        backend.complete(request, engine)
+                    assert str(caught.value) == str(miss)
+                continue
+            for backend in backends:
+                assert backend.complete(request, engine) == expected
 
 
 class TestTranscript:
@@ -195,11 +347,41 @@ class TestExtractTaggedVariable:
         )
 
 
+LOOPBACK = EngineConfig(
+    name="live", endpoint="http://127.0.0.1:9/v1/chat/completions", model_id="m"
+)
+
+
+def http_response(status, body=b"", headers=None):
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    response.headers.update(headers or {})
+    return response
+
+
+def ok_response(content="done"):
+    return http_response(
+        200, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    )
+
+
+def serve(monkeypatch, responses):
+    """Patch requests.post to answer with ``responses`` in order; the list
+    returned fills with one entry per post."""
+    posts = []
+
+    def post(*args, **kwargs):
+        assert len(posts) < len(responses), "more posts than scripted responses"
+        posts.append(kwargs["json"])
+        return responses[len(posts) - 1]
+
+    monkeypatch.setattr(requests, "post", post)
+    return posts
+
+
 class TestHttpBackend:
     def test_missing_credential(self, monkeypatch):
-        from promptreg.errors import BackendUnavailableError
-        from promptreg.gateway import HttpBackend
-
         monkeypatch.delenv("PROMPTREG_TEST_KEY", raising=False)
         backend = HttpBackend()
         engine = EngineConfig(
@@ -212,9 +394,6 @@ class TestHttpBackend:
             backend.complete(req(Role.FORWARD), engine)
 
     def test_network_failure_retries_then_unavailable(self):
-        from promptreg.errors import BackendUnavailableError
-        from promptreg.gateway import HttpBackend
-
         sleeps = []
         backend = HttpBackend(timeout=0.2, sleep=sleeps.append)
         engine = EngineConfig(
@@ -222,7 +401,7 @@ class TestHttpBackend:
             endpoint="http://127.0.0.1:9/v1/chat/completions",
             model_id="m",
         )
-        with pytest.raises(BackendUnavailableError, match="after 3 attempts"):
+        with pytest.raises(BackendUnavailableError, match="after 4 attempts"):
             backend.complete(req(Role.FORWARD), engine)
         assert sleeps == [1.0, 4.0, 16.0]
 
@@ -238,10 +417,6 @@ class TestHttpBackend:
         ],
     )
     def test_malformed_success_body(self, monkeypatch, body):
-        import requests
-
-        from promptreg.gateway import HttpBackend
-
         response = requests.Response()
         response.status_code = 200
         response._content = body
@@ -253,3 +428,65 @@ class TestHttpBackend:
         )
         with pytest.raises(MalformedOutputError, match="malformed response body"):
             HttpBackend().complete(req(Role.FORWARD), engine)
+
+    @pytest.mark.parametrize("status", [500, 502, 503])
+    def test_server_error_is_retried(self, monkeypatch, status):
+        posts = serve(monkeypatch, [http_response(status, b"busy"), ok_response()])
+        sleeps = []
+        backend = HttpBackend(sleep=sleeps.append)
+        assert backend.complete(req(Role.FORWARD), LOOPBACK) == "done"
+        assert len(posts) == 2
+        assert sleeps == [1.0]
+
+    def test_numeric_retry_after_lengthens_the_wait(self, monkeypatch):
+        serve(monkeypatch, [
+            http_response(503, headers={"Retry-After": "7"}),
+            http_response(429, headers={"Retry-After": "2"}),
+            http_response(429, headers={"Retry-After": "30.5"}),
+            ok_response(),
+        ])
+        sleeps = []
+        HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        assert sleeps == [7.0, 4.0, 30.5]
+
+    @pytest.mark.parametrize(
+        "status, retry_after",
+        [
+            (429, "Wed, 21 Oct 2015 07:28:00 GMT"),
+            (429, "-5"),
+            (429, "nan"),
+            (500, "9"),
+        ],
+    )
+    def test_other_retry_after_keeps_the_backoff(
+        self, monkeypatch, status, retry_after
+    ):
+        serve(monkeypatch, [
+            http_response(status, headers={"Retry-After": retry_after}),
+            ok_response(),
+        ])
+        sleeps = []
+        HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        assert sleeps == [1.0]
+
+    @pytest.mark.parametrize(
+        "status, cause", [(429, "rate limited"), (502, "\\(502\\): down")]
+    )
+    def test_four_attempts_and_no_wait_after_the_last(
+        self, monkeypatch, status, cause
+    ):
+        posts = serve(monkeypatch, [http_response(status, b"down")] * 4)
+        sleeps = []
+        with pytest.raises(BackendUnavailableError, match="after 4 attempts: .*"
+                           + cause):
+            HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        assert len(posts) == 4
+        assert sleeps == [1.0, 4.0, 16.0]
+
+    def test_client_error_is_not_retried(self, monkeypatch):
+        posts = serve(monkeypatch, [http_response(400, b"bad request")])
+        sleeps = []
+        with pytest.raises(RequestRejectedError, match="400"):
+            HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        assert len(posts) == 1
+        assert sleeps == []
