@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -24,6 +23,7 @@ from .gateway import (
     Role,
     RoleAssignment,
 )
+from .jsonl import read_json, write_json
 from .loop import (
     DEFAULT_INITIAL_PROMPT,
     TRANSCRIPT_FILE,
@@ -32,20 +32,15 @@ from .loop import (
     run_optimization,
 )
 from .metrics import PromptVersion
-from .rulebank import load_rulebank, summarize, write_json
+from .rulebank import load_rulebank, summarize
 
 
-def _load_engines_file(path: str) -> tuple[dict[str, EngineConfig], dict[str, str]]:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-        engines = {
-            name: EngineConfig(name=name, **spec)
-            for name, spec in document["engines"].items()
-        }
-        roles = document.get("roles", {})
-        return engines, roles
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"engines file unreadable: {path}: {exc}") from exc
+def _engines(document: dict) -> tuple[dict[str, EngineConfig], dict[str, str]]:
+    engines = {
+        name: EngineConfig(name=name, **spec)
+        for name, spec in document["engines"].items()
+    }
+    return engines, {**document.get("roles", {})}
 
 
 def _build_gateway(
@@ -64,7 +59,9 @@ def _build_gateway(
             raise click.UsageError(str(exc)) from exc
     if not engines_file:
         raise click.UsageError("--backend http requires --engines")
-    engines, role_names = _load_engines_file(engines_file)
+    engines, role_names = read_json(
+        engines_file, "engines file", click.UsageError, _engines
+    )
 
     def pick(role: Role) -> EngineConfig:
         key = role.value.lower()
@@ -89,14 +86,13 @@ def _build_gateway(
     )
 
 
-def _load_report(path: str) -> EvalReport:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-        per_sample = tuple(SampleResult(**r) for r in document["per_sample"])
-        return EvalReport(**{**document, "per_sample": per_sample})
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"report unreadable: {path}: {exc}") from exc
+def _report(document: dict) -> EvalReport:
+    per_sample = tuple(SampleResult(**r) for r in document["per_sample"])
+    return EvalReport(**{**document, "per_sample": per_sample})
 
+
+# An input file that must exist; click reports a missing one as a usage error.
+INPUT_FILE = click.Path(exists=True, dir_okay=False)
 
 backend_options = [
     click.option(
@@ -130,8 +126,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--train", required=True, type=click.Path())
-@click.option("--val", required=True, type=click.Path())
+@click.option("--train", required=True, type=INPUT_FILE)
+@click.option("--val", required=True, type=INPUT_FILE)
 @click.option("--out", "run_dir", required=True, type=click.Path())
 @click.option("--batch-size", default=3, show_default=True)
 @click.option("--iterations", default=12, show_default=True)
@@ -139,7 +135,7 @@ def main() -> None:
 @click.option("--acceptance-relaxation", default=0.0, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--initial-prompt", default=DEFAULT_INITIAL_PROMPT)
-@click.option("--initial-prompt-file", type=click.Path(), default=None)
+@click.option("--initial-prompt-file", type=INPUT_FILE, default=None)
 @click.option("--val-subsample", type=int, default=None)
 @click.option("--concurrency-cap", default=1, show_default=True)
 @add_options(backend_options)
@@ -151,9 +147,6 @@ def optimize(
     """Run the three-stage optimization loop."""
     if initial_prompt_file:
         initial_prompt = Path(initial_prompt_file).read_text(encoding="utf-8")
-    for path in (train, val):
-        if not Path(path).exists():
-            raise click.UsageError(f"dataset not found: {path}")
     config = RunConfig(
         train_path=train,
         val_path=val,
@@ -185,8 +178,8 @@ def optimize(
 
 
 @main.command("evaluate")
-@click.option("--prompt-file", required=True, type=click.Path())
-@click.option("--dataset", required=True, type=click.Path())
+@click.option("--prompt-file", required=True, type=INPUT_FILE)
+@click.option("--dataset", required=True, type=INPUT_FILE)
 @click.option("--out-report", type=click.Path(), default=None)
 @click.option("--gap", "gap_report", type=click.Path(), default=None,
               help="Second report JSON treated as the training-side report.")
@@ -200,9 +193,6 @@ def evaluate_cmd(
     concurrency_cap, prompt_version, **backend_flags,
 ) -> None:
     """Score a prompt on a dataset with strict exact match."""
-    for path in (prompt_file, dataset):
-        if not Path(path).exists():
-            raise click.UsageError(f"file not found: {path}")
     prompt = PromptVersion.create(
         Path(prompt_file).read_text(encoding="utf-8"), version=prompt_version
     )
@@ -210,7 +200,10 @@ def evaluate_cmd(
         samples = load_dataset(dataset)
     except DatasetError as exc:
         raise click.UsageError(str(exc)) from exc
-    train_report = _load_report(gap_report) if gap_report else None
+    train_report = (
+        read_json(gap_report, "report", click.UsageError, _report)
+        if gap_report else None
+    )
     gateway = _build_gateway(None, **backend_flags)
     try:
         report = evaluate(
@@ -239,10 +232,8 @@ def rulebank() -> None:
 
 
 @rulebank.command("show")
-@click.option("--file", "path", required=True, type=click.Path())
+@click.option("--file", "path", required=True, type=INPUT_FILE)
 def rulebank_show(path) -> None:
-    if not Path(path).exists():
-        raise click.UsageError(f"file not found: {path}")
     try:
         bank = load_rulebank(path)
     except PromptRegError as exc:
@@ -251,14 +242,12 @@ def rulebank_show(path) -> None:
 
 
 @main.command()
-@click.option("--run-dir", required=True, type=click.Path())
-@click.option("--fixtures", required=True, type=click.Path())
+@click.option("--run-dir", required=True,
+              type=click.Path(exists=True, file_okay=False))
+@click.option("--fixtures", required=True, type=INPUT_FILE)
 @click.option("--replay-dir", type=click.Path(), default=None)
 def replay(run_dir, fixtures, replay_dir) -> None:
     """Re-execute a recorded run through the scripted backend and diff it."""
-    for path in (run_dir, fixtures):
-        if not Path(path).exists():
-            raise click.UsageError(f"not found: {path}")
     if replay_dir is None:
         replay_dir = str(Path(run_dir).with_name(Path(run_dir).name + ".replay"))
     try:

@@ -29,7 +29,7 @@ from .errors import (
     RequestRejectedError,
     TagsAbsentError,
 )
-from .jsonl import iter_jsonl
+from .jsonl import append_jsonl, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -349,11 +349,8 @@ class Gateway:
             "response": response,
             "latency_ms": latency_ms,
         }
-        line = json.dumps(entry, sort_keys=True) + "\n"
         with self._transcript_lock:
-            with open(self.transcript_path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
+            append_jsonl(self.transcript_path, entry)
 
 
 _FENCE_MARKER = "```"

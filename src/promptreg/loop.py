@@ -12,7 +12,6 @@ with the length of every step log, and a run resumes from the last commit.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
@@ -24,10 +23,11 @@ from typing import Optional
 from .errors import ConfigError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
+from .jsonl import append_jsonl, iter_jsonl, read_json, write_json
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
-from .rulebank import RuleBank, load_rulebank, save_rulebank, write_json
+from .rulebank import RuleBank, load_rulebank, save_rulebank
 from .updater import apply_update
 
 logger = logging.getLogger(__name__)
@@ -103,11 +103,22 @@ class RunState:
 
 
 def _load_snapshot(run_dir: Path) -> RunConfig:
-    path = run_dir / CONFIG_SNAPSHOT_FILE
-    try:
-        return RunConfig(**json.loads(path.read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise RunStateError(f"{path} unreadable: {exc}") from exc
+    return read_json(
+        run_dir / CONFIG_SNAPSHOT_FILE, "config snapshot", RunStateError,
+        lambda document: RunConfig(**document),
+    )
+
+
+def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
+    entries = {}
+    for number, record in iter_jsonl(path, what, RunStateError):
+        step = record.get("step")
+        if type(step) is not int:
+            raise RunStateError(
+                f"{what} {path}: line {number}: step {step!r} is not an integer"
+            )
+        entries[step] = record
+    return entries
 
 
 class OptimizationRun:
@@ -153,12 +164,12 @@ class OptimizationRun:
 
     def _resume(self) -> RunState:
         """Load the last commit and cut every step log back to its length."""
-        try:
-            document = json.loads(self._state_path().read_text(encoding="utf-8"))
+
+        def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
             previous = document["previous"]
-            state = RunState(**{
+            return RunState(**{
                 **document,
                 "current": PromptVersion(**document["current"]),
                 "best": PromptVersion(**document["best"]),
@@ -167,11 +178,11 @@ class OptimizationRun:
                     ExecutionContext(**c) for c in document["contexts"]
                 ),
                 "bank": load_rulebank(self.run_dir / RULEBANK_FILE),
-            })
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise RunStateError(
-                f"run state unreadable in {self.run_dir}: {exc}"
-            ) from exc
+            }), committed
+
+        state, committed = read_json(
+            self._state_path(), "run state", RunStateError, build
+        )
         for name, length in committed:
             size = self._log_size(name)
             if size < length:
@@ -196,10 +207,6 @@ class OptimizationRun:
                 f"config differs from {CONFIG_SNAPSHOT_FILE} in {self.run_dir}: "
                 + ", ".join(changed)
             )
-
-    def _append_log(self, name: str, entry: dict) -> None:
-        with open(self.run_dir / name, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def _write_prompt_file(self, prompt: PromptVersion) -> None:
         path = self.run_dir / f"prompt_v{prompt.version}.txt"
@@ -347,9 +354,9 @@ class OptimizationRun:
         ]
         trace["current_val"] = state.current_val
         trace["version_after"] = state.current.version
-        self._append_log(TRACE_FILE, trace)
-        self._append_log(
-            METRICS_FILE,
+        append_jsonl(self.run_dir / TRACE_FILE, trace)
+        append_jsonl(
+            self.run_dir / METRICS_FILE,
             {
                 "step": step,
                 "batch_accuracy": stage1.batch_accuracy,
@@ -409,20 +416,13 @@ def replay_divergences(
         # Running into it would resume the old replay, not re-execute.
         raise RunStateError(f"replay directory already holds a run: {replay_dir}")
     config = replace(_load_snapshot(run_dir), run_dir=str(replay_dir))
+    # An unreadable recorded trace is refused before anything runs.
+    recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
     gateway = Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )
     OptimizationRun(config, gateway).run()
-
-    def trace_by_step(path: Path) -> dict[int, str]:
-        entries = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                entries[json.loads(line)["step"]] = line
-        return entries
-
-    recorded = trace_by_step(run_dir / TRACE_FILE)
-    replayed = trace_by_step(replay_dir / TRACE_FILE)
+    replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
     diverged = [
         step
         for step in sorted(set(recorded) | set(replayed))

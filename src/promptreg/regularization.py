@@ -4,7 +4,9 @@ scope channels and synthesize the textual regularization gradient.
 The capacity trigger is numeric (relative token growth against a threshold);
 the scope trigger comes from an LLM semantic diff of the two prompts. When no
 channel is active the stage produces no signal and makes no generator call.
-Any backend failure here degrades to "no signal" so the task path survives.
+Malformed model output degrades to "no signal" (a neutral diff, no guidance)
+so the task path survives; a backend failure aborts the run, as in every
+other stage.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def semantic_diff(
     gateway: Gateway,
     step: int,
 ) -> SemanticDiff:
-    """LLM rule-level diff of the transition; degrades to neutral on failure."""
+    """LLM rule-level diff of the transition; neutral on malformed output."""
     if prev.version + 1 != curr.version:
         raise ValueError(
             f"semantic diff requires consecutive versions, got "

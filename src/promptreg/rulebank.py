@@ -9,7 +9,6 @@ returned operations. Only gradients that survived purification may reach
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Callable, Optional
 from . import templates
 from .errors import RuleBankError
 from .gateway import ChatRequest, Gateway, MalformedOutputError, Role
+from .jsonl import read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +58,6 @@ class RuleBankOp:
     kind: str  # INCREMENT or INSERT
     rule_id: Optional[str] = None
     canonical_description: Optional[str] = None
-    value: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in (INCREMENT, INSERT):
@@ -163,24 +162,13 @@ def summarize(bank: RuleBank, max_rules: int = DEFAULT_SUMMARY_LIMIT) -> str:
     return "\n".join(lines)
 
 
-def write_json(path: str | Path, document: dict) -> None:
-    """Write one run file: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def save_rulebank(bank: RuleBank, path: str | Path) -> None:
     write_json(path, {**vars(bank), "entries": [vars(r) for r in bank.entries]})
 
 
 def load_rulebank(path: str | Path) -> RuleBank:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-        # Older files also carry a created_step key, which is ignored.
-        return RuleBank(
-            entries=[Rule(**entry) for entry in document["entries"]],
-            updated_step=document["updated_step"],
-        )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise RuleBankError(f"rulebank unreadable: {path}: {exc}") from exc
+    # Older files also carry a created_step key, which is ignored.
+    return read_json(path, "rulebank", RuleBankError, lambda document: RuleBank(
+        entries=[Rule(**entry) for entry in document["entries"]],
+        updated_step=document["updated_step"],
+    ))

@@ -14,18 +14,12 @@ from typing import Optional
 from . import templates
 from .errors import TagsAbsentError, UpdateExtractionError
 from .gateway import ChatRequest, Gateway, Role, extract_tagged_variable
-from .metrics import PromptVersion, TokenCounter, whitespace_token_count
+from .metrics import PromptVersion, whitespace_token_count
 from .regularization import RegGradient
 
 DEFAULT_START_TAG = "<IMPROVED_VARIABLE>"
 DEFAULT_END_TAG = "</IMPROVED_VARIABLE>"
 DEFAULT_ROLE_DESC = "system prompt that guides the model to solve the task"
-
-
-@dataclass(frozen=True)
-class UpdateTags:
-    start: str = DEFAULT_START_TAG
-    end: str = DEFAULT_END_TAG
 
 
 @dataclass(frozen=True)
@@ -39,16 +33,14 @@ def build_update_messages(
     prompt: PromptVersion,
     task_gradient: str,
     reg: Optional[RegGradient],
-    role_desc: str = DEFAULT_ROLE_DESC,
-    tags: UpdateTags = UpdateTags(),
 ) -> UpdateMessages:
     """Assemble the optimizer's system and user messages."""
     if not task_gradient:
         raise ValueError("task gradient must be nonempty")
     system = templates.render_asset(
         templates.UPDATER_SYSTEM,
-        new_variable_start_tag=tags.start,
-        new_variable_end_tag=tags.end,
+        new_variable_start_tag=DEFAULT_START_TAG,
+        new_variable_end_tag=DEFAULT_END_TAG,
     )
     if reg is not None:
         reg_section = (
@@ -61,14 +53,14 @@ def build_update_messages(
         reg_section = ""
     user = templates.render_asset(
         templates.UPDATER_SKELETON,
-        variable_desc=role_desc,
+        variable_desc=DEFAULT_ROLE_DESC,
         variable_short=prompt.text,
         reg_section=reg_section,
         variable_grad=task_gradient,
     )
     if reg is not None:
         trailing = templates.render_asset(
-            templates.UPDATER_TRAILING, variable_desc=role_desc
+            templates.UPDATER_TRAILING, variable_desc=DEFAULT_ROLE_DESC
         )
         user = user + "\n\n" + trailing
     return UpdateMessages(
@@ -82,27 +74,27 @@ def apply_update(
     reg: Optional[RegGradient],
     gateway: Gateway,
     step: int,
-    role_desc: str = DEFAULT_ROLE_DESC,
-    tags: UpdateTags = UpdateTags(),
-    counter: TokenCounter = whitespace_token_count,
 ) -> PromptVersion:
     """One guided rewrite; re-asks once when the tags are missing."""
-    messages = build_update_messages(prompt, task_gradient, reg, role_desc, tags)
+    messages = build_update_messages(prompt, task_gradient, reg)
     request = ChatRequest(
         role=Role.OPTIMIZER, system=messages.system, user=messages.user, step=step
     )
     try:
         new_text = gateway.complete_parsed(
             request,
-            lambda text: extract_tagged_variable(text, tags.start, tags.end),
+            lambda text: extract_tagged_variable(
+                text, DEFAULT_START_TAG, DEFAULT_END_TAG
+            ),
             "\n\nYour previous reply did not contain the improved variable. "
-            f"You MUST wrap it between {tags.start} and {tags.end} tags.",
+            f"You MUST wrap it between {DEFAULT_START_TAG} and {DEFAULT_END_TAG} "
+            "tags.",
             TagsAbsentError,
         )
     except TagsAbsentError as exc:
         raise UpdateExtractionError("update extraction failed") from exc
     return PromptVersion(
         text=new_text,
-        token_count=counter(new_text),
+        token_count=whitespace_token_count(new_text),
         version=prompt.version + 1,
     )

@@ -113,6 +113,22 @@ class TestOptimize:
         )
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unusable_initial_prompt_file_is_usage_error(
+        self, runner, tmp_path, kind
+    ):
+        prompt_file = tmp_path / "p.txt"
+        if kind == "directory":
+            prompt_file.mkdir()
+        result = runner.invoke(
+            main,
+            golden_args(tmp_path / "run")
+            + ["--initial-prompt-file", str(prompt_file)],
+        )
+        assert result.exit_code == 2, result.output
+        assert str(prompt_file) in result.output
+        assert not (tmp_path / "run").exists()
+
 
 class TestEvaluate:
     def test_accuracy_line(self, runner, tmp_path):
@@ -161,6 +177,27 @@ class TestEvaluate:
         )
         assert result.exit_code == 2, result.output
         assert "line 2: not a JSON object" in result.output
+
+    @pytest.mark.parametrize(
+        "engines_text",
+        [None, "{broken", "[]", '{"engines": {"a": {"colour": "red"}}}',
+         '{"engines": {"a": {}}, "roles": ["a"]}'],
+        ids=["missing", "not-json", "list-document", "unknown-field",
+             "roles-not-object"],
+    )
+    def test_unreadable_engines_file_is_usage_error(
+        self, runner, tmp_path, engines_text
+    ):
+        engines = tmp_path / "engines.json"
+        if engines_text is not None:
+            engines.write_text(engines_text)
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        args = self.evaluate_args(tmp_path, dataset, FIXTURES)
+        result = runner.invoke(
+            main, args + ["--backend", "http", "--engines", str(engines)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"engines file unreadable: {engines}" in result.output
 
     def evaluate_with_gap(self, runner, tmp_path, gap_text):
         """Evaluate a 2-question dataset at accuracy 0.5, with --gap."""
@@ -317,3 +354,33 @@ class TestReplayCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "already holds a run" in result.output
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[:-10],
+            lambda text: None,
+            lambda text: text + '{"batch_accuracy": 0.5}\n',
+        ],
+        ids=["torn", "missing", "line-without-step"],
+    )
+    def test_unreadable_recorded_trace_is_refused_before_replaying(
+        self, runner, tmp_path, damage
+    ):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        trace = run_dir / "trace.jsonl"
+        text = damage(trace.read_text())
+        if text is None:
+            trace.unlink()
+        else:
+            trace.write_text(text)
+        replay_dir = tmp_path / "replay"
+        result = runner.invoke(
+            main,
+            ["replay", "--run-dir", str(run_dir), "--fixtures", FIXTURES,
+             "--replay-dir", str(replay_dir)],
+        )
+        assert result.exit_code == 2, result.output
+        assert str(trace) in result.output
+        assert not replay_dir.exists()

@@ -97,9 +97,15 @@ class TestFixtureFile:
               '"response": "b"}'], 2, "invalid JSON"),
             (['{"role": "FORWARD", "response": ["a"', '"b"], "step": 0}'], 2,
              "invalid JSON"),
+            # Two records on one line, then one record split over two lines:
+            # a decode of the joined lines counts as many records as lines.
+            (['{"role": "FORWARD", "response": "a"}, {"role": "FORWARD", '
+              '"response": "b"}', '{"role": "FORWARD"', '"response": "c"}'], 2,
+             "invalid JSON"),
         ],
         ids=["not-json", "no-response", "bad-role", "list-role", "not-object",
-             "null-response", "string-step", "two-per-line", "split-record"],
+             "null-response", "string-step", "two-per-line", "split-record",
+             "merge-and-split"],
     )
     def test_malformed_file_names_path_and_line(
         self, tmp_path, lines, line_number, message
@@ -117,10 +123,7 @@ class TestFixtureFile:
         with pytest.raises(ConfigError, match="fixture file not found: .*absent"):
             ScriptedBackend.from_jsonl(path)
 
-    def test_line_numbers_across_decode_blocks(self, tmp_path, monkeypatch):
-        from promptreg import jsonl
-
-        monkeypatch.setattr(jsonl, "BLOCK_BYTES", 120)
+    def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
         lines = [
             json.dumps({"role": "OPTIMIZER", "step": i, "response": f"r{i}"})

@@ -1,0 +1,51 @@
+import pathlib
+
+import pytest
+
+from promptreg.errors import RunStateError
+from promptreg.jsonl import append_jsonl, iter_jsonl, read_json, write_json
+
+
+@pytest.mark.parametrize(
+    "text",
+    [None, "{broken", "[1, 2]", '{"other": 1}'],
+    ids=["missing", "not-json", "list-document", "missing-key"],
+)
+def test_read_json_failure_names_what_and_path(tmp_path, text):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(RunStateError) as caught:
+        read_json(path, "run state", RunStateError,
+                  lambda document: document.get("key")["value"])
+    assert str(caught.value).startswith(f"run state unreadable: {path}: ")
+
+
+def test_written_files_read_back(tmp_path):
+    document = {"b": [1, 2], "a": {"y": None, "x": "é"}}
+    write_json(tmp_path / "doc.json", document)
+    assert (tmp_path / "doc.json").read_text(encoding="utf-8") == (
+        '{\n  "a": {\n    "x": "\\u00e9",\n    "y": null\n  },\n'
+        '  "b": [\n    1,\n    2\n  ]\n}\n'
+    )
+    assert read_json(tmp_path / "doc.json", "doc", RunStateError, dict) == document
+    append_jsonl(tmp_path / "log.jsonl", {"step": 0, "a": 1})
+    append_jsonl(tmp_path / "log.jsonl", {"step": 1})
+    assert (tmp_path / "log.jsonl").read_text() == (
+        '{"a": 1, "step": 0}\n{"step": 1}\n'
+    )
+    assert list(iter_jsonl(tmp_path / "log.jsonl", "log", RunStateError)) == [
+        (1, {"a": 1, "step": 0}), (2, {"step": 1}),
+    ]
+
+
+def test_files_are_encoded_and_decoded_only_in_jsonl():
+    """One module decides the format of every file promptreg reads or writes."""
+    src = pathlib.Path(__file__).parent.parent / "src" / "promptreg"
+    offenders = [
+        p.name
+        for p in src.rglob("*.py")
+        if p.name != "jsonl.py"
+        and any(call in p.read_text() for call in ("json.loads(", "json.dumps("))
+    ]
+    assert offenders == []

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from conftest import scripted_gateway
+from promptreg.errors import BackendUnavailableError
+from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import Channel, PromptVersion
 from promptreg.purification import ExecutionContext
 from promptreg.regularization import (
@@ -32,6 +34,18 @@ INCREASE_DIFF = SemanticDiff(
     rules_changed=(RuleChange("added a tomato special case", CASE_PATCH),),
     specificity_direction="increase",
 )
+
+
+class DownBackend:
+    def complete(self, request, engine):
+        raise BackendUnavailableError("backend unavailable after 4 attempts")
+
+
+def down_gateway() -> Gateway:
+    return Gateway(
+        engines=RoleAssignment.uniform(EngineConfig(name="down")),
+        backends={role: DownBackend() for role in Role},
+    )
 
 
 class TestModeRouting:
@@ -125,6 +139,12 @@ class TestSemanticDiff:
             scripted_gateway(self.fixtures(json.dumps(payload)))
         ) is NEUTRAL_DIFF
 
+    def test_backend_failure_aborts(self):
+        """Only malformed output degrades to neutral; an unreachable backend
+        ends the run like a failure in any other stage."""
+        with pytest.raises(BackendUnavailableError):
+            self.call(down_gateway())
+
     def test_nonconsecutive_versions_rejected(self):
         with pytest.raises(ValueError, match="consecutive"):
             semantic_diff(
@@ -192,3 +212,10 @@ class TestSynthesize:
         )
         diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
         assert synthesize_reg_gradient(diag, NEUTRAL_DIFF, pv(130, 1), gw, 0) is None
+
+    def test_backend_failure_aborts(self):
+        diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
+        with pytest.raises(BackendUnavailableError):
+            synthesize_reg_gradient(
+                diag, NEUTRAL_DIFF, pv(130, 1), down_gateway(), 0
+            )

@@ -7,7 +7,6 @@ from promptreg.regularization import MODE_COMPRESSION, RegGradient
 from promptreg.updater import (
     DEFAULT_END_TAG,
     DEFAULT_START_TAG,
-    UpdateTags,
     apply_update,
     build_update_messages,
 )
@@ -50,12 +49,6 @@ class TestBuildUpdateMessages:
         assert trailing_marker in build_update_messages(PROMPT, GRAD, REG).user
         assert trailing_marker not in build_update_messages(PROMPT, GRAD, None).user
 
-    def test_system_carries_tags(self):
-        msgs = build_update_messages(
-            PROMPT, GRAD, None, tags=UpdateTags("<NEW>", "</NEW>")
-        )
-        assert "<NEW>" in msgs.system and "</NEW>" in msgs.system
-
     def test_empty_gradient_rejected(self):
         with pytest.raises(ValueError):
             build_update_messages(PROMPT, "", None)
@@ -97,12 +90,3 @@ class TestApplyUpdate:
         )
         with pytest.raises(UpdateExtractionError, match="update extraction failed"):
             apply_update(PROMPT, GRAD, None, gw, step=0)
-
-    def test_custom_tags_honoured(self):
-        gw = scripted_gateway(
-            [{"role": "OPTIMIZER", "step": 0, "response": "<P>fresh</P>"}]
-        )
-        out = apply_update(
-            PROMPT, GRAD, None, gw, step=0, tags=UpdateTags("<P>", "</P>")
-        )
-        assert out.text == "fresh"
