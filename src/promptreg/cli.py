@@ -8,7 +8,13 @@ from pathlib import Path
 
 import click
 
-from .errors import ConfigError, DatasetError, PromptRegError
+from .errors import (
+    ConfigError,
+    DatasetError,
+    PromptRegError,
+    RuleBankError,
+    RunStateError,
+)
 from .evaluation import (
     EvalReport,
     SampleResult,
@@ -53,10 +59,7 @@ def _build_gateway(
     if backend == "scripted":
         if not fixtures:
             raise click.UsageError("--backend scripted requires --fixtures")
-        try:
-            return Gateway.scripted(fixtures, transcript_path=transcript_path)
-        except ConfigError as exc:
-            raise click.UsageError(str(exc)) from exc
+        return Gateway.scripted(fixtures, transcript_path=transcript_path)
     if not engines_file:
         raise click.UsageError("--backend http requires --engines")
     engines, role_names = read_json(
@@ -91,8 +94,19 @@ def _report(document: dict) -> EvalReport:
     return EvalReport(**{**document, "per_sample": per_sample})
 
 
+def _read_prompt(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"prompt file unreadable: {path}: {exc}") from exc
+
+
 # An input file that must exist; click reports a missing one as a usage error.
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
+
+# Errors in what the user passed in: settings and fixture files
+# (ConfigError), datasets, run directories and rule banks.
+INPUT_ERRORS = (ConfigError, DatasetError, RunStateError, RuleBankError)
 
 backend_options = [
     click.option(
@@ -120,7 +134,28 @@ def add_options(options):
     return wrap
 
 
-@click.group()
+class Commands(click.Group):
+    """Maps errors the same way for every command: an ``INPUT_ERRORS`` error
+    is a usage error (exit 2), and any other ``PromptRegError`` aborts the
+    command (exit 1)."""
+
+    group_class = type  # subgroups map their commands' errors too
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            name = ctx.invoked_subcommand
+            command_ctx = click.Context(
+                self.get_command(ctx, name), info_name=name, parent=ctx
+            )
+            raise click.UsageError(str(exc), command_ctx) from exc
+        except PromptRegError as exc:
+            click.echo(f"{ctx.invoked_subcommand} aborted: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=Commands)
 def main() -> None:
     """Regularized prompt optimization over pluggable LLM backends."""
 
@@ -146,7 +181,7 @@ def optimize(
 ) -> None:
     """Run the three-stage optimization loop."""
     if initial_prompt_file:
-        initial_prompt = Path(initial_prompt_file).read_text(encoding="utf-8")
+        initial_prompt = _read_prompt(initial_prompt_file)
     config = RunConfig(
         train_path=train,
         val_path=val,
@@ -160,16 +195,8 @@ def optimize(
         concurrency_cap=concurrency_cap,
         val_subsample=val_subsample,
     )
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
     gateway = _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **backend_flags)
-    try:
-        summary = run_optimization(config, gateway)
-    except PromptRegError as exc:
-        click.echo(f"run aborted: {exc}", err=True)
-        sys.exit(1)
+    summary = run_optimization(config, gateway)
     click.echo(
         f"completed {summary['steps_completed']} steps; "
         f"best validation accuracy {summary['best_val']:.4f} "
@@ -194,27 +221,20 @@ def evaluate_cmd(
 ) -> None:
     """Score a prompt on a dataset with strict exact match."""
     prompt = PromptVersion.create(
-        Path(prompt_file).read_text(encoding="utf-8"), version=prompt_version
+        _read_prompt(prompt_file), version=prompt_version
     )
-    try:
-        samples = load_dataset(dataset)
-    except DatasetError as exc:
-        raise click.UsageError(str(exc)) from exc
+    samples = load_dataset(dataset)
     train_report = (
         read_json(gap_report, "report", click.UsageError, _report)
         if gap_report else None
     )
     gateway = _build_gateway(None, **backend_flags)
-    try:
-        report = evaluate(
-            prompt, samples, gateway,
-            concurrency_cap=concurrency_cap,
-            dataset_name=dataset_name or Path(dataset).stem,
-            engine_name=engine_name,
-        )
-    except PromptRegError as exc:
-        click.echo(f"evaluation aborted: {exc}", err=True)
-        sys.exit(1)
+    report = evaluate(
+        prompt, samples, gateway,
+        concurrency_cap=concurrency_cap,
+        dataset_name=dataset_name or Path(dataset).stem,
+        engine_name=engine_name,
+    )
     if out_report:
         write_json(out_report, asdict(report))
     click.echo(f"accuracy={report.accuracy:.4f}")
@@ -234,11 +254,7 @@ def rulebank() -> None:
 @rulebank.command("show")
 @click.option("--file", "path", required=True, type=INPUT_FILE)
 def rulebank_show(path) -> None:
-    try:
-        bank = load_rulebank(path)
-    except PromptRegError as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(summarize(bank))
+    click.echo(summarize(load_rulebank(path)))
 
 
 @main.command()
@@ -250,10 +266,7 @@ def replay(run_dir, fixtures, replay_dir) -> None:
     """Re-execute a recorded run through the scripted backend and diff it."""
     if replay_dir is None:
         replay_dir = str(Path(run_dir).with_name(Path(run_dir).name + ".replay"))
-    try:
-        diverged = replay_divergences(run_dir, fixtures, replay_dir)
-    except PromptRegError as exc:
-        raise click.UsageError(str(exc)) from exc
+    diverged = replay_divergences(run_dir, fixtures, replay_dir)
     click.echo(f"{len(diverged)} divergences")
     if diverged:
         click.echo("diverged steps: " + ", ".join(str(s) for s in diverged))

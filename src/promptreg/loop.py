@@ -7,7 +7,8 @@ beside stage 1; rule canonicalization feeds only the bank, so it runs beside
 the rewrite and the gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``. Every decision lands in an append-only trace so that a
 scripted run is replayable byte-for-byte. State is committed after every step,
-with the length of every step log, and a run resumes from the last commit.
+with the run's config and the length of every step log, and a run resumes from
+the last commit if that config is its own.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ DEFAULT_INITIAL_PROMPT = (
 )
 
 TRACE_FILE = "trace.jsonl"
-METRICS_FILE = "metrics.jsonl"
 STATE_FILE = "state.json"
 RULEBANK_FILE = "rulebank.json"
-CONFIG_SNAPSHOT_FILE = "config.snapshot"
 TRANSCRIPT_FILE = "transcript.jsonl"
 # Append-only logs that state.json records the committed length of.
-STEP_LOGS = (TRACE_FILE, METRICS_FILE, TRANSCRIPT_FILE)
+STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE)
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,6 @@ class RunState:
     step_completed: int  # -1 before the first step
 
 
-def _load_snapshot(run_dir: Path) -> RunConfig:
-    return read_json(
-        run_dir / CONFIG_SNAPSHOT_FILE, "config snapshot", RunStateError,
-        lambda document: RunConfig(**document),
-    )
-
-
 def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
     entries = {}
     for number, record in iter_jsonl(path, what, RunStateError):
@@ -146,7 +138,7 @@ class OptimizationRun:
         return path.stat().st_size if path.exists() else 0
 
     def _save_state(self) -> None:
-        """Commit the step: bank, state and the length of every step log."""
+        """Commit the step: bank, then state, config and step log lengths."""
         state = self.state
         assert state is not None
         save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
@@ -157,15 +149,28 @@ class OptimizationRun:
             best=vars(state.best),
             previous=vars(state.previous) if state.previous else None,
             contexts=[vars(c) for c in state.contexts],
+            config=vars(self.config),
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
         )
         del document["bank"]
         write_json(self._state_path(), document)
 
     def _resume(self) -> RunState:
-        """Load the last commit and cut every step log back to its length."""
+        """Load the last commit, refuse it if it was made under a config
+        other than this run's, and cut every step log back to its length."""
 
         def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
+            recorded = RunConfig(**document.pop("config"))
+            changed = [
+                f.name for f in fields(RunConfig)
+                if f.name != "run_dir"
+                and getattr(recorded, f.name) != getattr(self.config, f.name)
+            ]
+            if changed:
+                raise RunStateError(
+                    f"config differs from {self._state_path()}: "
+                    + ", ".join(changed)
+                )
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
             previous = document["previous"]
@@ -194,20 +199,6 @@ class OptimizationRun:
                 os.truncate(self.run_dir / name, length)
         return state
 
-    def _check_snapshot(self) -> None:
-        """Refuse to resume a run under a config other than its own."""
-        snapshot = _load_snapshot(self.run_dir)
-        changed = [
-            f.name for f in fields(RunConfig)
-            if f.name != "run_dir"
-            and getattr(snapshot, f.name) != getattr(self.config, f.name)
-        ]
-        if changed:
-            raise RunStateError(
-                f"config differs from {CONFIG_SNAPSHOT_FILE} in {self.run_dir}: "
-                + ", ".join(changed)
-            )
-
     def _write_prompt_file(self, prompt: PromptVersion) -> None:
         path = self.run_dir / f"prompt_v{prompt.version}.txt"
         path.write_text(prompt.text, encoding="utf-8")
@@ -221,7 +212,6 @@ class OptimizationRun:
         for name in STEP_LOGS:
             if self._log_size(name):
                 os.truncate(self.run_dir / name, 0)
-        write_json(self.run_dir / CONFIG_SNAPSHOT_FILE, asdict(self.config))
         current = PromptVersion.create(self.config.initial_prompt, version=0)
         self._write_prompt_file(current)
         initial_report = evaluate(
@@ -355,18 +345,6 @@ class OptimizationRun:
         trace["current_val"] = state.current_val
         trace["version_after"] = state.current.version
         append_jsonl(self.run_dir / TRACE_FILE, trace)
-        append_jsonl(
-            self.run_dir / METRICS_FILE,
-            {
-                "step": step,
-                "batch_accuracy": stage1.batch_accuracy,
-                "val_accuracy": state.current_val,
-                "rho_c": ser_record.get("rho_c"),
-                "active": ser_record.get("active", []),
-                "accepted": trace["accepted"],
-                "version": state.current.version,
-            },
-        )
         state.step_completed = step
         self._save_state()
 
@@ -376,7 +354,6 @@ class OptimizationRun:
         # their transcript lines land before a resume cuts them back.
         with call_pool(self.config.concurrency_cap) as pool:
             if self._state_path().exists():
-                self._check_snapshot()
                 self.state = self._resume()
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
@@ -415,7 +392,12 @@ def replay_divergences(
     if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
         # Running into it would resume the old replay, not re-execute.
         raise RunStateError(f"replay directory already holds a run: {replay_dir}")
-    config = replace(_load_snapshot(run_dir), run_dir=str(replay_dir))
+    config = read_json(
+        run_dir / STATE_FILE, "run state", RunStateError,
+        lambda document: replace(
+            RunConfig(**document["config"]), run_dir=str(replay_dir)
+        ),
+    )
     # An unreadable recorded trace is refused before anything runs.
     recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
     gateway = Gateway.scripted(

@@ -43,6 +43,10 @@ def runner():
     return CliRunner()
 
 
+# Not UTF-8: a UTF-16 byte-order mark before UTF-16 text.
+NOT_UTF8 = b"\xff\xfeA\x00n\x00"
+
+
 def golden_args(run_dir):
     return [
         "optimize",
@@ -99,6 +103,28 @@ class TestOptimize:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
 
+    def test_malformed_dataset_is_usage_error(self, runner, tmp_path):
+        train = tmp_path / "train.jsonl"
+        train.write_text(json.dumps({"question": "q", "answer": "A"}) + "\n[1]\n")
+        args = golden_args(tmp_path / "run")
+        args[args.index("--train") + 1] = str(train)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"{train}: line 2: not a JSON object" in result.output
+
+    def test_resume_under_another_seed_is_usage_error(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        args = golden_args(run_dir) + ["--iterations", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        trace = (run_dir / "trace.jsonl").read_bytes()
+        args[args.index("--seed") + 1] = "8"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"config differs from {run_dir / 'state.json'}: seed" in (
+            result.output
+        )
+        assert (run_dir / "trace.jsonl").read_bytes() == trace
+
     def test_initial_prompt_file(self, runner, tmp_path):
         prompt_file = tmp_path / "p.txt"
         prompt_file.write_text(
@@ -113,13 +139,15 @@ class TestOptimize:
         )
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unusable_initial_prompt_file_is_usage_error(
         self, runner, tmp_path, kind
     ):
         prompt_file = tmp_path / "p.txt"
         if kind == "directory":
             prompt_file.mkdir()
+        elif kind == "not-utf8":
+            prompt_file.write_bytes(NOT_UTF8)
         result = runner.invoke(
             main,
             golden_args(tmp_path / "run")
@@ -160,6 +188,25 @@ class TestEvaluate:
         dataset.write_text(dataset_text)
         return ["evaluate", "--prompt-file", str(prompt_file),
                 "--dataset", str(dataset), "--fixtures", str(fixtures)]
+
+    def test_undecodable_prompt_file_is_usage_error(self, runner, tmp_path):
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        args = self.evaluate_args(tmp_path, dataset, FIXTURES)
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_bytes(NOT_UTF8)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"prompt file unreadable: {prompt_file}" in result.output
+
+    def test_backend_failure_aborts_evaluate(self, runner, tmp_path):
+        fixtures = tmp_path / "f.jsonl"
+        fixtures.write_text("")
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        result = runner.invoke(
+            main, self.evaluate_args(tmp_path, dataset, fixtures)
+        )
+        assert result.exit_code == 1, result.output
+        assert "evaluate aborted: " in result.output
 
     @pytest.mark.parametrize("case", sorted(BAD_FIXTURE_FILES))
     def test_bad_fixture_file_is_usage_error(self, runner, tmp_path, case):
@@ -354,6 +401,37 @@ class TestReplayCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "already holds a run" in result.output
+
+    def test_run_directory_without_state_is_refused_before_replaying(
+        self, runner, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        (run_dir / "state.json").unlink()
+        replay_dir = tmp_path / "replay"
+        result = runner.invoke(
+            main,
+            ["replay", "--run-dir", str(run_dir), "--fixtures", FIXTURES,
+             "--replay-dir", str(replay_dir)],
+        )
+        assert result.exit_code == 2, result.output
+        assert f"run state unreadable: {run_dir / 'state.json'}" in (
+            result.output
+        )
+        assert not replay_dir.exists()
+
+    def test_fixture_miss_is_runtime_failure(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        result = runner.invoke(
+            main,
+            ["replay", "--run-dir", str(run_dir), "--fixtures", str(empty),
+             "--replay-dir", str(tmp_path / "replay")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "replay aborted: " in result.output
 
     @pytest.mark.parametrize(
         "damage",

@@ -25,8 +25,8 @@ from promptreg.gateway import (
     ScriptedBackend,
 )
 from promptreg.loop import (
-    CONFIG_SNAPSHOT_FILE,
     DEFAULT_INITIAL_PROMPT,
+    RULEBANK_FILE,
     STATE_FILE,
     TRACE_FILE,
     TRANSCRIPT_FILE,
@@ -253,6 +253,22 @@ class TestGoldenRun:
         names = sorted(p.name for p in (tmp_path / "run").glob("prompt_v*.txt"))
         assert names == [f"prompt_v{v}.txt" for v in range(9)]
 
+    def test_run_directory_holds_one_commit_record_and_one_step_log(
+        self, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        config = golden_config(run_dir)
+        run_optimization(
+            config,
+            Gateway.scripted(FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE),
+        )
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            [TRACE_FILE, TRANSCRIPT_FILE, STATE_FILE, RULEBANK_FILE]
+            + [f"prompt_v{v}.txt" for v in range(9)]
+        )
+        state = json.loads((run_dir / STATE_FILE).read_text())
+        assert state["config"] == asdict(config)
+
     def test_resume_midway_reproduces_trace(self, tmp_path):
         run_dir = tmp_path / "run"
         first = OptimizationRun(golden_config(run_dir), Gateway.scripted(FIXTURES))
@@ -403,26 +419,27 @@ class TestResumeFromCommit:
             self.run(run_dir)
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "edit",
         [
-            (STATE_FILE, lambda d: d.pop("log_bytes", None)),
-            # The fields a snapshot held before role_desc and tags were
+            lambda d: d.pop("log_bytes", None),
+            # The fields a config held before role_desc and tags were
             # dropped from RunConfig, at their only values.
-            (CONFIG_SNAPSHOT_FILE, lambda d: d.update(
+            lambda d: d["config"].update(
                 role_desc=DEFAULT_ROLE_DESC,
                 tags={"start": DEFAULT_START_TAG, "end": DEFAULT_END_TAG},
-            )),
+            ),
+            # Written while the config sat in a file of its own.
+            lambda d: d.pop("config", None),
         ],
-        ids=["state-without-log-lengths", "snapshot-with-dropped-fields"],
+        ids=["state-without-log-lengths", "snapshot-with-dropped-fields",
+             "state-without-config"],
     )
-    def test_run_directory_of_older_format_is_refused(
-        self, tmp_path, name, edit
-    ):
+    def test_run_directory_of_older_format_is_refused(self, tmp_path, edit):
         run_dir = tmp_path / "run"
         self.run(run_dir, stop_after_step=5)
-        document = json.loads((run_dir / name).read_text())
+        document = json.loads((run_dir / STATE_FILE).read_text())
         edit(document)
-        (run_dir / name).write_text(json.dumps(document))
+        (run_dir / STATE_FILE).write_text(json.dumps(document))
         with pytest.raises(RunStateError):
             self.run(run_dir)
 
