@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -103,6 +104,8 @@ def _read_prompt(path: str) -> str:
 
 # An input file that must exist; click reports a missing one as a usage error.
 INPUT_FILE = click.Path(exists=True, dir_okay=False)
+# The same, made absolute, for paths a run records and resumes or replays by.
+RECORDED_INPUT_FILE = click.Path(exists=True, dir_okay=False, resolve_path=True)
 
 # Errors in what the user passed in: settings and fixture files
 # (ConfigError), datasets, run directories and rule banks.
@@ -161,8 +164,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--train", required=True, type=INPUT_FILE)
-@click.option("--val", required=True, type=INPUT_FILE)
+@click.option("--train", required=True, type=RECORDED_INPUT_FILE)
+@click.option("--val", required=True, type=RECORDED_INPUT_FILE)
 @click.option("--out", "run_dir", required=True, type=click.Path())
 @click.option("--batch-size", default=3, show_default=True)
 @click.option("--iterations", default=12, show_default=True)
@@ -195,8 +198,10 @@ def optimize(
         concurrency_cap=concurrency_cap,
         val_subsample=val_subsample,
     )
-    gateway = _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **backend_flags)
-    summary = run_optimization(config, gateway)
+    with closing(
+        _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **backend_flags)
+    ) as gateway:
+        summary = run_optimization(config, gateway)
     click.echo(
         f"completed {summary['steps_completed']} steps; "
         f"best validation accuracy {summary['best_val']:.4f} "
@@ -228,13 +233,13 @@ def evaluate_cmd(
         read_json(gap_report, "report", click.UsageError, _report)
         if gap_report else None
     )
-    gateway = _build_gateway(None, **backend_flags)
-    report = evaluate(
-        prompt, samples, gateway,
-        concurrency_cap=concurrency_cap,
-        dataset_name=dataset_name or Path(dataset).stem,
-        engine_name=engine_name,
-    )
+    with closing(_build_gateway(None, **backend_flags)) as gateway:
+        report = evaluate(
+            prompt, samples, gateway,
+            concurrency_cap=concurrency_cap,
+            dataset_name=dataset_name or Path(dataset).stem,
+            engine_name=engine_name,
+        )
     if out_report:
         write_json(out_report, asdict(report))
     click.echo(f"accuracy={report.accuracy:.4f}")

@@ -4,7 +4,7 @@ Two backends implement the same single-turn contract: an OpenAI-compatible
 chat-completions HTTP backend for live runs, and a scripted backend that
 replays fixture responses for deterministic tests. The gateway routes each
 request to the engine configured for its role and appends one transcript line
-per completed call.
+per completed call, through one handle held until ``close``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import logging
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -29,7 +28,7 @@ from .errors import (
     RequestRejectedError,
     TagsAbsentError,
 )
-from .jsonl import append_jsonl, iter_jsonl
+from .jsonl import Appender, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -263,7 +262,8 @@ class ScriptedBackend:
 
 
 class Gateway:
-    """Routes requests to per-role backends and records a transcript."""
+    """Routes requests to per-role backends and records a transcript, held
+    open from the first call until ``close``."""
 
     def __init__(
         self,
@@ -273,8 +273,7 @@ class Gateway:
     ) -> None:
         self.engines = engines
         self.backends = backends
-        self.transcript_path = Path(transcript_path) if transcript_path else None
-        self._transcript_lock = threading.Lock()
+        self._transcript = Appender(transcript_path) if transcript_path else None
 
     @classmethod
     def scripted(
@@ -338,8 +337,13 @@ class Gateway:
             MalformedOutputError,
         )
 
+    def close(self) -> None:
+        """Close the transcript; a later call opens it again."""
+        if self._transcript is not None:
+            self._transcript.close()
+
     def _record(self, request: ChatRequest, response: str, latency_ms: int) -> None:
-        if self.transcript_path is None:
+        if self._transcript is None:
             return
         entry = {
             "step": request.step,
@@ -349,8 +353,7 @@ class Gateway:
             "response": response,
             "latency_ms": latency_ms,
         }
-        with self._transcript_lock:
-            append_jsonl(self.transcript_path, entry)
+        self._transcript.append(entry)
 
 
 _FENCE_MARKER = "```"

@@ -5,6 +5,8 @@ log lines written."""
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar
 
@@ -69,14 +71,46 @@ def read_json(
 
 
 def write_json(path: str | Path, document: dict) -> None:
-    """Write one run file: sorted keys, two-space indent, trailing newline."""
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Write one run file on one line: sorted keys, trailing newline.
+
+    Without ``indent``, ``json`` encodes the document in C. The file is
+    rewritten in place and then cut to the new length, never truncated to
+    zero first: ext4 flushes a file that was truncated to zero and written
+    again when it is closed, which made each write cost about 0.2 ms.
+    """
+    data = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        handle.truncate()
 
 
-def append_jsonl(path: str | Path, entry: dict) -> None:
-    """Append ``entry`` to a log as one line with sorted keys."""
-    line = json.dumps(entry, sort_keys=True) + "\n"
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(line)
+class Appender:
+    """A log held open for appending, one sorted-key line per entry.
+
+    The file is opened on the first ``append`` and stays open until
+    ``close``; an ``append`` after ``close`` opens it again. Each line is
+    written and flushed under a lock, so concurrent entries never interleave
+    and a finished entry is on disk, and counted in the file's size, when
+    ``append`` returns. The file is opened in append mode, so every write
+    lands at the current end even after the file was cut back with
+    ``os.truncate``.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._handle = None
+        self._lock = threading.Lock()
+
+    def append(self, entry: dict) -> None:
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        with self._lock:
+            if self._handle is None:
+                self._handle = open(self.path, "ab")
+            self._handle.write(line)
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None

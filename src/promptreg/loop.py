@@ -7,8 +7,8 @@ beside stage 1; rule canonicalization feeds only the bank, so it runs beside
 the rewrite and the gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``. Every decision lands in an append-only trace so that a
 scripted run is replayable byte-for-byte. State is committed after every step,
-with the run's config and the length of every step log, and a run resumes from
-the last commit if that config is its own.
+with the run's config, the length of every step log and a record of the bank,
+and a run resumes from the last commit if that config is its own.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import logging
 import os
 import random
 from concurrent.futures import Executor
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -24,11 +25,18 @@ from typing import Optional
 from .errors import ConfigError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
-from .jsonl import append_jsonl, iter_jsonl, read_json, write_json
+from .jsonl import Appender, iter_jsonl, read_json, write_json
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
-from .rulebank import RuleBank, load_rulebank, save_rulebank
+from .rulebank import (
+    RuleBank,
+    RuleBankOp,
+    catch_up,
+    commit_record,
+    load_rulebank,
+    save_rulebank,
+)
 from .updater import apply_update
 
 logger = logging.getLogger(__name__)
@@ -137,11 +145,13 @@ class OptimizationRun:
         path = self.run_dir / name
         return path.stat().st_size if path.exists() else 0
 
-    def _save_state(self) -> None:
-        """Commit the step: bank, then state, config and step log lengths."""
+    def _save_state(self, ops: tuple[RuleBankOp, ...] = ()) -> None:
+        """Commit the step: state, config, step log lengths and a record of
+        the bank and the step's ``ops``, then the bank. A crash between the
+        two writes leaves the bank one commit behind, and a resume brings it
+        forward by the record."""
         state = self.state
         assert state is not None
-        save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
         # vars(), not asdict(): this runs every step, and asdict deep-copies.
         document = dict(
             vars(state),
@@ -151,13 +161,34 @@ class OptimizationRun:
             contexts=[vars(c) for c in state.contexts],
             config=vars(self.config),
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
+            bank_commit=commit_record(state.bank, ops),
         )
         del document["bank"]
         write_json(self._state_path(), document)
+        save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
+
+    def _committed_bank(self, record: dict, step: int) -> RuleBank:
+        """The bank of the commit ``record`` describes; a bank file one
+        commit behind it is brought forward and saved."""
+        path = self.run_dir / RULEBANK_FILE
+        # Only a crash inside the first commit leaves no bank file; the bank
+        # before that commit is the empty one.
+        bank = load_rulebank(path) if path.exists() else RuleBank()
+        try:
+            behind = catch_up(bank, record, step)
+        except ValueError as exc:
+            raise RunStateError(
+                f"{path} is neither the bank {STATE_FILE} committed nor one "
+                "commit behind it"
+            ) from exc
+        if behind:
+            save_rulebank(bank, path)
+        return bank
 
     def _resume(self) -> RunState:
         """Load the last commit, refuse it if it was made under a config
-        other than this run's, and cut every step log back to its length."""
+        other than this run's, bring the bank file to it, and cut every step
+        log back to its length."""
 
         def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
             recorded = RunConfig(**document.pop("config"))
@@ -173,6 +204,9 @@ class OptimizationRun:
                 )
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
+            bank = self._committed_bank(
+                document.pop("bank_commit"), document["step_completed"]
+            )
             previous = document["previous"]
             return RunState(**{
                 **document,
@@ -182,7 +216,7 @@ class OptimizationRun:
                 "contexts": tuple(
                     ExecutionContext(**c) for c in document["contexts"]
                 ),
-                "bank": load_rulebank(self.run_dir / RULEBANK_FILE),
+                "bank": bank,
             }), committed
 
         state, committed = read_json(
@@ -270,7 +304,7 @@ class OptimizationRun:
         }
         return reg, record
 
-    def _step(self, step: int, pool: Executor) -> None:
+    def _step(self, step: int, pool: Executor, trace_log: Appender) -> None:
         state = self.state
         # Nothing below changes state or the bank before this is joined.
         diagnosis = pool.submit(self._regularization_phase, step)
@@ -334,25 +368,21 @@ class OptimizationRun:
 
         # Neither the rewrite nor the gate reads the bank, so canonicalization
         # could run beside them; its ops land only now.
-        trace["bank_ops"] = [
-            {
-                "kind": op.kind,
-                "rule_id": op.rule_id,
-                "canonical_description": op.canonical_description,
-            }
-            for op in stage1.apply_bank_ops(state.bank, step)
-        ]
+        ops = stage1.apply_bank_ops(state.bank, step)
+        trace["bank_ops"] = [vars(op) for op in ops]
         trace["current_val"] = state.current_val
         trace["version_after"] = state.current.version
-        append_jsonl(self.run_dir / TRACE_FILE, trace)
+        trace_log.append(trace)
         state.step_completed = step
-        self._save_state()
+        self._save_state(ops)
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps."""
         # On an error the pool's exit waits for the calls still in flight, so
-        # their transcript lines land before a resume cuts them back.
-        with call_pool(self.config.concurrency_cap) as pool:
+        # their transcript lines land before a resume cuts them back. The
+        # trace opens on its first line, after any cut-back below.
+        with call_pool(self.config.concurrency_cap) as pool, \
+                closing(Appender(self.run_dir / TRACE_FILE)) as trace_log:
             if self._state_path().exists():
                 self.state = self._resume()
                 logger.info(
@@ -362,7 +392,7 @@ class OptimizationRun:
                 self._initialize(pool)
             first = self.state.step_completed + 1
             for step in range(first, self.config.iterations):
-                self._step(step, pool)
+                self._step(step, pool, trace_log)
                 if stop_after_step is not None and step >= stop_after_step:
                     break
         state = self.state
@@ -400,10 +430,10 @@ def replay_divergences(
     )
     # An unreadable recorded trace is refused before anything runs.
     recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
-    gateway = Gateway.scripted(
+    with closing(Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
-    )
-    OptimizationRun(config, gateway).run()
+    )) as gateway:
+        OptimizationRun(config, gateway).run()
     replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
     diverged = [
         step

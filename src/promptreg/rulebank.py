@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import templates
 from .errors import RuleBankError
@@ -139,6 +139,37 @@ def apply_ops(bank: RuleBank, ops: list[RuleBankOp], step: int) -> RuleBank:
             )
     bank.updated_step = step
     return bank
+
+
+def commit_record(bank: RuleBank, ops: Sequence[RuleBankOp]) -> dict:
+    """What a run's commit records of its bank: the rule count, mention total
+    and ``updated_step`` once the step's ``ops`` were applied, and the ops."""
+    return {
+        "rules": len(bank.entries),
+        "mentions": bank.total_mentions(),
+        "updated_step": bank.updated_step,
+        "ops": [vars(op) for op in ops],
+    }
+
+
+def catch_up(bank: RuleBank, record: dict, step: int) -> bool:
+    """Bring ``bank`` to the commit ``record`` describes, made at ``step``.
+
+    Returns False if the bank is that commit's already, and True if it was one
+    commit behind and ``record``'s ops were applied to it again. Any other
+    bank raises ValueError.
+    """
+    ops = [RuleBankOp(**op) for op in record["ops"]]
+    if commit_record(bank, ops) == record:
+        return False
+    try:
+        apply_ops(bank, ops, step)
+    except ValueError:
+        pass  # an INCREMENT of a rule this bank does not hold
+    else:
+        if commit_record(bank, ops) == record:
+            return True
+    raise ValueError("the bank is neither that commit's nor one behind it")
 
 
 def scope_proxy(rule: Rule, psi: Callable[[int], float] = float) -> float:

@@ -356,6 +356,32 @@ class TestReplayCommand:
         assert result.exit_code == 0, result.output
         assert "0 divergences" in result.output
 
+    def test_replay_from_another_directory_of_a_run_given_relative_paths(
+        self, runner, tmp_path, monkeypatch
+    ):
+        work, sibling = tmp_path / "a", tmp_path / "b"
+        work.mkdir()
+        sibling.mkdir()
+        for name in ("train.jsonl", "val.jsonl"):
+            (work / name).write_bytes((DATA_DIR / name).read_bytes())
+        monkeypatch.chdir(work)
+        result = runner.invoke(main, [
+            "optimize", "--train", "train.jsonl", "--val", "val.jsonl",
+            "--out", "run", "--seed", "7", "--fixtures", FIXTURES,
+        ])
+        assert result.exit_code == 0, result.output
+        state = json.loads((work / "run" / "state.json").read_text())
+        assert state["config"]["train_path"] == str(
+            (work / "train.jsonl").resolve()
+        )
+        monkeypatch.chdir(sibling)
+        result = runner.invoke(main, [
+            "replay", "--run-dir", "../a/run", "--fixtures", FIXTURES,
+            "--replay-dir", "replay",
+        ])
+        assert result.exit_code == 0, result.output
+        assert "0 divergences" in result.output
+
     def test_divergence_fails(self, runner, tmp_path):
         run_dir = tmp_path / "run"
         self.record_run(run_dir)

@@ -254,6 +254,20 @@ class TestTranscript:
         responses = [json.loads(l)["response"] for l in path.read_text().splitlines()]
         assert responses == ["first", "second"]
 
+    def test_call_after_close_reopens_and_appends(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        gw = scripted_gateway(
+            [{"role": "GRADIENT", "step": 0, "response": "r"}], transcript_path=path
+        )
+        gw.close()  # nothing opened yet
+        gw.complete(req(user="before"))
+        gw.close()
+        gw.close()
+        gw.complete(req(user="after"))
+        gw.close()
+        users = [json.loads(l)["user"] for l in path.read_text().splitlines()]
+        assert users == ["before", "after"]
+
 
 class TestCompleteJson:
     def test_repair_reask(self):

@@ -1,3 +1,4 @@
+import builtins
 import json
 import shutil
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, scripted_gateway
+from promptreg import loop
 from promptreg.errors import (
     BackendUnavailableError,
     ConfigError,
@@ -442,6 +444,202 @@ class TestResumeFromCommit:
         (run_dir / STATE_FILE).write_text(json.dumps(document))
         with pytest.raises(RunStateError):
             self.run(run_dir)
+
+
+GOLDEN_BANK = {"R1": 4, "R2": 2, "R3": 2, "R4": 1}
+
+
+class Crash(Exception):
+    """Stands in for the process dying at the point a test picks."""
+
+
+def golden_bank_bytes(tmp_path) -> bytes:
+    run_dir = tmp_path / "uninterrupted"
+    run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
+    return (run_dir / RULEBANK_FILE).read_bytes()
+
+
+class TestCommitOrder:
+    """state.json is written before rulebank.json and records what the bank
+    must hold, so a crash between the two writes is repaired on resume."""
+
+    def run(self, run_dir, **kwargs):
+        return OptimizationRun(
+            golden_config(run_dir), Gateway.scripted(FIXTURES)
+        ).run(**kwargs)
+
+    def test_crash_at_the_state_write_does_not_apply_bank_ops_twice(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        write_json = loop.write_json
+
+        def dies_at_step_4(path, document):
+            if document.get("step_completed") == 4:
+                raise Crash
+            write_json(path, document)
+
+        monkeypatch.setattr(loop, "write_json", dies_at_step_4)
+        with pytest.raises(Crash):
+            self.run(run_dir)
+        monkeypatch.setattr(loop, "write_json", write_json)
+        self.run(run_dir)
+        bank = load_rulebank(run_dir / RULEBANK_FILE)
+        assert {r.id: r.mention_count for r in bank.entries} == GOLDEN_BANK
+        assert (run_dir / RULEBANK_FILE).read_bytes() == \
+            golden_bank_bytes(tmp_path)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_crash_after_the_last_state_write_is_repaired_by_a_rerun(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        save_rulebank = loop.save_rulebank
+
+        def dies_at_the_last_step(bank, path):
+            if bank.updated_step == 11:
+                raise Crash
+            save_rulebank(bank, path)
+
+        monkeypatch.setattr(loop, "save_rulebank", dies_at_the_last_step)
+        with pytest.raises(Crash):
+            self.run(run_dir)
+        monkeypatch.setattr(loop, "save_rulebank", save_rulebank)
+        state = json.loads((run_dir / STATE_FILE).read_text())
+        assert state["step_completed"] == 11
+        # Still the bank of step 10's commit, before step 11's INCREMENT.
+        assert load_rulebank(run_dir / RULEBANK_FILE).total_mentions() == 8
+        summary = self.run(run_dir)
+        assert summary["steps_completed"] == 12
+        assert (run_dir / RULEBANK_FILE).read_bytes() == \
+            golden_bank_bytes(tmp_path)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_crash_inside_the_first_commit_resumes(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+
+        def dies(bank, path):
+            raise Crash
+
+        monkeypatch.setattr(loop, "save_rulebank", dies)
+        with pytest.raises(Crash):
+            self.run(run_dir)
+        monkeypatch.undo()
+        assert (run_dir / STATE_FILE).exists()
+        assert not (run_dir / RULEBANK_FILE).exists()
+        self.run(run_dir)
+        assert (run_dir / RULEBANK_FILE).read_bytes() == \
+            golden_bank_bytes(tmp_path)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_state_records_the_committed_bank_and_the_step_ops(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir)
+        record = json.loads((run_dir / STATE_FILE).read_text())["bank_commit"]
+        last = json.loads(GOLDEN_TRACE.read_text().splitlines()[-1])
+        assert record == {"rules": 4, "mentions": 9, "updated_step": 11,
+                          "ops": last["bank_ops"]}
+
+    def test_bank_two_commits_behind_is_refused(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=3)
+        behind = (run_dir / RULEBANK_FILE).read_bytes()
+        self.run(run_dir, stop_after_step=5)
+        (run_dir / RULEBANK_FILE).write_bytes(behind)
+        with pytest.raises(RunStateError, match="nor one commit behind"):
+            self.run(run_dir)
+
+    def test_state_without_bank_record_is_refused(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=5)
+        document = json.loads((run_dir / STATE_FILE).read_text())
+        del document["bank_commit"]
+        (run_dir / STATE_FILE).write_text(json.dumps(document))
+        with pytest.raises(RunStateError, match="run state unreadable"):
+            self.run(run_dir)
+
+
+class TestHeldLogs:
+    """Each gateway appends to the transcript, and each run() to the trace,
+    through one handle opened once and flushed after every line."""
+
+    def test_each_log_is_opened_once(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        opened = Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int):  # a descriptor opened elsewhere
+                opened[Path(file).name] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        gateway = Gateway.scripted(
+            FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
+        )
+        OptimizationRun(golden_config(run_dir), gateway).run()
+        gateway.close()
+        assert opened[TRANSCRIPT_FILE] == 1
+        assert opened[TRACE_FILE] == 1
+        monkeypatch.undo()
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_committed_log_lengths_are_the_sizes_on_disk(
+        self, tmp_path, monkeypatch, cap
+    ):
+        run_dir = tmp_path / "run"
+        write_json = loop.write_json
+        committed = []
+
+        def checking_write(path, document):
+            committed.append((
+                document["log_bytes"],
+                {name: (run_dir / name).stat().st_size
+                 if (run_dir / name).exists() else 0
+                 for name in (TRACE_FILE, TRANSCRIPT_FILE)},
+            ))
+            write_json(path, document)
+
+        monkeypatch.setattr(loop, "write_json", checking_write)
+        gateway = Gateway.scripted(
+            FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
+        )
+        OptimizationRun(golden_config(run_dir, concurrency_cap=cap), gateway).run()
+        gateway.close()
+        assert len(committed) == 13  # the initial validation and 12 steps
+        for recorded, on_disk in committed:
+            assert recorded[TRANSCRIPT_FILE] == on_disk[TRANSCRIPT_FILE]
+            assert recorded[TRACE_FILE] == on_disk[TRACE_FILE]
+
+    def test_one_gateway_serves_a_crash_and_its_resume(self, tmp_path):
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+
+        class MissesStepSixOptimizer:
+            def __init__(self):
+                self.missing = True
+                self.inner = ScriptedBackend.from_jsonl(FIXTURES)
+
+            def complete(self, request, engine):
+                if (self.missing and request.role == Role.OPTIMIZER
+                        and request.step == 6):
+                    raise FixtureMissError("fixture miss")
+                return self.inner.complete(request, engine)
+
+        backend = MissesStepSixOptimizer()
+        gateway = gateway_over(backend, transcript)
+        with pytest.raises(FixtureMissError):
+            OptimizationRun(golden_config(run_dir), gateway).run()
+        backend.missing = False
+        OptimizationRun(golden_config(run_dir), gateway).run()
+        gateway.close()
+        steps = [json.loads(line)["step"]
+                 for line in transcript.read_text().splitlines()]
+        assert steps.count(6) == 19
+        assert len(steps) == 190
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
 
 GOLDEN_CALLS = {"FORWARD": 136, "GRADIENT": 33, "REGULARIZATION": 12,
