@@ -76,15 +76,9 @@ def _build_gateway(
             raise click.UsageError(f"unknown engine name: {name}")
         return engines[name]
 
-    assignment = RoleAssignment(
-        forward=pick(Role.FORWARD),
-        gradient=pick(Role.GRADIENT),
-        regularization=pick(Role.REGULARIZATION),
-        optimizer=pick(Role.OPTIMIZER),
-    )
     http = HttpBackend()
     return Gateway(
-        engines=assignment,
+        engines=RoleAssignment(**{r.value.lower(): pick(r) for r in Role}),
         backends={role: http for role in Role},
         transcript_path=transcript_path,
     )

@@ -22,7 +22,7 @@ class BackendUnavailableError(PromptRegError):
 
 
 class RequestRejectedError(PromptRegError):
-    """Backend rejected the request with a non-retryable client error."""
+    """Backend rejected the request with a non-retryable 3xx or 4xx status."""
 
 
 class FixtureMissError(PromptRegError):

@@ -57,7 +57,13 @@ def load_dataset(path: str | Path) -> list[Sample]:
                 raise DatasetError(
                     f"dataset {path}: line {number}: missing field {fieldname}"
                 )
-            if not str(record[fieldname]):
+            value = record[fieldname]
+            if value is None or isinstance(value, (list, dict)):
+                raise DatasetError(
+                    f"dataset {path}: line {number}: field {fieldname} is "
+                    f"{value!r}, not text or a number"
+                )
+            if not str(value):
                 raise DatasetError(
                     f"dataset {path}: line {number}: empty field {fieldname}"
                 )

@@ -28,7 +28,7 @@ from .errors import (
     RequestRejectedError,
     TagsAbsentError,
 )
-from .jsonl import Appender, iter_jsonl
+from .jsonl import Appender, decode_body, encode_body, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +63,7 @@ class RoleAssignment:
     optimizer: EngineConfig
 
     def for_role(self, role: Role) -> EngineConfig:
-        return {
-            Role.FORWARD: self.forward,
-            Role.GRADIENT: self.gradient,
-            Role.REGULARIZATION: self.regularization,
-            Role.OPTIMIZER: self.optimizer,
-        }[role]
+        return getattr(self, role.value.lower())
 
     @classmethod
     def uniform(cls, engine: EngineConfig) -> "RoleAssignment":
@@ -97,8 +92,9 @@ class HttpBackend:
 
     Network failures, rate limits (429) and server errors (5xx) are retried
     after a fixed backoff, or after a longer numeric ``Retry-After`` on a 429
-    or 503, and the last failure raises without a further wait. Other client
-    errors surface immediately with the response body. A success response
+    or 503, and the last failure raises without a further wait. Any other
+    status outside 2xx raises RequestRejectedError at once (urllib follows
+    a 301, 302 or 303 of a POST as a GET, and no 307 or 308). A success body
     without string content raises MalformedOutputError.
     """
 
@@ -107,7 +103,9 @@ class HttpBackend:
         self._sleep = sleep
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
 
         headers = {"Content-Type": "application/json"}
         if engine.auth_env_var:
@@ -118,7 +116,7 @@ class HttpBackend:
                     f"{engine.auth_env_var}"
                 )
             headers["Authorization"] = f"Bearer {key}"
-        body = {
+        data = encode_body({
             "model": engine.model_id,
             "messages": [
                 {"role": "system", "content": request.system},
@@ -127,7 +125,7 @@ class HttpBackend:
             "temperature": engine.temperature,
             "top_p": engine.top_p,
             "max_tokens": engine.max_new_tokens,
-        }
+        })
         last_error: Exception | None = None
         retry_after = 0.0
         # One attempt, then one retry after each backoff; no wait follows
@@ -136,27 +134,28 @@ class HttpBackend:
             if backoff is not None:
                 self._sleep(max(backoff, retry_after))
             try:
-                resp = requests.post(
-                    engine.endpoint, headers=headers, json=body,
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
+                try:
+                    resp = urlopen(Request(engine.endpoint, data, headers),
+                                   timeout=self.timeout)
+                except HTTPError as error:  # any status outside 2xx
+                    resp = error
+                with resp:
+                    status, text = resp.status, resp.read().decode(errors="replace")
+            # ValueError: an endpoint or a header that urllib cannot send
+            except (OSError, ValueError, HTTPException) as exc:
                 last_error = exc
                 retry_after = 0.0
                 continue
-            status = resp.status_code
             if status == 429:
                 last_error = RequestRejectedError("rate limited")
             elif status >= 500:
                 last_error = BackendUnavailableError(
-                    f"backend unavailable ({status}): {resp.text}"
+                    f"backend unavailable ({status}): {text}"
                 )
-            elif status >= 400:
-                raise RequestRejectedError(
-                    f"request rejected ({status}): {resp.text}"
-                )
+            elif status >= 300:
+                raise RequestRejectedError(f"request rejected ({status}): {text}")
             else:
-                return _content(resp)
+                return _content(text)
             retry_after = _retry_after(resp) if status in (429, 503) else 0.0
         raise BackendUnavailableError(
             f"backend unavailable after {len(RETRY_BACKOFF_SECONDS) + 1} "
@@ -173,10 +172,10 @@ def _retry_after(resp) -> float:
     return seconds if math.isfinite(seconds) and seconds > 0 else 0.0
 
 
-def _content(resp) -> str:
-    """The message content of a success response."""
+def _content(text: str) -> str:
+    """The message content of a success response body."""
     try:
-        content = resp.json()["choices"][0]["message"]["content"]
+        content = decode_body(text)["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as exc:
         raise MalformedOutputError(f"malformed response body: {exc!r}") from exc
     if not isinstance(content, str):

@@ -1,6 +1,6 @@
 """The one module that encodes and decodes the files promptreg reads or
-writes: JSONL read line by line, JSON documents read whole, run files and
-log lines written."""
+writes, and the bodies ``HttpBackend`` sends and receives: JSONL read line
+by line, JSON documents read whole, run files and log lines written."""
 
 from __future__ import annotations
 
@@ -82,6 +82,16 @@ def write_json(path: str | Path, document: dict) -> None:
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         handle.write(data)
         handle.truncate()
+
+
+def encode_body(document: dict) -> bytes:
+    """An HTTP request body: compact JSON in UTF-8."""
+    return json.dumps(document).encode("utf-8")
+
+
+def decode_body(text: str) -> Any:
+    """An HTTP response body; one that is not JSON raises ValueError."""
+    return json.loads(text)
 
 
 class Appender:

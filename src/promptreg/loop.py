@@ -79,6 +79,8 @@ class RunConfig:
             raise ConfigError("acceptance_relaxation must be nonnegative")
         if self.concurrency_cap < 1:
             raise ConfigError("concurrency_cap must be at least 1")
+        if self.val_subsample is not None and self.val_subsample < 1:
+            raise ConfigError("val_subsample must be at least 1")
         if not self.initial_prompt.strip():
             raise ConfigError("initial_prompt must be nonempty")
 
@@ -233,9 +235,16 @@ class OptimizationRun:
                 os.truncate(self.run_dir / name, length)
         return state
 
-    def _write_prompt_file(self, prompt: PromptVersion) -> None:
+    def _write_prompt_file(
+        self, prompt: PromptVersion, if_missing: bool = False
+    ) -> None:
+        """Written after the commit that accepts ``prompt``, so a crash
+        never leaves the file of a version the run did not accept."""
         path = self.run_dir / f"prompt_v{prompt.version}.txt"
-        path.write_text(prompt.text, encoding="utf-8")
+        # A check, not a rewrite: rewriting truncates the file, and on ext4
+        # a truncated file is flushed when it is closed.
+        if not (if_missing and path.exists()):
+            path.write_text(prompt.text, encoding="utf-8")
 
     # -- pipeline ---------------------------------------------------------
 
@@ -247,7 +256,6 @@ class OptimizationRun:
             if self._log_size(name):
                 os.truncate(self.run_dir / name, 0)
         current = PromptVersion.create(self.config.initial_prompt, version=0)
-        self._write_prompt_file(current)
         initial_report = evaluate(
             current, self.val, self.gateway, step=0, dataset_name="val",
             pool=pool,
@@ -263,6 +271,7 @@ class OptimizationRun:
             step_completed=-1,
         )
         self._save_state()
+        self._write_prompt_file(current)
 
     def _regularization_phase(self, step: int) -> tuple[Optional[object], dict]:
         state = self.state
@@ -359,7 +368,6 @@ class OptimizationRun:
                 state.previous, state.contexts = state.current, stage1.contexts
                 state.current = candidate
                 state.current_val = report.accuracy
-                self._write_prompt_file(candidate)
                 if report.accuracy > state.best_val:
                     state.best = candidate
                     state.best_val = report.accuracy
@@ -375,16 +383,23 @@ class OptimizationRun:
         trace_log.append(trace)
         state.step_completed = step
         self._save_state(ops)
+        if trace["accepted"]:
+            self._write_prompt_file(state.current)
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
-        """Execute (or resume) the configured number of steps."""
+        """Execute (or resume) the configured number of steps, then release
+        the gateway's transcript (a later call opens it again)."""
         # On an error the pool's exit waits for the calls still in flight, so
-        # their transcript lines land before a resume cuts them back. The
-        # trace opens on its first line, after any cut-back below.
-        with call_pool(self.config.concurrency_cap) as pool, \
+        # their transcript lines land before a resume cuts them back, and
+        # before the transcript is released. The trace opens on its first
+        # line, after any cut-back below.
+        with closing(self.gateway), \
+                call_pool(self.config.concurrency_cap) as pool, \
                 closing(Appender(self.run_dir / TRACE_FILE)) as trace_log:
             if self._state_path().exists():
                 self.state = self._resume()
+                # A crash between a commit and its prompt file left none.
+                self._write_prompt_file(self.state.current, if_missing=True)
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
                 )

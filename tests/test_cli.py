@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, ok_reply
 from promptreg.cli import main
 from promptreg.gateway import Gateway
 from promptreg.loop import RunConfig, run_optimization
@@ -73,6 +73,17 @@ class TestOptimize:
         )
         assert result.exit_code == 2
         assert "tau_c" in result.output
+
+    @pytest.mark.parametrize("subsample", ["0", "-1"])
+    def test_val_subsample_below_one_is_usage_error(
+        self, runner, tmp_path, subsample
+    ):
+        result = runner.invoke(
+            main, golden_args(tmp_path / "run") + ["--val-subsample", subsample]
+        )
+        assert result.exit_code == 2, result.output
+        assert "val_subsample must be at least 1" in result.output
+        assert not (tmp_path / "run" / "trace.jsonl").exists()
 
     def test_missing_dataset(self, runner, tmp_path):
         args = golden_args(tmp_path / "run")
@@ -308,6 +319,100 @@ class TestEvaluate:
         result = self.evaluate_with_gap(runner, tmp_path, gap_text)
         assert result.exit_code == 2
         assert "report unreadable" in result.output
+
+
+ROLES = ["forward", "gradient", "regularization", "optimizer"]
+
+
+class TestEvaluateOverHttp:
+    """``evaluate --backend http`` against the loopback server of
+    ``conftest``: engine choice per role, credentials and the request body.
+    Only the forward role reaches the wire; every role is picked when the
+    gateway is built."""
+
+    def engines_file(self, tmp_path, url, roles) -> str:
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({
+            "engines": {
+                "small": {"endpoint": url, "model_id": "small-model",
+                          "auth_env_var": "PROMPTREG_TEST_KEY",
+                          "temperature": 0.3, "top_p": 0.9,
+                          "max_new_tokens": 64},
+                "big": {"endpoint": url, "model_id": "big-model"},
+            },
+            "roles": roles,
+        }))
+        return str(path)
+
+    def invoke(self, runner, tmp_path, engines, *flags):
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_text("Reply with the number.")
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps({"question": "2 + 2?", "answer": "4"}) + "\n")
+        return runner.invoke(main, [
+            "evaluate", "--prompt-file", str(prompt_file),
+            "--dataset", str(dataset), "--backend", "http",
+            "--engines", engines, *flags,
+        ])
+
+    def test_roles_map_picks_the_engine_and_its_settings(
+        self, runner, tmp_path, loopback, monkeypatch
+    ):
+        monkeypatch.setenv("PROMPTREG_TEST_KEY", "sk-test")
+        posts = loopback.script(ok_reply("Answer: 4"))
+        roles = dict.fromkeys(ROLES, "big") | {"forward": "small"}
+        engines = self.engines_file(tmp_path, loopback.url, roles)
+        result = self.invoke(runner, tmp_path, engines)
+        assert result.exit_code == 0, result.output
+        assert "accuracy=1.0000" in result.output
+        [(headers, body)] = posts
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert body == {
+            "model": "small-model",
+            "messages": [
+                {"role": "system", "content": "Reply with the number."},
+                {"role": "user", "content": "2 + 2?"},
+            ],
+            "temperature": 0.3,
+            "top_p": 0.9,
+            "max_tokens": 64,
+        }
+
+    def test_engine_flag_overrides_the_roles_map(
+        self, runner, tmp_path, loopback
+    ):
+        posts = loopback.script(ok_reply("Answer: 4"))
+        engines = self.engines_file(
+            tmp_path, loopback.url, dict.fromkeys(ROLES, "small")
+        )
+        result = self.invoke(
+            runner, tmp_path, engines, "--forward-engine", "big"
+        )
+        assert result.exit_code == 0, result.output
+        [(headers, body)] = posts
+        assert body["model"] == "big-model"
+        assert "Authorization" not in headers
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_each_role_reads_the_roles_map_and_its_flag(
+        self, runner, tmp_path, loopback, role
+    ):
+        loopback.script(ok_reply("Answer: 4"))
+        roles = dict.fromkeys(ROLES, "big") | {role: "nope"}
+        engines = self.engines_file(tmp_path, loopback.url, roles)
+        result = self.invoke(runner, tmp_path, engines)
+        assert result.exit_code == 2, result.output
+        assert "unknown engine name: nope" in result.output
+        result = self.invoke(runner, tmp_path, engines, f"--{role}-engine", "big")
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_role_without_engine_is_usage_error(self, runner, tmp_path, role):
+        roles = {r: "big" for r in ROLES if r != role}
+        engines = self.engines_file(tmp_path, "http://127.0.0.1:9/", roles)
+        result = self.invoke(runner, tmp_path, engines)
+        assert result.exit_code == 2, result.output
+        assert f"no engine configured for role {role}" in result.output
 
 
 class TestRulebankShow:

@@ -54,14 +54,25 @@ class TestLoadDataset:
              "line 3: invalid JSON"),
             ('{"question": "q", "answer": "a"}\n"q, a"\n', "line 2: not a JSON object"),
             ('{"question": "q", "answer": "a"}\n5\n', "line 2: not a JSON object"),
+            ('{"question": "q", "answer": "a"}\n{"question": "q", "answer": null}\n',
+             "line 2: field answer is None"),
+            ('{"question": ["q"], "answer": "a"}\n', "line 1: field question is"),
+            ('{"question": "q", "answer": "a"}\n{"question": "q", "answer": {}}\n',
+             "line 2: field answer is"),
         ],
-        ids=["not-json-after-blank", "string", "number"],
+        ids=["not-json-after-blank", "string", "number", "null-answer",
+             "list-question", "object-answer"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "d.jsonl"
         path.write_text(text)
         with pytest.raises(DatasetError, match=message):
             load_dataset(path)
+
+    def test_numbers_read_as_their_text(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"question": 7, "answer": 2.5}\n')
+        assert load_dataset(path) == [Sample(question="7", answer="2.5")]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError, match="dataset not found"):

@@ -1,12 +1,12 @@
 import json
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
-from conftest import scripted_gateway
+from conftest import ok_reply, scripted_gateway
 from promptreg.errors import (
     BackendUnavailableError,
     ConfigError,
@@ -228,11 +228,11 @@ class TestMatcherAgainstLinearScan:
 class TestTranscript:
     def test_appends_one_line_per_call(self, tmp_path):
         path = tmp_path / "transcript.jsonl"
-        gw = scripted_gateway(
+        with closing(scripted_gateway(
             [{"role": "GRADIENT", "step": 0, "response": "r"}], transcript_path=path
-        )
-        gw.complete(req())
-        gw.complete(req())
+        )) as gw:
+            gw.complete(req())
+            gw.complete(req())
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         entry = json.loads(lines[0])
@@ -242,15 +242,15 @@ class TestTranscript:
 
     def test_call_order_preserved(self, tmp_path):
         path = tmp_path / "transcript.jsonl"
-        gw = scripted_gateway(
+        with closing(scripted_gateway(
             [
                 {"role": "GRADIENT", "step": 0, "response": "first"},
                 {"role": "OPTIMIZER", "step": 0, "response": "second"},
             ],
             transcript_path=path,
-        )
-        gw.complete(req(Role.GRADIENT))
-        gw.complete(req(Role.OPTIMIZER))
+        )) as gw:
+            gw.complete(req(Role.GRADIENT))
+            gw.complete(req(Role.OPTIMIZER))
         responses = [json.loads(l)["response"] for l in path.read_text().splitlines()]
         assert responses == ["first", "second"]
 
@@ -364,40 +364,13 @@ class TestExtractTaggedVariable:
         )
 
 
-LOOPBACK = EngineConfig(
-    name="live", endpoint="http://127.0.0.1:9/v1/chat/completions", model_id="m"
-)
-
-
-def http_response(status, body=b"", headers=None):
-    response = requests.Response()
-    response.status_code = status
-    response._content = body
-    response.headers.update(headers or {})
-    return response
-
-
-def ok_response(content="done"):
-    return http_response(
-        200, json.dumps({"choices": [{"message": {"content": content}}]}).encode()
-    )
-
-
-def serve(monkeypatch, responses):
-    """Patch requests.post to answer with ``responses`` in order; the list
-    returned fills with one entry per post."""
-    posts = []
-
-    def post(*args, **kwargs):
-        assert len(posts) < len(responses), "more posts than scripted responses"
-        posts.append(kwargs["json"])
-        return responses[len(posts) - 1]
-
-    monkeypatch.setattr(requests, "post", post)
-    return posts
+def engine_at(url: str) -> EngineConfig:
+    return EngineConfig(name="live", endpoint=url, model_id="m")
 
 
 class TestHttpBackend:
+    """The real transport against the loopback server of ``conftest``."""
+
     def test_missing_credential(self, monkeypatch):
         monkeypatch.delenv("PROMPTREG_TEST_KEY", raising=False)
         backend = HttpBackend()
@@ -413,11 +386,7 @@ class TestHttpBackend:
     def test_network_failure_retries_then_unavailable(self):
         sleeps = []
         backend = HttpBackend(timeout=0.2, sleep=sleeps.append)
-        engine = EngineConfig(
-            name="live",
-            endpoint="http://127.0.0.1:9/v1/chat/completions",
-            model_id="m",
-        )
+        engine = engine_at("http://127.0.0.1:9/v1/chat/completions")
         with pytest.raises(BackendUnavailableError, match="after 4 attempts"):
             backend.complete(req(Role.FORWARD), engine)
         assert sleeps == [1.0, 4.0, 16.0]
@@ -433,37 +402,31 @@ class TestHttpBackend:
             b'{"choices": [{"message": {"content": null}}]}',
         ],
     )
-    def test_malformed_success_body(self, monkeypatch, body):
-        response = requests.Response()
-        response.status_code = 200
-        response._content = body
-        monkeypatch.setattr(requests, "post", lambda *args, **kwargs: response)
-        engine = EngineConfig(
-            name="live",
-            endpoint="http://127.0.0.1:9/v1/chat/completions",
-            model_id="m",
-        )
+    def test_malformed_success_body(self, loopback, body):
+        loopback.script((200, body, {}))
         with pytest.raises(MalformedOutputError, match="malformed response body"):
-            HttpBackend().complete(req(Role.FORWARD), engine)
+            HttpBackend().complete(req(Role.FORWARD), engine_at(loopback.url))
 
     @pytest.mark.parametrize("status", [500, 502, 503])
-    def test_server_error_is_retried(self, monkeypatch, status):
-        posts = serve(monkeypatch, [http_response(status, b"busy"), ok_response()])
+    def test_server_error_is_retried(self, loopback, status):
+        posts = loopback.script((status, b"busy", {}), ok_reply())
         sleeps = []
         backend = HttpBackend(sleep=sleeps.append)
-        assert backend.complete(req(Role.FORWARD), LOOPBACK) == "done"
+        assert backend.complete(req(Role.FORWARD), engine_at(loopback.url)) == "done"
         assert len(posts) == 2
         assert sleeps == [1.0]
 
-    def test_numeric_retry_after_lengthens_the_wait(self, monkeypatch):
-        serve(monkeypatch, [
-            http_response(503, headers={"Retry-After": "7"}),
-            http_response(429, headers={"Retry-After": "2"}),
-            http_response(429, headers={"Retry-After": "30.5"}),
-            ok_response(),
-        ])
+    def test_numeric_retry_after_lengthens_the_wait(self, loopback):
+        loopback.script(
+            (503, b"", {"Retry-After": "7"}),
+            (429, b"", {"Retry-After": "2"}),
+            (429, b"", {"Retry-After": "30.5"}),
+            ok_reply(),
+        )
         sleeps = []
-        HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        HttpBackend(sleep=sleeps.append).complete(
+            req(Role.FORWARD), engine_at(loopback.url)
+        )
         assert sleeps == [7.0, 4.0, 30.5]
 
     @pytest.mark.parametrize(
@@ -476,34 +439,48 @@ class TestHttpBackend:
         ],
     )
     def test_other_retry_after_keeps_the_backoff(
-        self, monkeypatch, status, retry_after
+        self, loopback, status, retry_after
     ):
-        serve(monkeypatch, [
-            http_response(status, headers={"Retry-After": retry_after}),
-            ok_response(),
-        ])
+        loopback.script((status, b"", {"Retry-After": retry_after}), ok_reply())
         sleeps = []
-        HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+        HttpBackend(sleep=sleeps.append).complete(
+            req(Role.FORWARD), engine_at(loopback.url)
+        )
         assert sleeps == [1.0]
 
     @pytest.mark.parametrize(
         "status, cause", [(429, "rate limited"), (502, "\\(502\\): down")]
     )
     def test_four_attempts_and_no_wait_after_the_last(
-        self, monkeypatch, status, cause
+        self, loopback, status, cause
     ):
-        posts = serve(monkeypatch, [http_response(status, b"down")] * 4)
+        posts = loopback.script(*[(status, b"down", {})] * 4)
         sleeps = []
         with pytest.raises(BackendUnavailableError, match="after 4 attempts: .*"
                            + cause):
-            HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+            HttpBackend(sleep=sleeps.append).complete(
+                req(Role.FORWARD), engine_at(loopback.url)
+            )
         assert len(posts) == 4
         assert sleeps == [1.0, 4.0, 16.0]
 
-    def test_client_error_is_not_retried(self, monkeypatch):
-        posts = serve(monkeypatch, [http_response(400, b"bad request")])
+    def test_client_error_is_not_retried(self, loopback):
+        posts = loopback.script((400, b"bad request", {}))
         sleeps = []
         with pytest.raises(RequestRejectedError, match="400"):
-            HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), LOOPBACK)
+            HttpBackend(sleep=sleeps.append).complete(
+                req(Role.FORWARD), engine_at(loopback.url)
+            )
+        assert len(posts) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_redirect_of_the_post_is_not_followed(self, loopback, status):
+        posts = loopback.script((status, b"moved", {"Location": loopback.url}))
+        sleeps = []
+        with pytest.raises(RequestRejectedError, match=f"{status}\\): moved"):
+            HttpBackend(sleep=sleeps.append).complete(
+                req(Role.FORWARD), engine_at(loopback.url)
+            )
         assert len(posts) == 1
         assert sleeps == []

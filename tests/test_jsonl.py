@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 from contextlib import closing
 
 import pytest
@@ -72,5 +73,18 @@ def test_files_are_encoded_and_decoded_only_in_jsonl():
         for p in src.rglob("*.py")
         if p.name != "jsonl.py"
         and any(call in p.read_text() for call in ("json.loads(", "json.dumps("))
+    ]
+    assert offenders == []
+
+
+def test_nothing_imports_requests():
+    """The HTTP backend posts through the standard library."""
+    root = pathlib.Path(__file__).parent.parent
+    pattern = re.compile(r"^\s*(import|from)\s+requests\b", re.MULTILINE)
+    offenders = [
+        str(p.relative_to(root))
+        for folder in ("src", "tests")
+        for p in (root / folder).rglob("*.py")
+        if pattern.search(p.read_text())
     ]
     assert offenders == []

@@ -140,6 +140,8 @@ class TestRunConfig:
             {"acceptance_relaxation": -0.1},
             {"concurrency_cap": 0},
             {"initial_prompt": "  "},
+            {"val_subsample": 0},
+            {"val_subsample": -1},
         ],
     )
     def test_validate_rejects(self, bad):
@@ -532,6 +534,55 @@ class TestCommitOrder:
             golden_bank_bytes(tmp_path)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
+    def test_crash_at_the_state_write_leaves_no_prompt_file_for_the_step(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        write_json = loop.write_json
+
+        def dies_at_step_11(path, document):
+            if document.get("step_completed") == 11:
+                raise Crash
+            write_json(path, document)
+
+        monkeypatch.setattr(loop, "write_json", dies_at_step_11)
+        with pytest.raises(Crash):
+            self.run(run_dir)
+        monkeypatch.undo()
+        state = json.loads((run_dir / STATE_FILE).read_text())
+        assert state["current"]["version"] == 7
+        assert not (run_dir / "prompt_v8.txt").exists()
+        self.run(run_dir)
+        assert prompt_files(run_dir) == [f"prompt_v{v}.txt" for v in range(9)]
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_resume_writes_the_prompt_file_a_crash_left_out(
+        self, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        save_rulebank = loop.save_rulebank
+
+        def dies_at_the_last_step(bank, path):
+            if bank.updated_step == 11:
+                raise Crash
+            save_rulebank(bank, path)
+
+        monkeypatch.setattr(loop, "save_rulebank", dies_at_the_last_step)
+        with pytest.raises(Crash):
+            self.run(run_dir)
+        monkeypatch.undo()
+        assert not (run_dir / "prompt_v8.txt").exists()
+        summary = self.run(run_dir)
+        assert (run_dir / "prompt_v8.txt").read_text() == summary["current"]["text"]
+        assert prompt_files(run_dir) == [f"prompt_v{v}.txt" for v in range(9)]
+
+    def test_resume_does_not_rewrite_a_prompt_file(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir)
+        (run_dir / "prompt_v8.txt").write_text("left alone")
+        self.run(run_dir)
+        assert (run_dir / "prompt_v8.txt").read_text() == "left alone"
+
     def test_state_records_the_committed_bank_and_the_step_ops(self, tmp_path):
         run_dir = tmp_path / "run"
         self.run(run_dir)
@@ -640,6 +691,10 @@ class TestHeldLogs:
         assert steps.count(6) == 19
         assert len(steps) == 190
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+
+def prompt_files(run_dir) -> list[str]:
+    return sorted(p.name for p in run_dir.glob("prompt_v*.txt"))
 
 
 GOLDEN_CALLS = {"FORWARD": 136, "GRADIENT": 33, "REGULARIZATION": 12,

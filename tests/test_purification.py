@@ -1,5 +1,6 @@
 import json
 import threading
+from contextlib import closing
 
 import pytest
 
@@ -102,11 +103,11 @@ class TestForwardEval:
 class TestGenerateRawGradient:
     def test_prompt_and_context_reach_engine(self, tmp_path):
         transcript = tmp_path / "t.jsonl"
-        gw = scripted_gateway(
+        with closing(scripted_gateway(
             [{"role": "GRADIENT", "step": 2, "response": "be more careful"}],
             transcript_path=transcript,
-        )
-        raw = generate_raw_gradient(PROMPT, [CTX], gw, step=2)
+        )) as gw:
+            raw = generate_raw_gradient(PROMPT, [CTX], gw, step=2)
         assert raw.text == "be more careful"
         assert raw.step == 2
         sent = json.loads(transcript.read_text().splitlines()[0])["user"]

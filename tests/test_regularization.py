@@ -1,4 +1,5 @@
 import json
+from contextlib import closing
 
 import pytest
 
@@ -181,12 +182,12 @@ class TestSynthesize:
 
     def test_mode_reaches_generator(self, tmp_path):
         transcript = tmp_path / "t.jsonl"
-        gw = scripted_gateway(
+        diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
+        with closing(scripted_gateway(
             [self.synth_fixture(json.dumps({"guidance": "compress the prompt"}))],
             transcript_path=transcript,
-        )
-        diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
-        reg = synthesize_reg_gradient(diag, NEUTRAL_DIFF, pv(130, 1), gw, 0)
+        )) as gw:
+            reg = synthesize_reg_gradient(diag, NEUTRAL_DIFF, pv(130, 1), gw, 0)
         assert reg is not None
         assert reg.mode == MODE_COMPRESSION
         sent = json.loads(transcript.read_text().splitlines()[0])["user"]
