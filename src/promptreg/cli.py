@@ -29,6 +29,7 @@ from .gateway import (
     HttpBackend,
     Role,
     RoleAssignment,
+    check_endpoint,
 )
 from .jsonl import read_json, write_json
 from .loop import (
@@ -47,7 +48,11 @@ def _engines(document: dict) -> tuple[dict[str, EngineConfig], dict[str, str]]:
         name: EngineConfig(name=name, **spec)
         for name, spec in document["engines"].items()
     }
-    return engines, {**document.get("roles", {})}
+    roles = {**document.get("roles", {})}
+    # A document of the wrong shape is reported before any engine in it.
+    for engine in engines.values():
+        check_endpoint(engine)
+    return engines, roles
 
 
 def _build_gateway(
@@ -206,12 +211,13 @@ def optimize(
 @main.command("evaluate")
 @click.option("--prompt-file", required=True, type=INPUT_FILE)
 @click.option("--dataset", required=True, type=INPUT_FILE)
-@click.option("--out-report", type=click.Path(), default=None)
+@click.option("--out-report", type=click.Path(dir_okay=False), default=None)
 @click.option("--gap", "gap_report", type=click.Path(), default=None,
               help="Second report JSON treated as the training-side report.")
 @click.option("--dataset-name", default="")
 @click.option("--engine-name", default="")
-@click.option("--concurrency-cap", default=1, show_default=True)
+@click.option("--concurrency-cap", type=click.IntRange(min=1), default=1,
+              show_default=True)
 @click.option("--prompt-version", default=0, show_default=True)
 @add_options(backend_options)
 def evaluate_cmd(
@@ -219,6 +225,11 @@ def evaluate_cmd(
     concurrency_cap, prompt_version, **backend_flags,
 ) -> None:
     """Score a prompt on a dataset with strict exact match."""
+    if out_report and not Path(out_report).parent.is_dir():
+        raise click.BadParameter(
+            f"directory does not exist: {Path(out_report).parent}",
+            param_hint="'--out-report'",
+        )
     prompt = PromptVersion.create(
         _read_prompt(prompt_file), version=prompt_version
     )

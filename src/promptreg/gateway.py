@@ -95,7 +95,9 @@ class HttpBackend:
     or 503, and the last failure raises without a further wait. Any other
     status outside 2xx raises RequestRejectedError at once (urllib follows
     a 301, 302 or 303 of a POST as a GET, and no 307 or 308). A success body
-    without string content raises MalformedOutputError.
+    without string content raises MalformedOutputError. A request that can
+    never be sent (see ``check_endpoint``, or a header urllib refuses)
+    raises ConfigError at once, with no wait.
     """
 
     def __init__(self, timeout: float = 120.0, sleep=time.sleep) -> None:
@@ -103,10 +105,11 @@ class HttpBackend:
         self._sleep = sleep
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
-        from http.client import HTTPException
+        from http.client import HTTPException, InvalidURL
         from urllib.error import HTTPError
         from urllib.request import Request, urlopen
 
+        check_endpoint(engine)
         headers = {"Content-Type": "application/json"}
         if engine.auth_env_var:
             key = os.environ.get(engine.auth_env_var)
@@ -141,8 +144,12 @@ class HttpBackend:
                     resp = error
                 with resp:
                     status, text = resp.status, resp.read().decode(errors="replace")
-            # ValueError: an endpoint or a header that urllib cannot send
-            except (OSError, ValueError, HTTPException) as exc:
+            # A header or a port that urllib refuses fails every attempt alike.
+            except (ValueError, InvalidURL) as exc:
+                raise ConfigError(
+                    f"engine {engine.name}: request cannot be sent: {exc}"
+                ) from exc
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 retry_after = 0.0
                 continue
@@ -160,6 +167,23 @@ class HttpBackend:
         raise BackendUnavailableError(
             f"backend unavailable after {len(RETRY_BACKOFF_SECONDS) + 1} "
             f"attempts: {last_error}"
+        )
+
+
+def check_endpoint(engine: EngineConfig) -> None:
+    """Raise ConfigError unless ``engine.endpoint`` is an http:// or
+    https:// URL with a host."""
+    from urllib.parse import urlsplit
+
+    try:
+        parts = urlsplit(engine.endpoint)
+        usable = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # say, an unclosed IPv6 bracket
+        usable = False
+    if not usable:
+        raise ConfigError(
+            f"engine {engine.name}: endpoint {engine.endpoint!r} is not an "
+            "http:// or https:// URL"
         )
 
 

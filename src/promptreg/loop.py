@@ -6,9 +6,10 @@ and a validation gate. The diagnosis reads only the last commit, so it runs
 beside stage 1; rule canonicalization feeds only the bank, so it runs beside
 the rewrite and the gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``. Every decision lands in an append-only trace so that a
-scripted run is replayable byte-for-byte. State is committed after every step,
-with the run's config, the length of every step log and a record of the bank,
-and a run resumes from the last commit if that config is its own.
+scripted run is replayable byte-for-byte, and every accepted prompt in an
+append-only prompt log. State is committed after every step, with the run's
+config, the length of every step log and a record of the bank, and a run
+resumes from the last commit if that config is its own.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ TRACE_FILE = "trace.jsonl"
 STATE_FILE = "state.json"
 RULEBANK_FILE = "rulebank.json"
 TRANSCRIPT_FILE = "transcript.jsonl"
+PROMPTS_FILE = "prompts.jsonl"
 # Append-only logs that state.json records the committed length of.
-STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE)
+STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE)
 
 
 @dataclass(frozen=True)
@@ -235,20 +237,9 @@ class OptimizationRun:
                 os.truncate(self.run_dir / name, length)
         return state
 
-    def _write_prompt_file(
-        self, prompt: PromptVersion, if_missing: bool = False
-    ) -> None:
-        """Written after the commit that accepts ``prompt``, so a crash
-        never leaves the file of a version the run did not accept."""
-        path = self.run_dir / f"prompt_v{prompt.version}.txt"
-        # A check, not a rewrite: rewriting truncates the file, and on ext4
-        # a truncated file is flushed when it is closed.
-        if not (if_missing and path.exists()):
-            path.write_text(prompt.text, encoding="utf-8")
-
     # -- pipeline ---------------------------------------------------------
 
-    def _initialize(self, pool: Executor) -> None:
+    def _initialize(self, pool: Executor, prompt_log: Appender) -> None:
         self.run_dir.mkdir(parents=True, exist_ok=True)
         # A start that failed before its first commit left logs but no
         # state.json to cut them back by; this start logs anew.
@@ -270,8 +261,8 @@ class OptimizationRun:
             contexts=(),
             step_completed=-1,
         )
+        prompt_log.append(vars(current))
         self._save_state()
-        self._write_prompt_file(current)
 
     def _regularization_phase(self, step: int) -> tuple[Optional[object], dict]:
         state = self.state
@@ -313,7 +304,10 @@ class OptimizationRun:
         }
         return reg, record
 
-    def _step(self, step: int, pool: Executor, trace_log: Appender) -> None:
+    def _step(
+        self, step: int, pool: Executor, trace_log: Appender,
+        prompt_log: Appender,
+    ) -> None:
         state = self.state
         # Nothing below changes state or the bank before this is joined.
         diagnosis = pool.submit(self._regularization_phase, step)
@@ -365,6 +359,7 @@ class OptimizationRun:
                 accepted=accepted,
             )
             if accepted:
+                prompt_log.append(vars(candidate))
                 state.previous, state.contexts = state.current, stage1.contexts
                 state.current = candidate
                 state.current_val = report.accuracy
@@ -383,31 +378,28 @@ class OptimizationRun:
         trace_log.append(trace)
         state.step_completed = step
         self._save_state(ops)
-        if trace["accepted"]:
-            self._write_prompt_file(state.current)
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps, then release
         the gateway's transcript (a later call opens it again)."""
         # On an error the pool's exit waits for the calls still in flight, so
         # their transcript lines land before a resume cuts them back, and
-        # before the transcript is released. The trace opens on its first
-        # line, after any cut-back below.
+        # before the transcript is released. The trace and the prompt log
+        # open on their first line, after any cut-back below.
         with closing(self.gateway), \
                 call_pool(self.config.concurrency_cap) as pool, \
-                closing(Appender(self.run_dir / TRACE_FILE)) as trace_log:
+                closing(Appender(self.run_dir / TRACE_FILE)) as trace_log, \
+                closing(Appender(self.run_dir / PROMPTS_FILE)) as prompt_log:
             if self._state_path().exists():
                 self.state = self._resume()
-                # A crash between a commit and its prompt file left none.
-                self._write_prompt_file(self.state.current, if_missing=True)
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
                 )
             else:
-                self._initialize(pool)
+                self._initialize(pool, prompt_log)
             first = self.state.step_completed + 1
             for step in range(first, self.config.iterations):
-                self._step(step, pool, trace_log)
+                self._step(step, pool, trace_log, prompt_log)
                 if stop_after_step is not None and step >= stop_after_step:
                     break
         state = self.state

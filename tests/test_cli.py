@@ -308,6 +308,17 @@ class TestEvaluate:
         assert "same prompt version" in result.output
         assert "gap=" not in result.output
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_concurrency_cap_below_one_is_usage_error(
+        self, runner, tmp_path, cap
+    ):
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        args = self.evaluate_args(tmp_path, dataset, FIXTURES)
+        result = runner.invoke(main, args + ["--concurrency-cap", cap])
+        assert result.exit_code == 2, result.output
+        assert "--concurrency-cap" in result.output
+        assert "accuracy=" not in result.output
+
     @pytest.mark.parametrize(
         "gap_text",
         ["{broken", json.dumps({"accuracy": 0.75})],
@@ -413,6 +424,45 @@ class TestEvaluateOverHttp:
         result = self.invoke(runner, tmp_path, engines)
         assert result.exit_code == 2, result.output
         assert f"no engine configured for role {role}" in result.output
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{}, {"endpoint": "api.example.com/v1"}, {"endpoint": "foo://x/y"}],
+        ids=["missing-endpoint", "no-scheme", "other-scheme"],
+    )
+    def test_engine_without_http_endpoint_is_usage_error(
+        self, runner, tmp_path, loopback, spec
+    ):
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({
+            "engines": {"good": {"endpoint": loopback.url},
+                        "broken": {"model_id": "m", **spec}},
+            "roles": dict.fromkeys(ROLES, "good"),
+        }))
+        result = self.invoke(runner, tmp_path, str(path))
+        assert result.exit_code == 2, result.output
+        assert "engine broken: endpoint" in result.output
+        assert "is not an http:// or https:// URL" in result.output
+        assert loopback.received == []
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [(".", "is a directory"), ("absent/report.json", "does not exist")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_unwritable_out_report_is_usage_error_before_any_call(
+        self, runner, tmp_path, loopback, report, message
+    ):
+        engines = self.engines_file(
+            tmp_path, loopback.url, dict.fromkeys(ROLES, "big")
+        )
+        result = self.invoke(
+            runner, tmp_path, engines, "--out-report", str(tmp_path / report)
+        )
+        assert result.exit_code == 2, result.output
+        assert "--out-report" in result.output
+        assert message in result.output
+        assert loopback.received == []
 
 
 class TestRulebankShow:

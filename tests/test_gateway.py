@@ -1,6 +1,7 @@
 import json
 import tempfile
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -484,3 +485,37 @@ class TestHttpBackend:
             )
         assert len(posts) == 1
         assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "endpoint", ["", "api.example.com/v1", "foo://x/y", "http:///v1"],
+        ids=["missing", "no-scheme", "other-scheme", "no-host"],
+    )
+    def test_endpoint_that_cannot_be_sent_fails_at_once(self, endpoint):
+        sleeps = []
+        with pytest.raises(ConfigError, match="engine live: endpoint .* is "
+                           "not an http:// or https:// URL"):
+            HttpBackend(sleep=sleeps.append).complete(
+                req(Role.FORWARD), engine_at(endpoint)
+            )
+        assert sleeps == []
+
+    def test_port_that_cannot_be_sent_fails_at_once(self):
+        sleeps = []
+        with pytest.raises(ConfigError, match="cannot be sent: nonnumeric port"):
+            HttpBackend(sleep=sleeps.append).complete(
+                req(Role.FORWARD), engine_at("http://127.0.0.1:port/v1")
+            )
+        assert sleeps == []
+
+    @pytest.mark.parametrize("key", ["sk\nX-Injected: 1", "sk-€"],
+                             ids=["newline", "not-latin-1"])
+    def test_header_that_cannot_be_sent_fails_at_once(
+        self, loopback, monkeypatch, key
+    ):
+        monkeypatch.setenv("PROMPTREG_TEST_KEY", key)
+        engine = replace(engine_at(loopback.url), auth_env_var="PROMPTREG_TEST_KEY")
+        sleeps = []
+        with pytest.raises(ConfigError, match="engine live: request cannot be sent"):
+            HttpBackend(sleep=sleeps.append).complete(req(Role.FORWARD), engine)
+        assert sleeps == []
+        assert loopback.received == []

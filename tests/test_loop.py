@@ -28,8 +28,10 @@ from promptreg.gateway import (
 )
 from promptreg.loop import (
     DEFAULT_INITIAL_PROMPT,
+    PROMPTS_FILE,
     RULEBANK_FILE,
     STATE_FILE,
+    STEP_LOGS,
     TRACE_FILE,
     TRANSCRIPT_FILE,
     OptimizationRun,
@@ -38,6 +40,7 @@ from promptreg.loop import (
     replay_divergences,
     run_optimization,
 )
+from promptreg.metrics import PromptVersion
 from promptreg.rulebank import load_rulebank
 from promptreg.updater import (
     DEFAULT_END_TAG,
@@ -250,12 +253,23 @@ class TestGoldenRun:
         counts = {r.id: r.mention_count for r in bank.entries}
         assert counts == {"R1": 4, "R2": 2, "R3": 2, "R4": 1}
 
-    def test_prompt_files_written_for_accepted_versions_only(self, tmp_path):
-        run_optimization(
-            golden_config(tmp_path / "run"), Gateway.scripted(FIXTURES)
+    def test_prompt_log_holds_accepted_versions_only(self, tmp_path):
+        run_dir = tmp_path / "run"
+        summary = run_optimization(
+            golden_config(run_dir), Gateway.scripted(FIXTURES)
         )
-        names = sorted(p.name for p in (tmp_path / "run").glob("prompt_v*.txt"))
-        assert names == [f"prompt_v{v}.txt" for v in range(9)]
+        prompts = [json.loads(line)
+                   for line in (run_dir / PROMPTS_FILE).read_text().splitlines()]
+        accepted = [json.loads(line)["candidate_version"]
+                    for line in GOLDEN_TRACE.read_text().splitlines()
+                    if json.loads(line)["accepted"]]
+        assert [p["version"] for p in prompts] == [0, *accepted] == list(range(9))
+        assert prompts[0]["text"] == DEFAULT_INITIAL_PROMPT
+        assert prompts[-1] == summary["current"]
+        for prompt in prompts:
+            assert prompt == asdict(PromptVersion.create(
+                prompt["text"], version=prompt["version"]
+            ))
 
     def test_run_directory_holds_one_commit_record_and_one_step_log(
         self, tmp_path
@@ -266,10 +280,10 @@ class TestGoldenRun:
             config,
             Gateway.scripted(FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE),
         )
-        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
-            [TRACE_FILE, TRANSCRIPT_FILE, STATE_FILE, RULEBANK_FILE]
-            + [f"prompt_v{v}.txt" for v in range(9)]
-        )
+        assert {p.name for p in run_dir.iterdir()} == {
+            STATE_FILE, RULEBANK_FILE, *STEP_LOGS
+        }
+        assert set(STEP_LOGS) == {TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE}
         state = json.loads((run_dir / STATE_FILE).read_text())
         assert state["config"] == asdict(config)
 
@@ -432,11 +446,13 @@ class TestResumeFromCommit:
                 role_desc=DEFAULT_ROLE_DESC,
                 tags={"start": DEFAULT_START_TAG, "end": DEFAULT_END_TAG},
             ),
+            # Written while each prompt version had a file of its own.
+            lambda d: d["log_bytes"].pop(PROMPTS_FILE),
             # Written while the config sat in a file of its own.
             lambda d: d.pop("config", None),
         ],
         ids=["state-without-log-lengths", "snapshot-with-dropped-fields",
-             "state-without-config"],
+             "state-without-prompt-log-length", "state-without-config"],
     )
     def test_run_directory_of_older_format_is_refused(self, tmp_path, edit):
         run_dir = tmp_path / "run"
@@ -444,7 +460,7 @@ class TestResumeFromCommit:
         document = json.loads((run_dir / STATE_FILE).read_text())
         edit(document)
         (run_dir / STATE_FILE).write_text(json.dumps(document))
-        with pytest.raises(RunStateError):
+        with pytest.raises(RunStateError, match="run state unreadable"):
             self.run(run_dir)
 
 
@@ -459,6 +475,30 @@ def golden_bank_bytes(tmp_path) -> bytes:
     run_dir = tmp_path / "uninterrupted"
     run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
     return (run_dir / RULEBANK_FILE).read_bytes()
+
+
+def run_files(run_dir) -> dict:
+    """The run's committed files, and the transcript's (step, role) order."""
+    files = {name: (run_dir / name).read_bytes()
+             for name in (TRACE_FILE, PROMPTS_FILE, RULEBANK_FILE)}
+    files[TRANSCRIPT_FILE] = [
+        (entry["step"], entry["role"]) for entry in map(
+            json.loads, (run_dir / TRANSCRIPT_FILE).read_text().splitlines()
+        )
+    ]
+    return files
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory) -> dict:
+    """``run_files`` of the golden run at cap 1, run without a crash."""
+    run_dir = tmp_path_factory.mktemp("uninterrupted")
+    run_optimization(golden_config(run_dir), Gateway.scripted(
+        FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
+    ))
+    files = run_files(run_dir)
+    assert files[TRACE_FILE] == GOLDEN_TRACE.read_bytes()
+    return files
 
 
 class TestCommitOrder:
@@ -534,54 +574,39 @@ class TestCommitOrder:
             golden_bank_bytes(tmp_path)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
-    def test_crash_at_the_state_write_leaves_no_prompt_file_for_the_step(
-        self, tmp_path, monkeypatch
+    # The n-th call of each is the n-th commit's write of that file.
+    @pytest.mark.parametrize(
+        "write", ["write_json", "save_rulebank"], ids=[STATE_FILE, RULEBANK_FILE]
+    )
+    @pytest.mark.parametrize(
+        "commit", range(13), ids=["initial"] + [f"step-{s}" for s in range(12)]
+    )
+    def test_crash_at_any_commit_resumes_to_the_uninterrupted_run(
+        self, tmp_path, monkeypatch, uninterrupted, commit, write
     ):
         run_dir = tmp_path / "run"
-        write_json = loop.write_json
+        transcript = run_dir / TRANSCRIPT_FILE
+        real = getattr(loop, write)
+        calls = []
 
-        def dies_at_step_11(path, document):
-            if document.get("step_completed") == 11:
+        def dies_at_the_commit(*args):
+            calls.append(args)
+            if len(calls) == commit + 1:
                 raise Crash
-            write_json(path, document)
+            real(*args)
 
-        monkeypatch.setattr(loop, "write_json", dies_at_step_11)
+        monkeypatch.setattr(loop, write, dies_at_the_commit)
         with pytest.raises(Crash):
-            self.run(run_dir)
+            OptimizationRun(
+                golden_config(run_dir),
+                Gateway.scripted(FIXTURES, transcript_path=transcript),
+            ).run()
         monkeypatch.undo()
-        state = json.loads((run_dir / STATE_FILE).read_text())
-        assert state["current"]["version"] == 7
-        assert not (run_dir / "prompt_v8.txt").exists()
-        self.run(run_dir)
-        assert prompt_files(run_dir) == [f"prompt_v{v}.txt" for v in range(9)]
-        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
-
-    def test_resume_writes_the_prompt_file_a_crash_left_out(
-        self, tmp_path, monkeypatch
-    ):
-        run_dir = tmp_path / "run"
-        save_rulebank = loop.save_rulebank
-
-        def dies_at_the_last_step(bank, path):
-            if bank.updated_step == 11:
-                raise Crash
-            save_rulebank(bank, path)
-
-        monkeypatch.setattr(loop, "save_rulebank", dies_at_the_last_step)
-        with pytest.raises(Crash):
-            self.run(run_dir)
-        monkeypatch.undo()
-        assert not (run_dir / "prompt_v8.txt").exists()
-        summary = self.run(run_dir)
-        assert (run_dir / "prompt_v8.txt").read_text() == summary["current"]["text"]
-        assert prompt_files(run_dir) == [f"prompt_v{v}.txt" for v in range(9)]
-
-    def test_resume_does_not_rewrite_a_prompt_file(self, tmp_path):
-        run_dir = tmp_path / "run"
-        self.run(run_dir)
-        (run_dir / "prompt_v8.txt").write_text("left alone")
-        self.run(run_dir)
-        assert (run_dir / "prompt_v8.txt").read_text() == "left alone"
+        OptimizationRun(
+            golden_config(run_dir),
+            Gateway.scripted(FIXTURES, transcript_path=transcript),
+        ).run()
+        assert run_files(run_dir) == uninterrupted
 
     def test_state_records_the_committed_bank_and_the_step_ops(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -630,8 +655,8 @@ class TestHeldLogs:
         )
         OptimizationRun(golden_config(run_dir), gateway).run()
         gateway.close()
-        assert opened[TRANSCRIPT_FILE] == 1
-        assert opened[TRACE_FILE] == 1
+        assert {name: opened[name] for name in STEP_LOGS} == \
+            dict.fromkeys(STEP_LOGS, 1)
         monkeypatch.undo()
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
         assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
@@ -649,7 +674,7 @@ class TestHeldLogs:
                 document["log_bytes"],
                 {name: (run_dir / name).stat().st_size
                  if (run_dir / name).exists() else 0
-                 for name in (TRACE_FILE, TRANSCRIPT_FILE)},
+                 for name in STEP_LOGS},
             ))
             write_json(path, document)
 
@@ -661,8 +686,11 @@ class TestHeldLogs:
         gateway.close()
         assert len(committed) == 13  # the initial validation and 12 steps
         for recorded, on_disk in committed:
-            assert recorded[TRANSCRIPT_FILE] == on_disk[TRANSCRIPT_FILE]
-            assert recorded[TRACE_FILE] == on_disk[TRACE_FILE]
+            assert recorded == on_disk
+        # The initial commit holds version 0's line; the last, all 9 lines.
+        assert committed[0][0][PROMPTS_FILE] > 0
+        assert committed[-1][0][PROMPTS_FILE] == \
+            (run_dir / PROMPTS_FILE).stat().st_size
 
     def test_one_gateway_serves_a_crash_and_its_resume(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -691,10 +719,6 @@ class TestHeldLogs:
         assert steps.count(6) == 19
         assert len(steps) == 190
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
-
-
-def prompt_files(run_dir) -> list[str]:
-    return sorted(p.name for p in run_dir.glob("prompt_v*.txt"))
 
 
 GOLDEN_CALLS = {"FORWARD": 136, "GRADIENT": 33, "REGULARIZATION": 12,
