@@ -13,7 +13,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DatasetError
 from .gateway import ChatRequest, Gateway, Role
@@ -157,11 +157,14 @@ def evaluate(
     dataset_name: str = "",
     engine_name: str = "",
     pool: Optional[Executor] = None,
+    on_queued: Optional[Callable[[], object]] = None,
 ) -> EvalReport:
     """Run one forward call per sample; results stay in dataset order.
 
     The calls run on ``pool`` when given, else on a ``call_pool`` of
-    ``concurrency_cap`` opened for this evaluation.
+    ``concurrency_cap`` opened for this evaluation. ``on_queued`` is called
+    once the calls are queued, before their results are awaited; at cap 1
+    nothing is queued ahead, so it runs before the first call.
     """
     if not samples:
         raise ValueError("dataset must be nonempty")
@@ -180,7 +183,10 @@ def evaluate(
 
     opened = call_pool(concurrency_cap) if pool is None else nullcontext(pool)
     with opened as executor:
-        results = list(executor.map(run_one, samples))
+        results = executor.map(run_one, samples)
+        if on_queued is not None:
+            on_queued()
+        results = list(results)
     accuracy = sum(r.correct for r in results) / len(results)
     return EvalReport(
         dataset=dataset_name,

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -91,8 +92,10 @@ class HttpBackend:
     """OpenAI-compatible chat-completions transport with bounded retries.
 
     Network failures, rate limits (429) and server errors (5xx) are retried
-    after a fixed backoff, or after a longer numeric ``Retry-After`` on a 429
-    or 503, and the last failure raises without a further wait. Any other
+    after a fixed backoff, and the last failure raises without a further
+    wait. A numeric ``Retry-After`` on a 429 or 503 pauses the backend: no
+    thread sends through it again until ``clock`` has moved on that many
+    seconds, so a fake ``sleep`` must move a fake ``clock``. Any other
     status outside 2xx raises RequestRejectedError at once (urllib follows
     a 301, 302 or 303 of a POST as a GET, and no 307 or 308). A success body
     without string content raises MalformedOutputError. A request that can
@@ -100,9 +103,21 @@ class HttpBackend:
     raises ConfigError at once, with no wait.
     """
 
-    def __init__(self, timeout: float = 120.0, sleep=time.sleep) -> None:
+    def __init__(
+        self, timeout: float = 120.0, sleep=time.sleep, clock=time.monotonic
+    ) -> None:
         self.timeout = timeout
         self._sleep = sleep
+        self._clock = clock
+        # The clock reading before which no attempt is sent.
+        self._not_before = -math.inf
+        self._pause_lock = threading.Lock()
+
+    def _wait(self, backoff: float) -> None:
+        """Sleep at least ``backoff`` seconds, and until the pause is over."""
+        while (wait := max(backoff, self._not_before - self._clock())) > 0:
+            self._sleep(wait)
+            backoff = 0.0
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
         from http.client import HTTPException, InvalidURL
@@ -130,12 +145,10 @@ class HttpBackend:
             "max_tokens": engine.max_new_tokens,
         })
         last_error: Exception | None = None
-        retry_after = 0.0
         # One attempt, then one retry after each backoff; no wait follows
         # the last attempt.
-        for backoff in (None, *RETRY_BACKOFF_SECONDS):
-            if backoff is not None:
-                self._sleep(max(backoff, retry_after))
+        for backoff in (0.0, *RETRY_BACKOFF_SECONDS):
+            self._wait(backoff)
             try:
                 try:
                     resp = urlopen(Request(engine.endpoint, data, headers),
@@ -151,7 +164,6 @@ class HttpBackend:
                 ) from exc
             except (OSError, HTTPException) as exc:
                 last_error = exc
-                retry_after = 0.0
                 continue
             if status == 429:
                 last_error = RequestRejectedError("rate limited")
@@ -163,7 +175,12 @@ class HttpBackend:
                 raise RequestRejectedError(f"request rejected ({status}): {text}")
             else:
                 return _content(text)
-            retry_after = _retry_after(resp) if status in (429, 503) else 0.0
+            pause = _retry_after(resp) if status in (429, 503) else 0.0
+            if pause:
+                with self._pause_lock:
+                    self._not_before = max(
+                        self._not_before, self._clock() + pause
+                    )
         raise BackendUnavailableError(
             f"backend unavailable after {len(RETRY_BACKOFF_SECONDS) + 1} "
             f"attempts: {last_error}"

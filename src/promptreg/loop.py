@@ -2,14 +2,20 @@
 
 Each step runs: regularization diagnosis of the previous accepted transition,
 mini-batch execution and gradient purification, an optional guided rewrite,
-and a validation gate. The diagnosis reads only the last commit, so it runs
-beside stage 1; rule canonicalization feeds only the bank, so it runs beside
-the rewrite and the gate. All of it shares one call pool per run, bounded by
-``concurrency_cap``. Every decision lands in an append-only trace so that a
-scripted run is replayable byte-for-byte, and every accepted prompt in an
-append-only prompt log. State is committed after every step, with the run's
-config, the length of every step log and a record of the bank, and a run
-resumes from the last commit if that config is its own.
+and a validation gate. All of it shares one call pool per run, bounded by
+``concurrency_cap``, and is queued in this order: the batch's forward calls
+first; the diagnosis behind them, since it reads only the last commit and is
+first needed by the rewrite; rule canonicalization beside the rewrite and
+the gate, since it feeds only the bank. The raw-gradient, purifier and
+rewrite calls run on the calling thread while at most one pool task is in
+flight, so they count toward the cap too. At cap 1 every task runs inline,
+the diagnosis before the forward calls, as it always has.
+
+Every decision lands in an append-only trace so that a scripted run is
+replayable byte-for-byte, and every accepted prompt in an append-only prompt
+log. State is committed after every step, with the run's config, the length
+of every step log and a record of the bank, and a run resumes from the last
+commit if that config is its own.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import logging
 import os
 import random
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -240,7 +246,12 @@ class OptimizationRun:
     # -- pipeline ---------------------------------------------------------
 
     def _initialize(self, pool: Executor, prompt_log: Appender) -> None:
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.run_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # say, a file where a directory must be
+            raise RunStateError(
+                f"cannot make run directory {self.run_dir}: {exc.strerror}"
+            ) from exc
         # A start that failed before its first commit left logs but no
         # state.json to cut them back by; this start logs anew.
         for name in STEP_LOGS:
@@ -309,16 +320,20 @@ class OptimizationRun:
         prompt_log: Appender,
     ) -> None:
         state = self.state
-        # Nothing below changes state or the bank before this is joined.
-        diagnosis = pool.submit(self._regularization_phase, step)
-
         batch = next_batch(
             self.train, step, self.config.batch_size, self.config.seed
         )
+        # The diagnosis is first needed by the rewrite, two calls after the
+        # batch's forward calls, so it queues behind them. Nothing below
+        # changes state or the bank before it is joined.
+        diagnosis: list[Future] = []
         stage1 = run_purification_stage(
-            state.current, batch, state.bank, self.gateway, step, pool
+            state.current, batch, state.bank, self.gateway, step, pool,
+            lambda: diagnosis.append(
+                pool.submit(self._regularization_phase, step)
+            ),
         )
-        reg, ser_record = diagnosis.result()
+        reg, ser_record = diagnosis[0].result()
 
         trace: dict = {
             "step": step,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import evaluation, templates
 from .errors import MalformedOutputError
@@ -60,14 +60,17 @@ def forward_eval(
     gateway: Gateway,
     step: int,
     pool: Optional[Executor] = None,
+    on_queued: Optional[Callable[[], object]] = None,
 ) -> list[ExecutionContext]:
     """Run the prompt on each batch sample via the forward engine, on ``pool``
-    (inline when None).
+    (inline when None); ``on_queued`` is passed on to ``evaluate``.
 
     ``evaluate`` is looked up on its module at call time, so a wrapper
     installed on ``evaluation.evaluate`` also sees the stage-1 batch.
     """
-    report = evaluation.evaluate(prompt, batch, gateway, step=step, pool=pool)
+    report = evaluation.evaluate(
+        prompt, batch, gateway, step=step, pool=pool, on_queued=on_queued
+    )
     return [
         ExecutionContext(
             sample_input=sample.question,
@@ -146,15 +149,17 @@ def run_purification_stage(
     gateway: Gateway,
     step: int,
     pool: Optional[Executor] = None,
+    on_queued: Optional[Callable[[], object]] = None,
 ) -> StageOneResult:
     """Full Stage 1 for one mini-batch: eval, critique, purify, and
-    canonicalization submitted to ``pool`` (inline when None).
+    canonicalization submitted to ``pool`` (inline when None). ``on_queued``
+    is called once the batch's forward calls are queued on ``pool``.
 
     The bank is left untouched until the caller applies the result's ops.
     """
     if pool is None:
         pool = evaluation.InlineExecutor()
-    contexts = forward_eval(prompt, batch, gateway, step, pool)
+    contexts = forward_eval(prompt, batch, gateway, step, pool, on_queued)
     raw = generate_raw_gradient(prompt, contexts, gateway, step)
     purified = purify(raw, bank, prompt, gateway)
     bank_ops = None

@@ -168,6 +168,26 @@ class TestOptimize:
         assert str(prompt_file) in result.output
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_at_a_file_is_usage_error_before_any_call(
+        self, runner, tmp_path, loopback, out
+    ):
+        (tmp_path / "afile").write_text("kept")
+        engines = tmp_path / "e.json"
+        engines.write_text(json.dumps({
+            "engines": {"e": {"endpoint": loopback.url, "model_id": "m"}},
+            "roles": dict.fromkeys(ROLES, "e"),
+        }))
+        result = runner.invoke(main, [
+            "optimize", "--train", TRAIN, "--val", VAL,
+            "--out", str(tmp_path / out), "--seed", "7",
+            "--backend", "http", "--engines", str(engines),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"cannot make run directory {tmp_path / out}" in result.output
+        assert loopback.received == []
+        assert (tmp_path / "afile").read_text() == "kept"
+
 
 class TestEvaluate:
     def test_accuracy_line(self, runner, tmp_path):

@@ -1,5 +1,7 @@
 import json
 import tempfile
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
@@ -369,6 +371,21 @@ def engine_at(url: str) -> EngineConfig:
     return EngineConfig(name="live", endpoint=url, model_id="m")
 
 
+class FakeTime:
+    """A clock that only ``sleep`` moves; ``sleeps`` lists every sleep."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+        self.sleeps: list[float] = []
+
+    def clock(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 class TestHttpBackend:
     """The real transport against the loopback server of ``conftest``."""
 
@@ -424,11 +441,43 @@ class TestHttpBackend:
             (429, b"", {"Retry-After": "30.5"}),
             ok_reply(),
         )
-        sleeps = []
-        HttpBackend(sleep=sleeps.append).complete(
+        fake = FakeTime()
+        HttpBackend(sleep=fake.sleep, clock=fake.clock).complete(
             req(Role.FORWARD), engine_at(loopback.url)
         )
-        assert sleeps == [7.0, 4.0, 30.5]
+        assert fake.sleeps == [7.0, 4.0, 30.5]
+
+    def test_retry_after_pauses_every_call_at_cap_4(self, loopback):
+        """The Retry-After one call gets holds back the next attempt of every
+        call through the backend, not only that call's retry."""
+        posts = loopback.script(
+            (429, b"", {"Retry-After": "30"}), *[ok_reply()] * 4
+        )
+        fake = FakeTime()
+        waits = []  # (seconds, requests received when the wait began)
+        # The clock reaches the pause's end only once all four calls wait.
+        all_waiting = threading.Barrier(
+            4, action=lambda: setattr(fake, "now", 130.0), timeout=5
+        )
+        first_waiting = threading.Event()
+
+        def sleep(seconds):
+            waits.append((seconds, len(posts)))
+            first_waiting.set()
+            all_waiting.wait()
+
+        backend = HttpBackend(sleep=sleep, clock=fake.clock)
+        engine = engine_at(loopback.url)
+        with ThreadPoolExecutor(4) as pool:
+            calls = [pool.submit(backend.complete, req(Role.FORWARD), engine)]
+            assert first_waiting.wait(5)
+            calls += [
+                pool.submit(backend.complete, req(Role.FORWARD), engine)
+                for _ in range(3)
+            ]
+            assert [call.result() for call in calls] == ["done"] * 4
+        assert waits == [(30.0, 1)] * 4
+        assert len(posts) == 5
 
     @pytest.mark.parametrize(
         "status, retry_after",

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -812,7 +813,37 @@ class TestCallPool:
         assert (tmp_path / "run" / TRACE_FILE).read_bytes() == \
             GOLDEN_TRACE.read_bytes()
 
-    @pytest.mark.parametrize("cap", [1, 2, 4])
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_batch_forward_calls_are_queued_before_the_diagnosis(
+        self, tmp_path, monkeypatch, cap
+    ):
+        """Each step's diagnosis is submitted right behind its batch's
+        forward calls, so those never wait for it."""
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append((fn.__name__, args))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(loop, "call_pool", lambda cap: Recording(cap))
+        run_dir = tmp_path / "run"
+        self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap)
+        config = golden_config(run_dir)
+        train = loop.load_dataset(config.train_path)
+        diagnoses = [
+            (at, args[0]) for at, (name, args) in enumerate(submitted)
+            if name == "_regularization_phase"
+        ]
+        assert [step for _, step in diagnoses] == list(range(12))
+        for at, step in diagnoses:
+            batch = next_batch(train, step, config.batch_size, config.seed)
+            assert submitted[at - len(batch):at] == [
+                ("run_one", (sample,)) for sample in batch
+            ]
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_golden_run_at_any_cap(self, tmp_path, cap):
         run_dir = tmp_path / "run"
         self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap)
