@@ -1,6 +1,7 @@
 """The one module that encodes and decodes the files promptreg reads or
 writes, and the bodies ``HttpBackend`` sends and receives: JSONL read line
-by line, JSON documents read whole, run files and log lines written."""
+by line or by their last line, JSON documents read whole, run files and
+log lines written."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -16,6 +17,8 @@ T = TypeVar("T")
 _SCAN = json.JSONDecoder().scan_once
 # JSON's own whitespace: str.strip() would also drop, say, a form feed.
 _WHITESPACE = " \t\r\n"
+# The first block read_last_line reads from the end of a file.
+_TAIL_BLOCK = 1 << 16
 
 
 def iter_jsonl(
@@ -66,6 +69,34 @@ def read_json(
     try:
         with open(path, encoding="utf-8") as handle:
             return build(json.load(handle))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise error(f"{what} unreadable: {path}: {exc}") from exc
+
+
+def read_last_line(
+    path: str | Path,
+    what: str,
+    error: type[Exception],
+    build: Callable[[Any], T],
+) -> tuple[Optional[T], int]:
+    """``build`` applied to the last line of ``path`` that ends in ``\\n``,
+    and the offset just past it; ``(None, 0)`` if no line does. Only the
+    tail is read, from the end, each block doubling it. Errors are raised as
+    by ``read_json``."""
+    try:
+        with open(path, "rb") as handle:
+            start = handle.seek(0, os.SEEK_END)
+            tail = b""
+            while start and b"\n" not in tail[:tail.rfind(b"\n")]:
+                block = min(start, max(len(tail), _TAIL_BLOCK))
+                start -= block
+                handle.seek(start)
+                tail = handle.read(block) + tail
+        last = tail.rfind(b"\n")
+        if last < 0:
+            return None, 0
+        line = tail[tail.rfind(b"\n", 0, last) + 1:last]
+        return build(json.loads(line)), start + last + 1
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise error(f"{what} unreadable: {path}: {exc}") from exc
 

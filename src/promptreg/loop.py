@@ -13,9 +13,9 @@ the diagnosis before the forward calls, as it always has.
 
 Every decision lands in an append-only trace so that a scripted run is
 replayable byte-for-byte, and every accepted prompt in an append-only prompt
-log. State is committed after every step, with the run's config, the length
-of every step log and a record of the bank, and a run resumes from the last
-commit if that config is its own.
+log. State is committed after every step as one line appended to a commit
+log, with the run's config, the length of every step log and the bank, and a
+run resumes from the last complete line if that config is its own.
 """
 
 from __future__ import annotations
@@ -26,24 +26,21 @@ import random
 from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
-from .jsonl import Appender, iter_jsonl, read_json, write_json
+from .jsonl import Appender, iter_jsonl, read_last_line
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
-from .rulebank import (
-    RuleBank,
-    RuleBankOp,
-    catch_up,
-    commit_record,
-    load_rulebank,
-    save_rulebank,
-)
+from .rulebank import RuleBank, bank_document, bank_from_document, save_rulebank
+# Unused here, but bench/tracing.py patches loop.load_rulebank beside
+# loop.save_rulebank, and tests/test_bench_contract.py checks that both exist.
+from .rulebank import load_rulebank  # noqa: F401
 from .updater import apply_update
 
 logger = logging.getLogger(__name__)
@@ -58,7 +55,7 @@ STATE_FILE = "state.json"
 RULEBANK_FILE = "rulebank.json"
 TRANSCRIPT_FILE = "transcript.jsonl"
 PROMPTS_FILE = "prompts.jsonl"
-# Append-only logs that state.json records the committed length of.
+# Append-only logs whose length each commit line of state.json records.
 STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE)
 
 
@@ -131,6 +128,13 @@ def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
     return entries
 
 
+def _prompt_log(run_dir: Path, what: str) -> list[dict]:
+    return [
+        record for _, record in
+        iter_jsonl(run_dir / PROMPTS_FILE, what, RunStateError)
+    ]
+
+
 class OptimizationRun:
     """One resumable optimization run bound to a run directory."""
 
@@ -155,50 +159,26 @@ class OptimizationRun:
         path = self.run_dir / name
         return path.stat().st_size if path.exists() else 0
 
-    def _save_state(self, ops: tuple[RuleBankOp, ...] = ()) -> None:
-        """Commit the step: state, config, step log lengths and a record of
-        the bank and the step's ``ops``, then the bank. A crash between the
-        two writes leaves the bank one commit behind, and a resume brings it
-        forward by the record."""
+    def _commit(self, commit_log: Appender) -> None:
+        """Append the commit line: state, config, step log lengths and bank."""
         state = self.state
         assert state is not None
         # vars(), not asdict(): this runs every step, and asdict deep-copies.
-        document = dict(
+        commit_log.append(dict(
             vars(state),
             current=vars(state.current),
             best=vars(state.best),
             previous=vars(state.previous) if state.previous else None,
             contexts=[vars(c) for c in state.contexts],
+            bank=bank_document(state.bank),
             config=vars(self.config),
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
-            bank_commit=commit_record(state.bank, ops),
-        )
-        del document["bank"]
-        write_json(self._state_path(), document)
-        save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
+        ))
 
-    def _committed_bank(self, record: dict, step: int) -> RuleBank:
-        """The bank of the commit ``record`` describes; a bank file one
-        commit behind it is brought forward and saved."""
-        path = self.run_dir / RULEBANK_FILE
-        # Only a crash inside the first commit leaves no bank file; the bank
-        # before that commit is the empty one.
-        bank = load_rulebank(path) if path.exists() else RuleBank()
-        try:
-            behind = catch_up(bank, record, step)
-        except ValueError as exc:
-            raise RunStateError(
-                f"{path} is neither the bank {STATE_FILE} committed nor one "
-                "commit behind it"
-            ) from exc
-        if behind:
-            save_rulebank(bank, path)
-        return bank
-
-    def _resume(self) -> RunState:
+    def _resume(self) -> Optional[RunState]:
         """Load the last commit, refuse it if it was made under a config
-        other than this run's, bring the bank file to it, and cut every step
-        log back to its length."""
+        other than this run's, and cut state.json and every step log back to
+        it. None if state.json holds no complete line."""
 
         def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
             recorded = RunConfig(**document.pop("config"))
@@ -214,9 +194,6 @@ class OptimizationRun:
                 )
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
-            bank = self._committed_bank(
-                document.pop("bank_commit"), document["step_completed"]
-            )
             previous = document["previous"]
             return RunState(**{
                 **document,
@@ -226,12 +203,18 @@ class OptimizationRun:
                 "contexts": tuple(
                     ExecutionContext(**c) for c in document["contexts"]
                 ),
-                "bank": bank,
+                "bank": bank_from_document(document["bank"]),
             }), committed
 
-        state, committed = read_json(
+        found, end = read_last_line(
             self._state_path(), "run state", RunStateError, build
         )
+        # A line torn by a crash inside its write is no commit.
+        if self._log_size(STATE_FILE) > end:
+            os.truncate(self._state_path(), end)
+        if found is None:
+            return None
+        state, committed = found
         for name, length in committed:
             size = self._log_size(name)
             if size < length:
@@ -253,7 +236,7 @@ class OptimizationRun:
                 f"cannot make run directory {self.run_dir}: {exc.strerror}"
             ) from exc
         # A start that failed before its first commit left logs but no
-        # state.json to cut them back by; this start logs anew.
+        # commit to cut them back by; this start logs anew.
         for name in STEP_LOGS:
             if self._log_size(name):
                 os.truncate(self.run_dir / name, 0)
@@ -273,7 +256,6 @@ class OptimizationRun:
             step_completed=-1,
         )
         prompt_log.append(vars(current))
-        self._save_state()
 
     def _regularization_phase(self, step: int) -> tuple[Optional[object], dict]:
         state = self.state
@@ -392,32 +374,38 @@ class OptimizationRun:
         trace["version_after"] = state.current.version
         trace_log.append(trace)
         state.step_completed = step
-        self._save_state(ops)
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
-        """Execute (or resume) the configured number of steps, then release
-        the gateway's transcript (a later call opens it again)."""
+        """Execute (or resume) the configured number of steps, committing
+        after each, then release the gateway's transcript (a later call opens
+        it again) and write the bank to rulebank.json."""
         # On an error the pool's exit waits for the calls still in flight, so
         # their transcript lines land before a resume cuts them back, and
-        # before the transcript is released. The trace and the prompt log
-        # open on their first line, after any cut-back below.
+        # before the transcript is released. The logs open on their first
+        # line, after any cut-back below.
         with closing(self.gateway), \
                 call_pool(self.config.concurrency_cap) as pool, \
                 closing(Appender(self.run_dir / TRACE_FILE)) as trace_log, \
-                closing(Appender(self.run_dir / PROMPTS_FILE)) as prompt_log:
-            if self._state_path().exists():
-                self.state = self._resume()
+                closing(Appender(self.run_dir / PROMPTS_FILE)) as prompt_log, \
+                closing(Appender(self._state_path())) as commit_log:
+            self.state = (
+                self._resume() if self._state_path().exists() else None
+            )
+            if self.state is None:
+                self._initialize(pool, prompt_log)
+                self._commit(commit_log)
+            else:
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
                 )
-            else:
-                self._initialize(pool, prompt_log)
             first = self.state.step_completed + 1
             for step in range(first, self.config.iterations):
                 self._step(step, pool, trace_log, prompt_log)
+                self._commit(commit_log)
                 if stop_after_step is not None and step >= stop_after_step:
                     break
         state = self.state
+        save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
         return {
             "current": asdict(state.current),
             "best": asdict(state.best),
@@ -435,31 +423,55 @@ def run_optimization(config: RunConfig, gateway: Gateway) -> dict:
 def replay_divergences(
     run_dir: str | Path, fixtures_path: str | Path, replay_dir: str | Path
 ) -> list[int]:
-    """Re-execute a recorded run against fixtures and diff the decision traces.
+    """Re-execute a recorded run against fixtures and diff its decision
+    trace and prompt log.
 
     Returns the steps at which the replayed trace differs from the recorded
-    one (including steps present in only one of the two).
+    one (including steps present in only one of the two), and the steps
+    that accepted a prompt version whose text or line differs.
     """
     run_dir, replay_dir = Path(run_dir), Path(replay_dir)
     if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
         # Running into it would resume the old replay, not re-execute.
         raise RunStateError(f"replay directory already holds a run: {replay_dir}")
-    config = read_json(
+    config, _ = read_last_line(
         run_dir / STATE_FILE, "run state", RunStateError,
         lambda document: replace(
             RunConfig(**document["config"]), run_dir=str(replay_dir)
         ),
     )
-    # An unreadable recorded trace is refused before anything runs.
+    if config is None:
+        raise RunStateError(
+            f"run state unreadable: {run_dir / STATE_FILE}: no commit"
+        )
+    # An unreadable recorded trace or prompt log is refused before anything
+    # runs.
     recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
+    recorded_prompts = _prompt_log(run_dir, "recorded prompts")
     with closing(Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
         OptimizationRun(config, gateway).run()
     replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
-    diverged = [
+    diverged = {
         step
-        for step in sorted(set(recorded) | set(replayed))
+        for step in set(recorded) | set(replayed)
         if recorded.get(step) != replayed.get(step)
-    ]
-    return diverged
+    }
+    # Line v of a prompt log is version v. The initial validation commits
+    # version 0 with step 0; a version no trace accepted, after the
+    # recorded trace's last step.
+    accepted_at = {0: 0}
+    for trace in (replayed, recorded):  # the recorded trace decides
+        accepted_at.update(
+            (record.get("candidate_version"), step)
+            for step, record in trace.items() if record.get("accepted") is True
+        )
+    diverged.update(
+        accepted_at.get(version, max(recorded, default=-1) + 1)
+        for version, (old, new) in enumerate(zip_longest(
+            recorded_prompts, _prompt_log(replay_dir, "replayed prompts")
+        ))
+        if old != new
+    )
+    return sorted(diverged)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import templates
 from .errors import RuleBankError
@@ -141,37 +141,6 @@ def apply_ops(bank: RuleBank, ops: list[RuleBankOp], step: int) -> RuleBank:
     return bank
 
 
-def commit_record(bank: RuleBank, ops: Sequence[RuleBankOp]) -> dict:
-    """What a run's commit records of its bank: the rule count, mention total
-    and ``updated_step`` once the step's ``ops`` were applied, and the ops."""
-    return {
-        "rules": len(bank.entries),
-        "mentions": bank.total_mentions(),
-        "updated_step": bank.updated_step,
-        "ops": [vars(op) for op in ops],
-    }
-
-
-def catch_up(bank: RuleBank, record: dict, step: int) -> bool:
-    """Bring ``bank`` to the commit ``record`` describes, made at ``step``.
-
-    Returns False if the bank is that commit's already, and True if it was one
-    commit behind and ``record``'s ops were applied to it again. Any other
-    bank raises ValueError.
-    """
-    ops = [RuleBankOp(**op) for op in record["ops"]]
-    if commit_record(bank, ops) == record:
-        return False
-    try:
-        apply_ops(bank, ops, step)
-    except ValueError:
-        pass  # an INCREMENT of a rule this bank does not hold
-    else:
-        if commit_record(bank, ops) == record:
-            return True
-    raise ValueError("the bank is neither that commit's nor one behind it")
-
-
 def scope_proxy(rule: Rule, psi: Callable[[int], float] = float) -> float:
     """Monotone recurrence proxy for rule scope; identity by default."""
     return psi(rule.mention_count)
@@ -193,13 +162,22 @@ def summarize(bank: RuleBank, max_rules: int = DEFAULT_SUMMARY_LIMIT) -> str:
     return "\n".join(lines)
 
 
+def bank_document(bank: RuleBank) -> dict:
+    """The JSON document of ``bank``: ``entries`` and ``updated_step``."""
+    return {**vars(bank), "entries": [vars(r) for r in bank.entries]}
+
+
+def bank_from_document(document: dict) -> RuleBank:
+    # Older files also carry a created_step key, which is ignored.
+    return RuleBank(
+        entries=[Rule(**entry) for entry in document["entries"]],
+        updated_step=document["updated_step"],
+    )
+
+
 def save_rulebank(bank: RuleBank, path: str | Path) -> None:
-    write_json(path, {**vars(bank), "entries": [vars(r) for r in bank.entries]})
+    write_json(path, bank_document(bank))
 
 
 def load_rulebank(path: str | Path) -> RuleBank:
-    # Older files also carry a created_step key, which is ignored.
-    return read_json(path, "rulebank", RuleBankError, lambda document: RuleBank(
-        entries=[Rule(**entry) for entry in document["entries"]],
-        updated_step=document["updated_step"],
-    ))
+    return read_json(path, "rulebank", RuleBankError, bank_from_document)

@@ -71,3 +71,17 @@ def test_traced_stages_are_called_through_patched_names(bench_modules, tmp_path)
         "rulebank.canonicalize_and_match",
         "rulebank.apply_ops",
     } <= seen
+
+
+def test_golden_latency_output_passes_its_check(bench_modules, tmp_path):
+    """The benchmark's check reads the run directory (the trace, the
+    transcript and the size of state.json) as the loop writes it."""
+    _, workloads = bench_modules
+    workload = workloads.GoldenLatency(BENCH_DIR.parent, tmp_path, 1, {})
+    workload.backend.delay_s = 0
+    rep_dir = tmp_path / "rep"
+    summary = workload.run(rep_dir, workloads.no_span)
+    facts = workload.check(rep_dir, summary)
+    assert facts["steps"] == 12
+    assert facts["rules"] == 4
+    assert facts["final_state_bytes"] > 0

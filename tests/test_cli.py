@@ -545,7 +545,9 @@ class TestReplayCommand:
             "--out", "run", "--seed", "7", "--fixtures", FIXTURES,
         ])
         assert result.exit_code == 0, result.output
-        state = json.loads((work / "run" / "state.json").read_text())
+        state = json.loads(
+            (work / "run" / "state.json").read_text().splitlines()[-1]
+        )
         assert state["config"]["train_path"] == str(
             (work / "train.jsonl").resolve()
         )

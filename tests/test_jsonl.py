@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import re
@@ -5,8 +6,15 @@ from contextlib import closing
 
 import pytest
 
+from promptreg import jsonl
 from promptreg.errors import RunStateError
-from promptreg.jsonl import Appender, iter_jsonl, read_json, write_json
+from promptreg.jsonl import (
+    Appender,
+    iter_jsonl,
+    read_json,
+    read_last_line,
+    write_json,
+)
 
 
 @pytest.mark.parametrize(
@@ -63,6 +71,48 @@ def test_appender_flushes_each_line_and_follows_a_cut_back(tmp_path):
     log.append({"step": 3})  # opens the file again
     log.close()
     assert path.read_text() == '{"step": 0}\n{"step": 2}\n{"step": 3}\n'
+
+
+LONG = '{"pad": "%s", "step": 1}' % ("x" * 40)
+
+
+@pytest.mark.parametrize("block", [3, 1 << 16], ids=["small-blocks", "one-block"])
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", None),
+        ('{"step": 0', None),
+        ('{"step": 0}\n', {"step": 0}),
+        ('{"step": 0}\n' + LONG + "\n", json.loads(LONG)),
+        ('{"step": 0}\n' + LONG + '\n{"step": 2, "pad": "', json.loads(LONG)),
+        (LONG + "\n" + LONG[:-1], json.loads(LONG)),
+    ],
+    ids=["empty", "torn-only", "one-line", "two-lines", "torn-tail",
+         "torn-tail-without-newline-before"],
+)
+def test_read_last_line_is_the_last_complete_line(
+    tmp_path, monkeypatch, block, text, expected
+):
+    monkeypatch.setattr(jsonl, "_TAIL_BLOCK", block)
+    path = tmp_path / "log.jsonl"
+    path.write_text(text)
+    found, end = read_last_line(path, "log", RunStateError, dict)
+    assert found == expected
+    assert end == (text.rindex("\n") + 1 if expected is not None else 0)
+
+
+@pytest.mark.parametrize(
+    "text", [None, '{"step": 0}\n{broken\n', '{"step": 0}\n[1]\n'],
+    ids=["missing", "not-json", "rejected-by-build"],
+)
+def test_read_last_line_failure_names_what_and_path(tmp_path, text):
+    path = tmp_path / "state.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(RunStateError) as caught:
+        read_last_line(path, "run state", RunStateError,
+                       lambda document: document["step"])
+    assert str(caught.value).startswith(f"run state unreadable: {path}: ")
 
 
 def test_files_are_encoded_and_decoded_only_in_jsonl():

@@ -1,5 +1,6 @@
 import builtins
 import json
+import os
 import shutil
 import sys
 import threading
@@ -42,7 +43,13 @@ from promptreg.loop import (
     run_optimization,
 )
 from promptreg.metrics import PromptVersion
-from promptreg.rulebank import load_rulebank
+from promptreg.rulebank import (
+    RuleBank,
+    RuleBankOp,
+    apply_ops,
+    bank_document,
+    load_rulebank,
+)
 from promptreg.updater import (
     DEFAULT_END_TAG,
     DEFAULT_ROLE_DESC,
@@ -285,8 +292,10 @@ class TestGoldenRun:
             STATE_FILE, RULEBANK_FILE, *STEP_LOGS
         }
         assert set(STEP_LOGS) == {TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE}
-        state = json.loads((run_dir / STATE_FILE).read_text())
-        assert state["config"] == asdict(config)
+        # One commit line for the initial validation and one per step.
+        lines = commits(run_dir)
+        assert [c["step_completed"] for c in lines] == list(range(-1, 12))
+        assert all(c["config"] == asdict(config) for c in lines)
 
     def test_resume_midway_reproduces_trace(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -458,9 +467,12 @@ class TestResumeFromCommit:
     def test_run_directory_of_older_format_is_refused(self, tmp_path, edit):
         run_dir = tmp_path / "run"
         self.run(run_dir, stop_after_step=5)
-        document = json.loads((run_dir / STATE_FILE).read_text())
+        lines = (run_dir / STATE_FILE).read_text().splitlines(keepends=True)
+        document = json.loads(lines[-1])
         edit(document)
-        (run_dir / STATE_FILE).write_text(json.dumps(document))
+        (run_dir / STATE_FILE).write_text(
+            "".join(lines[:-1]) + json.dumps(document) + "\n"
+        )
         with pytest.raises(RunStateError, match="run state unreadable"):
             self.run(run_dir)
 
@@ -472,6 +484,12 @@ class Crash(Exception):
     """Stands in for the process dying at the point a test picks."""
 
 
+def commits(run_dir) -> list[dict]:
+    """The commit lines of the run's state.json, in order."""
+    return [json.loads(line)
+            for line in (run_dir / STATE_FILE).read_text().splitlines()]
+
+
 def golden_bank_bytes(tmp_path) -> bytes:
     run_dir = tmp_path / "uninterrupted"
     run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
@@ -479,11 +497,12 @@ def golden_bank_bytes(tmp_path) -> bytes:
 
 
 def run_files(run_dir) -> dict:
-    """The run's committed files, and the transcript's (step, role) order."""
+    """The run's committed files, and its transcript's calls in order."""
     files = {name: (run_dir / name).read_bytes()
              for name in (TRACE_FILE, PROMPTS_FILE, RULEBANK_FILE)}
     files[TRANSCRIPT_FILE] = [
-        (entry["step"], entry["role"]) for entry in map(
+        (e["step"], e["role"], e["system"], e["user"], e["response"])
+        for e in map(
             json.loads, (run_dir / TRANSCRIPT_FILE).read_text().splitlines()
         )
     ]
@@ -502,9 +521,41 @@ def uninterrupted(tmp_path_factory) -> dict:
     return files
 
 
+# How many bytes of a commit line of ``size`` bytes, newline included, a
+# crash inside its write leaves: its first byte, half of it, or all of it
+# but the newline.
+CUTS = {
+    "first-byte": lambda size: 1,
+    "middle": lambda size: size // 2,
+    "last-byte": lambda size: size - 1,
+}
+
+
+def tear_commit(monkeypatch, commit, keep) -> None:
+    """Make the run die inside the write of its ``commit``-th commit line (0
+    is the initial one), leaving ``keep(size)`` bytes of it in state.json."""
+
+    class Tearing(loop.Appender):
+        written = 0
+
+        def append(self, entry):
+            if self.path.name == STATE_FILE:
+                if self.written == commit:
+                    line = (json.dumps(entry, sort_keys=True) + "\n").encode()
+                    with open(self.path, "ab") as handle:
+                        handle.write(line[:keep(len(line))])
+                    raise Crash
+                self.written += 1
+            super().append(entry)
+
+    monkeypatch.setattr(loop, "Appender", Tearing)
+
+
 class TestCommitOrder:
-    """state.json is written before rulebank.json and records what the bank
-    must hold, so a crash between the two writes is repaired on resume."""
+    """A commit is one line appended to state.json after the step's log
+    lines. A crash inside its write leaves a torn line, which a resume cuts
+    off; rulebank.json is written only when run() returns, and a resume
+    never reads it."""
 
     def run(self, run_dir, **kwargs):
         return OptimizationRun(
@@ -515,17 +566,12 @@ class TestCommitOrder:
         self, tmp_path, monkeypatch
     ):
         run_dir = tmp_path / "run"
-        write_json = loop.write_json
-
-        def dies_at_step_4(path, document):
-            if document.get("step_completed") == 4:
-                raise Crash
-            write_json(path, document)
-
-        monkeypatch.setattr(loop, "write_json", dies_at_step_4)
+        tear_commit(monkeypatch, 5, CUTS["middle"])  # step 4's commit
         with pytest.raises(Crash):
             self.run(run_dir)
-        monkeypatch.setattr(loop, "write_json", write_json)
+        monkeypatch.undo()
+        state = (run_dir / STATE_FILE).read_bytes()
+        assert state.count(b"\n") == 5 and not state.endswith(b"\n")
         self.run(run_dir)
         bank = load_rulebank(run_dir / RULEBANK_FILE)
         assert {r.id: r.mention_count for r in bank.entries} == GOLDEN_BANK
@@ -534,106 +580,97 @@ class TestCommitOrder:
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     def test_crash_after_the_last_state_write_is_repaired_by_a_rerun(
-        self, tmp_path, monkeypatch
+        self, tmp_path
     ):
         run_dir = tmp_path / "run"
-        save_rulebank = loop.save_rulebank
-
-        def dies_at_the_last_step(bank, path):
-            if bank.updated_step == 11:
-                raise Crash
-            save_rulebank(bank, path)
-
-        monkeypatch.setattr(loop, "save_rulebank", dies_at_the_last_step)
-        with pytest.raises(Crash):
-            self.run(run_dir)
-        monkeypatch.setattr(loop, "save_rulebank", save_rulebank)
-        state = json.loads((run_dir / STATE_FILE).read_text())
-        assert state["step_completed"] == 11
-        # Still the bank of step 10's commit, before step 11's INCREMENT.
-        assert load_rulebank(run_dir / RULEBANK_FILE).total_mentions() == 8
+        self.run(run_dir)
+        # What a crash inside the bank write as run() returns leaves.
+        bank = run_dir / RULEBANK_FILE
+        bank.write_bytes(bank.read_bytes()[:20])
+        assert commits(run_dir)[-1]["step_completed"] == 11
         summary = self.run(run_dir)
         assert summary["steps_completed"] == 12
-        assert (run_dir / RULEBANK_FILE).read_bytes() == \
-            golden_bank_bytes(tmp_path)
+        assert bank.read_bytes() == golden_bank_bytes(tmp_path)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     def test_crash_inside_the_first_commit_resumes(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "run"
-
-        def dies(bank, path):
-            raise Crash
-
-        monkeypatch.setattr(loop, "save_rulebank", dies)
+        tear_commit(monkeypatch, 0, CUTS["middle"])
         with pytest.raises(Crash):
             self.run(run_dir)
         monkeypatch.undo()
-        assert (run_dir / STATE_FILE).exists()
+        state = (run_dir / STATE_FILE).read_bytes()
+        assert state and b"\n" not in state
         assert not (run_dir / RULEBANK_FILE).exists()
         self.run(run_dir)
         assert (run_dir / RULEBANK_FILE).read_bytes() == \
             golden_bank_bytes(tmp_path)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
-    # The n-th call of each is the n-th commit's write of that file.
+    # With rulebank.json, the crash also leaves a torn bank file behind,
+    # which the resume must not read.
     @pytest.mark.parametrize(
-        "write", ["write_json", "save_rulebank"], ids=[STATE_FILE, RULEBANK_FILE]
+        "torn", [STATE_FILE, RULEBANK_FILE], ids=[STATE_FILE, RULEBANK_FILE]
     )
     @pytest.mark.parametrize(
         "commit", range(13), ids=["initial"] + [f"step-{s}" for s in range(12)]
     )
     def test_crash_at_any_commit_resumes_to_the_uninterrupted_run(
-        self, tmp_path, monkeypatch, uninterrupted, commit, write
+        self, tmp_path, monkeypatch, uninterrupted, commit, torn
     ):
-        run_dir = tmp_path / "run"
-        transcript = run_dir / TRANSCRIPT_FILE
-        real = getattr(loop, write)
-        calls = []
-
-        def dies_at_the_commit(*args):
-            calls.append(args)
-            if len(calls) == commit + 1:
-                raise Crash
-            real(*args)
-
-        monkeypatch.setattr(loop, write, dies_at_the_commit)
-        with pytest.raises(Crash):
+        for cut, keep in CUTS.items():
+            run_dir = tmp_path / cut
+            transcript = run_dir / TRANSCRIPT_FILE
+            tear_commit(monkeypatch, commit, keep)
+            with pytest.raises(Crash):
+                OptimizationRun(
+                    golden_config(run_dir),
+                    Gateway.scripted(FIXTURES, transcript_path=transcript),
+                ).run()
+            monkeypatch.undo()
+            if torn == RULEBANK_FILE:
+                (run_dir / RULEBANK_FILE).write_text('{"entries": [{"id": "R')
             OptimizationRun(
                 golden_config(run_dir),
                 Gateway.scripted(FIXTURES, transcript_path=transcript),
             ).run()
-        monkeypatch.undo()
-        OptimizationRun(
-            golden_config(run_dir),
-            Gateway.scripted(FIXTURES, transcript_path=transcript),
-        ).run()
-        assert run_files(run_dir) == uninterrupted
+            assert run_files(run_dir) == uninterrupted, cut
 
-    def test_state_records_the_committed_bank_and_the_step_ops(self, tmp_path):
+    def test_each_commit_holds_the_bank_folded_from_the_trace(self, tmp_path):
         run_dir = tmp_path / "run"
         self.run(run_dir)
-        record = json.loads((run_dir / STATE_FILE).read_text())["bank_commit"]
-        last = json.loads(GOLDEN_TRACE.read_text().splitlines()[-1])
-        assert record == {"rules": 4, "mentions": 9, "updated_step": 11,
-                          "ops": last["bank_ops"]}
-
-    def test_bank_two_commits_behind_is_refused(self, tmp_path):
-        run_dir = tmp_path / "run"
-        self.run(run_dir, stop_after_step=3)
-        behind = (run_dir / RULEBANK_FILE).read_bytes()
-        self.run(run_dir, stop_after_step=5)
-        (run_dir / RULEBANK_FILE).write_bytes(behind)
-        with pytest.raises(RunStateError, match="nor one commit behind"):
-            self.run(run_dir)
+        lines = commits(run_dir)
+        bank = RuleBank()
+        assert lines[0]["bank"] == bank_document(bank)
+        for line, commit in zip(GOLDEN_TRACE.read_text().splitlines(), lines[1:]):
+            ops = [RuleBankOp(**op) for op in json.loads(line)["bank_ops"]]
+            apply_ops(bank, ops, commit["step_completed"])
+            assert commit["bank"]["entries"] == bank_document(bank)["entries"]
+        assert lines[-1]["bank"] == \
+            json.loads((run_dir / RULEBANK_FILE).read_text())
 
     def test_state_without_bank_record_is_refused(self, tmp_path):
+        """A state.json of the two-file commit, which held a record of the
+        bank beside rulebank.json but not the bank, is refused."""
         run_dir = tmp_path / "run"
         self.run(run_dir, stop_after_step=5)
-        document = json.loads((run_dir / STATE_FILE).read_text())
-        del document["bank_commit"]
-        (run_dir / STATE_FILE).write_text(json.dumps(document))
-        with pytest.raises(RunStateError, match="run state unreadable"):
+        document = commits(run_dir)[-1]
+        entries = document.pop("bank")["entries"]
+        document["bank_commit"] = {
+            "rules": len(entries),
+            "mentions": sum(rule["mention_count"] for rule in entries),
+            "updated_step": 5,
+            "ops": json.loads(
+                GOLDEN_TRACE.read_text().splitlines()[5]
+            )["bank_ops"],
+        }
+        (run_dir / STATE_FILE).write_text(
+            json.dumps(document, sort_keys=True) + "\n"
+        )
+        trace = (run_dir / TRACE_FILE).read_bytes()
+        with pytest.raises(RunStateError, match="run state unreadable: .*'bank'"):
             self.run(run_dir)
+        assert (run_dir / TRACE_FILE).read_bytes() == trace
 
 
 class TestHeldLogs:
@@ -641,24 +678,33 @@ class TestHeldLogs:
     through one handle opened once and flushed after every line."""
 
     def test_each_log_is_opened_once(self, tmp_path, monkeypatch):
+        """No run file is rewritten during a step: state.json is appended
+        through one handle like the logs, and rulebank.json is written once,
+        when run() returns."""
         run_dir = tmp_path / "run"
-        opened = Counter()
-        real_open = builtins.open
+        opened = {}
+        real_open, real_os_open = builtins.open, os.open
 
-        def counting_open(file, *args, **kwargs):
+        def counting_open(file, mode="r", *args, **kwargs):
             if not isinstance(file, int):  # a descriptor opened elsewhere
-                opened[Path(file).name] += 1
-            return real_open(file, *args, **kwargs)
+                opened.setdefault(Path(file).name, []).append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        def counting_os_open(path, flags, *args, **kwargs):
+            opened.setdefault(Path(path).name, []).append("os.open")
+            return real_os_open(path, flags, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
         gateway = Gateway.scripted(
             FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
         )
         OptimizationRun(golden_config(run_dir), gateway).run()
         gateway.close()
-        assert {name: opened[name] for name in STEP_LOGS} == \
-            dict.fromkeys(STEP_LOGS, 1)
         monkeypatch.undo()
+        assert {name: opened.get(name) for name in (*STEP_LOGS, STATE_FILE)} \
+            == dict.fromkeys((*STEP_LOGS, STATE_FILE), ["ab"])
+        assert opened.get(RULEBANK_FILE) == ["os.open"]
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
         assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
 
@@ -667,19 +713,20 @@ class TestHeldLogs:
         self, tmp_path, monkeypatch, cap
     ):
         run_dir = tmp_path / "run"
-        write_json = loop.write_json
         committed = []
 
-        def checking_write(path, document):
-            committed.append((
-                document["log_bytes"],
-                {name: (run_dir / name).stat().st_size
-                 if (run_dir / name).exists() else 0
-                 for name in STEP_LOGS},
-            ))
-            write_json(path, document)
+        class Checking(loop.Appender):
+            def append(self, entry):
+                if self.path.name == STATE_FILE:
+                    committed.append((
+                        entry["log_bytes"],
+                        {name: (run_dir / name).stat().st_size
+                         if (run_dir / name).exists() else 0
+                         for name in STEP_LOGS},
+                    ))
+                super().append(entry)
 
-        monkeypatch.setattr(loop, "write_json", checking_write)
+        monkeypatch.setattr(loop, "Appender", Checking)
         gateway = Gateway.scripted(
             FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
         )
@@ -724,6 +771,51 @@ class TestHeldLogs:
 
 GOLDEN_CALLS = {"FORWARD": 136, "GRADIENT": 33, "REGULARIZATION": 12,
                 "OPTIMIZER": 9}
+# The golden replies; a ScriptedBackend holds no state between calls.
+GOLDEN_BACKEND = ScriptedBackend.from_jsonl(FIXTURES)
+
+
+class FailsAtCall:
+    """Golden replies, but the ``n``-th call fails, as a backend going down
+    there would."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request, engine):
+        with self.lock:
+            self.calls += 1
+            failing = self.calls == self.n
+        if failing:
+            raise BackendUnavailableError(f"backend down at call {self.n}")
+        return GOLDEN_BACKEND.complete(request, engine)
+
+
+class TestCrashAtAnyCall:
+    """A run that dies at any of the golden run's calls resumes to the
+    uninterrupted run: its trace, prompt log and bank byte for byte, and its
+    transcript call for call, in any order above cap 1."""
+
+    @pytest.mark.parametrize("call", range(1, sum(GOLDEN_CALLS.values()) + 1))
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_resume_reproduces_the_uninterrupted_run(
+        self, tmp_path, uninterrupted, cap, call
+    ):
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+        config = golden_config(run_dir, concurrency_cap=cap)
+        with pytest.raises(BackendUnavailableError):
+            OptimizationRun(
+                config, gateway_over(FailsAtCall(call), transcript)
+            ).run()
+        OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript)).run()
+        files, expected = run_files(run_dir), dict(uninterrupted)
+        if cap > 1:  # calls finish in any order
+            for each in (files, expected):
+                each[TRANSCRIPT_FILE] = Counter(each[TRANSCRIPT_FILE])
+        assert files == expected
 
 
 class Rendezvous:
@@ -881,6 +973,31 @@ class TestReplay:
         assert replay_divergences(run_dir, FIXTURES, tmp_path / "replay") == []
         with pytest.raises(RunStateError, match="already holds a run"):
             replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
+
+    def test_altered_prompt_text_diverges_at_the_accepting_steps(
+        self, tmp_path
+    ):
+        """Rewrites that differ only in text leave the trace as recorded;
+        the prompt log tells them apart."""
+        run_dir = tmp_path / "run"
+        run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
+        altered = tmp_path / "altered.jsonl"
+        with open(altered, "w") as handle:
+            for fixture in map(json.loads, FIXTURES.read_text().splitlines()):
+                if fixture["role"] == Role.OPTIMIZER.value:
+                    fixture["response"] = fixture["response"].replace(
+                        "the", "THE"
+                    )
+                handle.write(json.dumps(fixture) + "\n")
+        diverged = replay_divergences(run_dir, altered, tmp_path / "replay")
+        assert (tmp_path / "replay" / TRACE_FILE).read_bytes() == \
+            GOLDEN_TRACE.read_bytes()
+        assert diverged == [
+            entry["step"] for entry in map(
+                json.loads, GOLDEN_TRACE.read_text().splitlines()
+            )
+            if entry["accepted"]
+        ] == [0, 2, 3, 5, 6, 8, 9, 11]
 
     def test_mutated_fixture_reports_divergence(self, tmp_path):
         run_dir = tmp_path / "run"
