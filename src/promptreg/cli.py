@@ -269,7 +269,7 @@ def rulebank_show(path) -> None:
 
 @main.command()
 @click.option("--run-dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
+              type=click.Path(exists=True, file_okay=False, resolve_path=True))
 @click.option("--fixtures", required=True, type=INPUT_FILE)
 @click.option("--replay-dir", type=click.Path(), default=None)
 def replay(run_dir, fixtures, replay_dir) -> None:

@@ -12,10 +12,11 @@ flight, so they count toward the cap too. At cap 1 every task runs inline,
 the diagnosis before the forward calls, as it always has.
 
 Every decision lands in an append-only trace so that a scripted run is
-replayable byte-for-byte, and every accepted prompt in an append-only prompt
-log. State is committed after every step as one line appended to a commit
-log, with the run's config, the length of every step log and the bank, and a
-run resumes from the last complete line if that config is its own.
+replayable byte-for-byte. State is committed after every step as one line
+appended to a commit log, with the accepted prompt, the run's config, the
+length of every step log and the bank, so the commit log is the run's record
+of its accepted prompts. A run resumes from the last complete line if that
+config is its own.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import random
 from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -54,9 +54,8 @@ TRACE_FILE = "trace.jsonl"
 STATE_FILE = "state.json"
 RULEBANK_FILE = "rulebank.json"
 TRANSCRIPT_FILE = "transcript.jsonl"
-PROMPTS_FILE = "prompts.jsonl"
 # Append-only logs whose length each commit line of state.json records.
-STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE)
+STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE)
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,24 @@ def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
     return entries
 
 
-def _prompt_log(run_dir: Path, what: str) -> list[dict]:
-    return [
-        record for _, record in
-        iter_jsonl(run_dir / PROMPTS_FILE, what, RunStateError)
-    ]
+def _accepted_by_step(path: Path, what: str) -> dict[int, list[dict]]:
+    """The prompts each step accepted, read from the commit lines of a
+    state.json: a line's ``current`` is accepted at its ``step_completed``
+    when it differs from the line before's, and the initial prompt counts as
+    accepted at step 0."""
+    accepted: dict[int, list[dict]] = {}
+    previous = None
+    for number, commit in iter_jsonl(path, what, RunStateError):
+        current, step = commit.get("current"), commit.get("step_completed")
+        if current is None or type(step) is not int:
+            raise RunStateError(
+                f"{what} {path}: line {number}: no current prompt or no "
+                f"integer step_completed"
+            )
+        if current != previous:
+            accepted.setdefault(max(step, 0), []).append(current)
+            previous = current
+    return accepted
 
 
 class OptimizationRun:
@@ -228,7 +240,7 @@ class OptimizationRun:
 
     # -- pipeline ---------------------------------------------------------
 
-    def _initialize(self, pool: Executor, prompt_log: Appender) -> None:
+    def _initialize(self, pool: Executor) -> None:
         try:
             self.run_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # say, a file where a directory must be
@@ -255,7 +267,6 @@ class OptimizationRun:
             contexts=(),
             step_completed=-1,
         )
-        prompt_log.append(vars(current))
 
     def _regularization_phase(self, step: int) -> tuple[Optional[object], dict]:
         state = self.state
@@ -297,10 +308,7 @@ class OptimizationRun:
         }
         return reg, record
 
-    def _step(
-        self, step: int, pool: Executor, trace_log: Appender,
-        prompt_log: Appender,
-    ) -> None:
+    def _step(self, step: int, pool: Executor, trace_log: Appender) -> None:
         state = self.state
         batch = next_batch(
             self.train, step, self.config.batch_size, self.config.seed
@@ -356,7 +364,6 @@ class OptimizationRun:
                 accepted=accepted,
             )
             if accepted:
-                prompt_log.append(vars(candidate))
                 state.previous, state.contexts = state.current, stage1.contexts
                 state.current = candidate
                 state.current_val = report.accuracy
@@ -386,13 +393,12 @@ class OptimizationRun:
         with closing(self.gateway), \
                 call_pool(self.config.concurrency_cap) as pool, \
                 closing(Appender(self.run_dir / TRACE_FILE)) as trace_log, \
-                closing(Appender(self.run_dir / PROMPTS_FILE)) as prompt_log, \
                 closing(Appender(self._state_path())) as commit_log:
             self.state = (
                 self._resume() if self._state_path().exists() else None
             )
             if self.state is None:
-                self._initialize(pool, prompt_log)
+                self._initialize(pool)
                 self._commit(commit_log)
             else:
                 logger.info(
@@ -400,7 +406,7 @@ class OptimizationRun:
                 )
             first = self.state.step_completed + 1
             for step in range(first, self.config.iterations):
-                self._step(step, pool, trace_log, prompt_log)
+                self._step(step, pool, trace_log)
                 self._commit(commit_log)
                 if stop_after_step is not None and step >= stop_after_step:
                     break
@@ -424,11 +430,11 @@ def replay_divergences(
     run_dir: str | Path, fixtures_path: str | Path, replay_dir: str | Path
 ) -> list[int]:
     """Re-execute a recorded run against fixtures and diff its decision
-    trace and prompt log.
+    trace and accepted prompts.
 
     Returns the steps at which the replayed trace differs from the recorded
-    one (including steps present in only one of the two), and the steps
-    that accepted a prompt version whose text or line differs.
+    one (including steps present in only one of the two), and the steps at
+    which the two runs' commit logs accepted different prompts.
     """
     run_dir, replay_dir = Path(run_dir), Path(replay_dir)
     if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
@@ -444,34 +450,25 @@ def replay_divergences(
         raise RunStateError(
             f"run state unreadable: {run_dir / STATE_FILE}: no commit"
         )
-    # An unreadable recorded trace or prompt log is refused before anything
+    # An unreadable recorded trace or commit log is refused before anything
     # runs.
     recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
-    recorded_prompts = _prompt_log(run_dir, "recorded prompts")
+    recorded_prompts = _accepted_by_step(
+        run_dir / STATE_FILE, "recorded run state"
+    )
     with closing(Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
         OptimizationRun(config, gateway).run()
     replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
-    diverged = {
-        step
-        for step in set(recorded) | set(replayed)
-        if recorded.get(step) != replayed.get(step)
-    }
-    # Line v of a prompt log is version v. The initial validation commits
-    # version 0 with step 0; a version no trace accepted, after the
-    # recorded trace's last step.
-    accepted_at = {0: 0}
-    for trace in (replayed, recorded):  # the recorded trace decides
-        accepted_at.update(
-            (record.get("candidate_version"), step)
-            for step, record in trace.items() if record.get("accepted") is True
-        )
-    diverged.update(
-        accepted_at.get(version, max(recorded, default=-1) + 1)
-        for version, (old, new) in enumerate(zip_longest(
-            recorded_prompts, _prompt_log(replay_dir, "replayed prompts")
-        ))
-        if old != new
+    replayed_prompts = _accepted_by_step(
+        replay_dir / STATE_FILE, "replayed run state"
     )
-    return sorted(diverged)
+    return sorted({
+        step
+        for old, new in (
+            (recorded, replayed), (recorded_prompts, replayed_prompts)
+        )
+        for step in old.keys() | new.keys()
+        if old.get(step) != new.get(step)
+    })

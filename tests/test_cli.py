@@ -1,4 +1,8 @@
 import json
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -219,6 +223,30 @@ class TestEvaluate:
         dataset.write_text(dataset_text)
         return ["evaluate", "--prompt-file", str(prompt_file),
                 "--dataset", str(dataset), "--fixtures", str(fixtures)]
+
+    def test_readme_command_writes_a_version_for_prompt_file(self, tmp_path):
+        """The README's command that takes version 8's text from a run's
+        state.json, run on the golden run."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = next(
+            block.split("```")[0] for block in readme.split("```sh\n")[1:]
+            if "state.json" in block.split("```")[0]
+        )
+        command, target = block.strip().rsplit(" > ", 1)
+        assert target == "prompt_v8.txt"
+        summary = run_optimization(
+            RunConfig(train_path=TRAIN, val_path=VAL, seed=7,
+                      run_dir=str(tmp_path / "runs" / "demo")),
+            Gateway.scripted(FIXTURES),
+        )
+        assert summary["current"]["version"] == 8
+        result = subprocess.run(
+            ["sh", "-c", command.replace(
+                "python", shlex.quote(sys.executable), 1
+            )],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout == summary["current"]["text"]
 
     def test_undecodable_prompt_file_is_usage_error(self, runner, tmp_path):
         dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
@@ -513,6 +541,15 @@ class TestRulebankShow:
         assert result.exit_code == 2
 
 
+def edit_commit(text, index, edit):
+    """The commit log ``text`` with ``edit`` applied to its line ``index``."""
+    lines = text.splitlines(keepends=True)
+    commit = json.loads(lines[index])
+    edit(commit)
+    lines[index] = json.dumps(commit) + "\n"
+    return "".join(lines)
+
+
 class TestReplayCommand:
     def record_run(self, run_dir):
         config = RunConfig(
@@ -558,6 +595,19 @@ class TestReplayCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "0 divergences" in result.output
+
+    def test_replay_from_inside_the_run_directory(
+        self, runner, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "run"
+        self.record_run(run_dir)
+        monkeypatch.chdir(run_dir)
+        result = runner.invoke(
+            main, ["replay", "--run-dir", ".", "--fixtures", FIXTURES]
+        )
+        assert result.exit_code == 0, result.output
+        assert "0 divergences" in result.output
+        assert (tmp_path / "run.replay" / "trace.jsonl").exists()
 
     def test_divergence_fails(self, runner, tmp_path):
         run_dir = tmp_path / "run"
@@ -637,20 +687,28 @@ class TestReplayCommand:
         assert "replay aborted: " in result.output
 
     @pytest.mark.parametrize(
-        "damage",
+        "name, damage",
         [
-            lambda text: text[:-10],
-            lambda text: None,
-            lambda text: text + '{"batch_accuracy": 0.5}\n',
+            ("trace.jsonl", lambda text: text[:-10]),
+            ("trace.jsonl", lambda text: None),
+            ("trace.jsonl", lambda text: text + '{"batch_accuracy": 0.5}\n'),
+            ("state.json", lambda text: text[:-10]),
+            ("state.json", lambda text: edit_commit(
+                text, 3, lambda commit: commit.pop("current")
+            )),
+            ("state.json", lambda text: edit_commit(
+                text, 3, lambda commit: commit.update(step_completed="2")
+            )),
         ],
-        ids=["torn", "missing", "line-without-step"],
+        ids=["torn", "missing", "line-without-step", "state-torn",
+             "state-line-without-current", "state-step-not-integer"],
     )
     def test_unreadable_recorded_trace_is_refused_before_replaying(
-        self, runner, tmp_path, damage
+        self, runner, tmp_path, name, damage
     ):
         run_dir = tmp_path / "run"
         self.record_run(run_dir)
-        trace = run_dir / "trace.jsonl"
+        trace = run_dir / name
         text = damage(trace.read_text())
         if text is None:
             trace.unlink()

@@ -30,7 +30,6 @@ from promptreg.gateway import (
 )
 from promptreg.loop import (
     DEFAULT_INITIAL_PROMPT,
-    PROMPTS_FILE,
     RULEBANK_FILE,
     STATE_FILE,
     STEP_LOGS,
@@ -261,13 +260,15 @@ class TestGoldenRun:
         counts = {r.id: r.mention_count for r in bank.entries}
         assert counts == {"R1": 4, "R2": 2, "R3": 2, "R4": 1}
 
-    def test_prompt_log_holds_accepted_versions_only(self, tmp_path):
+    def test_commit_lines_hold_accepted_versions_only(self, tmp_path):
         run_dir = tmp_path / "run"
         summary = run_optimization(
             golden_config(run_dir), Gateway.scripted(FIXTURES)
         )
-        prompts = [json.loads(line)
-                   for line in (run_dir / PROMPTS_FILE).read_text().splitlines()]
+        prompts = []
+        for commit in commits(run_dir):
+            if commit["current"] not in prompts:
+                prompts.append(commit["current"])
         accepted = [json.loads(line)["candidate_version"]
                     for line in GOLDEN_TRACE.read_text().splitlines()
                     if json.loads(line)["accepted"]]
@@ -290,8 +291,8 @@ class TestGoldenRun:
         )
         assert {p.name for p in run_dir.iterdir()} == {
             STATE_FILE, RULEBANK_FILE, *STEP_LOGS
-        }
-        assert set(STEP_LOGS) == {TRACE_FILE, TRANSCRIPT_FILE, PROMPTS_FILE}
+        } == {"state.json", "rulebank.json", "trace.jsonl", "transcript.jsonl"}
+        assert STEP_LOGS == (TRACE_FILE, TRANSCRIPT_FILE)
         # One commit line for the initial validation and one per step.
         lines = commits(run_dir)
         assert [c["step_completed"] for c in lines] == list(range(-1, 12))
@@ -456,13 +457,11 @@ class TestResumeFromCommit:
                 role_desc=DEFAULT_ROLE_DESC,
                 tags={"start": DEFAULT_START_TAG, "end": DEFAULT_END_TAG},
             ),
-            # Written while each prompt version had a file of its own.
-            lambda d: d["log_bytes"].pop(PROMPTS_FILE),
             # Written while the config sat in a file of its own.
             lambda d: d.pop("config", None),
         ],
         ids=["state-without-log-lengths", "snapshot-with-dropped-fields",
-             "state-without-prompt-log-length", "state-without-config"],
+             "state-without-config"],
     )
     def test_run_directory_of_older_format_is_refused(self, tmp_path, edit):
         run_dir = tmp_path / "run"
@@ -475,6 +474,33 @@ class TestResumeFromCommit:
         )
         with pytest.raises(RunStateError, match="run state unreadable"):
             self.run(run_dir)
+
+    def test_run_directory_with_a_prompt_log_resumes_and_keeps_it(
+        self, tmp_path
+    ):
+        """A run directory written while accepted prompts also went to
+        prompts.jsonl, whose length its commit lines record, resumes; the
+        file is left as it is."""
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=5)
+        lines = commits(run_dir)
+        prompts = run_dir / "prompts.jsonl"
+        prompt_lines = []
+        for commit in lines:
+            line = json.dumps(commit["current"], sort_keys=True) + "\n"
+            if line not in prompt_lines:
+                prompt_lines.append(line)
+            commit["log_bytes"]["prompts.jsonl"] = len(
+                "".join(prompt_lines).encode()
+            )
+        prompts.write_text("".join(prompt_lines))
+        (run_dir / STATE_FILE).write_text("".join(
+            json.dumps(commit, sort_keys=True) + "\n" for commit in lines
+        ))
+        before = prompts.read_bytes()
+        self.run(run_dir)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert prompts.read_bytes() == before
 
 
 GOLDEN_BANK = {"R1": 4, "R2": 2, "R3": 2, "R4": 1}
@@ -497,9 +523,14 @@ def golden_bank_bytes(tmp_path) -> bytes:
 
 
 def run_files(run_dir) -> dict:
-    """The run's committed files, and its transcript's calls in order."""
+    """The run's trace and bank, its commit lines without the config and the
+    transcript's length, which differ between run directories and caps, and
+    its transcript's calls in order."""
     files = {name: (run_dir / name).read_bytes()
-             for name in (TRACE_FILE, PROMPTS_FILE, RULEBANK_FILE)}
+             for name in (TRACE_FILE, RULEBANK_FILE)}
+    files[STATE_FILE] = commits(run_dir)
+    for commit in files[STATE_FILE]:
+        del commit["config"], commit["log_bytes"][TRANSCRIPT_FILE]
     files[TRANSCRIPT_FILE] = [
         (e["step"], e["role"], e["system"], e["user"], e["response"])
         for e in map(
@@ -735,10 +766,9 @@ class TestHeldLogs:
         assert len(committed) == 13  # the initial validation and 12 steps
         for recorded, on_disk in committed:
             assert recorded == on_disk
-        # The initial commit holds version 0's line; the last, all 9 lines.
-        assert committed[0][0][PROMPTS_FILE] > 0
-        assert committed[-1][0][PROMPTS_FILE] == \
-            (run_dir / PROMPTS_FILE).stat().st_size
+        # The initial commit precedes every trace line; the last, all 12.
+        assert committed[0][0][TRACE_FILE] == 0
+        assert committed[-1][0][TRACE_FILE] == GOLDEN_TRACE.stat().st_size
 
     def test_one_gateway_serves_a_crash_and_its_resume(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -795,8 +825,9 @@ class FailsAtCall:
 
 class TestCrashAtAnyCall:
     """A run that dies at any of the golden run's calls resumes to the
-    uninterrupted run: its trace, prompt log and bank byte for byte, and its
-    transcript call for call, in any order above cap 1."""
+    uninterrupted run: its trace and bank byte for byte, every commit line
+    but its config and transcript length, and its transcript call for call,
+    in any order above cap 1."""
 
     @pytest.mark.parametrize("call", range(1, sum(GOLDEN_CALLS.values()) + 1))
     @pytest.mark.parametrize("cap", [1, 4])
@@ -978,7 +1009,7 @@ class TestReplay:
         self, tmp_path
     ):
         """Rewrites that differ only in text leave the trace as recorded;
-        the prompt log tells them apart."""
+        the commit lines tell them apart."""
         run_dir = tmp_path / "run"
         run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
         altered = tmp_path / "altered.jsonl"
