@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import sys
 from contextlib import closing
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import click
 
@@ -33,7 +34,6 @@ from .gateway import (
 )
 from .jsonl import read_json, write_json
 from .loop import (
-    DEFAULT_INITIAL_PROMPT,
     TRANSCRIPT_FILE,
     RunConfig,
     replay_divergences,
@@ -121,10 +121,21 @@ backend_options = [
                  help="Fixture JSONL for the scripted backend."),
     click.option("--engines", "engines_file", type=click.Path(), default=None,
                  help="Engine configuration JSON for the http backend."),
-    click.option("--forward-engine", default=None),
-    click.option("--gradient-engine", default=None),
-    click.option("--regularization-engine", default=None),
-    click.option("--optimizer-engine", default=None),
+    *(click.option(f"--{role.value.lower()}-engine", default=None)
+      for role in Role),
+]
+
+
+# The RunConfig fields that have a default. Each is set by the option of the
+# same name (``--tau-c`` for ``tau_c``), of the field's type (``int`` for
+# ``Optional[int]``) and with the field's default.
+SETTINGS = [f for f in fields(RunConfig) if f.default is not MISSING]
+_TYPES = {name: (get_args(hint) or (hint,))[0]
+          for name, hint in get_type_hints(RunConfig).items()}
+setting_options = [
+    click.option(f"--{f.name.replace('_', '-')}", f.name, type=_TYPES[f.name],
+                 default=f.default, show_default=True)
+    for f in SETTINGS
 ]
 
 
@@ -166,39 +177,17 @@ def main() -> None:
 @click.option("--train", required=True, type=RECORDED_INPUT_FILE)
 @click.option("--val", required=True, type=RECORDED_INPUT_FILE)
 @click.option("--out", "run_dir", required=True, type=click.Path())
-@click.option("--batch-size", default=3, show_default=True)
-@click.option("--iterations", default=12, show_default=True)
-@click.option("--tau-c", default=0.2, show_default=True)
-@click.option("--acceptance-relaxation", default=0.0, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--initial-prompt", default=DEFAULT_INITIAL_PROMPT)
+@add_options(setting_options)
 @click.option("--initial-prompt-file", type=INPUT_FILE, default=None)
-@click.option("--val-subsample", type=int, default=None)
-@click.option("--concurrency-cap", default=1, show_default=True)
 @add_options(backend_options)
-def optimize(
-    train, val, run_dir, batch_size, iterations, tau_c,
-    acceptance_relaxation, seed, initial_prompt, initial_prompt_file,
-    val_subsample, concurrency_cap, **backend_flags,
-) -> None:
+def optimize(train, val, run_dir, initial_prompt_file, **flags) -> None:
     """Run the three-stage optimization loop."""
+    settings = {f.name: flags.pop(f.name) for f in SETTINGS}
     if initial_prompt_file:
-        initial_prompt = _read_prompt(initial_prompt_file)
-    config = RunConfig(
-        train_path=train,
-        val_path=val,
-        run_dir=run_dir,
-        batch_size=batch_size,
-        iterations=iterations,
-        tau_c=tau_c,
-        acceptance_relaxation=acceptance_relaxation,
-        seed=seed,
-        initial_prompt=initial_prompt,
-        concurrency_cap=concurrency_cap,
-        val_subsample=val_subsample,
-    )
+        settings["initial_prompt"] = _read_prompt(initial_prompt_file)
+    config = RunConfig(train, val, run_dir, **settings)
     with closing(
-        _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **backend_flags)
+        _build_gateway(Path(run_dir) / TRANSCRIPT_FILE, **flags)
     ) as gateway:
         summary = run_optimization(config, gateway)
     click.echo(

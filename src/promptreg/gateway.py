@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol, TypeVar
+from typing import Callable, Iterable, Optional, Protocol, TypeVar
 
 from .errors import (
     BackendUnavailableError,
@@ -226,14 +226,6 @@ def _content(text: str) -> str:
     return content
 
 
-@dataclass(frozen=True)
-class Fixture:
-    role: Role
-    step: Optional[int]
-    match_substring: Optional[str]
-    response: str
-
-
 _ROLES = {role.value: role for role in Role}
 
 
@@ -247,23 +239,16 @@ class ScriptedBackend:
     mutated after construction, so concurrent calls are safe.
     """
 
-    def __init__(self, fixtures: list[Fixture]) -> None:
+    def __init__(
+        self, records: Iterable[tuple[int, dict]], where: str = "fixture record"
+    ) -> None:
+        """Index numbered fixture records; a malformed one raises ConfigError
+        naming ``where`` and its number."""
         # role -> step (None for step-less) -> [(match_substring, response)],
-        # each list in file order
-        self._index: dict[Role, dict[Optional[int], list]] = {}
-        for f in fixtures:
-            self._add(f.role, f.step, f.match_substring, f.response)
-
-    def _add(self, role: Role, step: Optional[int],
-             substring: Optional[str], response: str) -> None:
-        by_step = self._index.setdefault(role, {})
-        by_step.setdefault(step, []).append((substring, response))
-
-    @classmethod
-    def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        """Load a fixture JSONL file; a malformed one raises ConfigError."""
-        backend = cls([])
-        for number, record in iter_jsonl(path, "fixture file", ConfigError):
+        # each list in record order
+        index: dict[Role, dict[Optional[int], list]] = {}
+        self._index = index
+        for number, record in records:
             name = record.get("role")
             role = _ROLES.get(name) if type(name) is str else None
             step = record.get("step")
@@ -279,10 +264,16 @@ class ScriptedBackend:
                 problem = ("missing field response" if "response" not in record
                            else f"response {response!r} is not a string")
             else:
-                backend._add(role, step, substring, response)
+                by_step = index.setdefault(role, {})
+                by_step.setdefault(step, []).append((substring, response))
                 continue
-            raise ConfigError(f"fixture file {path}: line {number}: {problem}")
-        return backend
+            raise ConfigError(f"{where} {number}: {problem}")
+
+    @classmethod
+    def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
+        """Load a fixture JSONL file; a malformed one raises ConfigError."""
+        return cls(iter_jsonl(path, "fixture file", ConfigError),
+                   f"fixture file {path}: line")
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
         by_step = self._index.get(request.role, {})
@@ -318,11 +309,13 @@ class Gateway:
     @classmethod
     def scripted(
         cls,
-        fixtures: str | Path | list[Fixture],
+        fixtures: str | Path | list[dict],
         transcript_path: str | Path | None = None,
     ) -> "Gateway":
+        """A gateway over a fixture JSONL file, or over fixture records given
+        as a list, validated alike."""
         backend = (
-            ScriptedBackend(fixtures)
+            ScriptedBackend(enumerate(fixtures, 1))
             if isinstance(fixtures, list)
             else ScriptedBackend.from_jsonl(fixtures)
         )

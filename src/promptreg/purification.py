@@ -118,10 +118,13 @@ def purify(
     request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=raw.step)
     try:
         payload = gateway.complete_json(request, required_keys=["purified_gradient"])
+        purified = payload["purified_gradient"]
+        if not isinstance(purified, str):
+            raise MalformedOutputError(f"purified_gradient {purified!r} is not text")
     except MalformedOutputError:
         logger.warning("purifier output unparseable at step %d; rejecting", raw.step)
         return None
-    return str(payload["purified_gradient"]).strip() or None
+    return purified.strip() or None
 
 
 @dataclass(frozen=True)

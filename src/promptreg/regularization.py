@@ -59,6 +59,8 @@ class RuleChange:
     kind: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.description, str):
+            raise ValueError(f"description {self.description!r} is not text")
         if self.kind not in RULE_CHANGE_KINDS:
             raise ValueError(f"unknown rule-change kind {self.kind!r}")
 
@@ -122,7 +124,7 @@ def semantic_diff(
         )
         changes = tuple(
             RuleChange(
-                description=str(item["description"]),
+                description=item["description"],
                 kind=str(item["type"]).upper(),
             )
             for item in payload["rules_changed"]
@@ -188,10 +190,10 @@ def synthesize_reg_gradient(
     )
     try:
         payload = gateway.complete_json(request, required_keys=["guidance"])
-        guidance = str(payload["guidance"]).strip()
-        if not guidance:
-            raise MalformedOutputError("empty guidance")
-        return RegGradient(guidance=guidance, mode=mode)
+        guidance = payload["guidance"]
+        if not isinstance(guidance, str) or not guidance.strip():
+            raise MalformedOutputError(f"no guidance text: {guidance!r}")
+        return RegGradient(guidance=guidance.strip(), mode=mode)
     except MalformedOutputError as exc:
         logger.warning("regularization synthesis degraded to none: %s", exc)
         return None

@@ -64,8 +64,9 @@ class RuleBankOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
         if self.kind == INCREMENT and not self.rule_id:
             raise ValueError("INCREMENT requires rule_id")
-        if self.kind == INSERT and not self.canonical_description:
-            raise ValueError("INSERT requires a nonempty description")
+        text = self.canonical_description
+        if self.kind == INSERT and not (isinstance(text, str) and text):
+            raise ValueError("INSERT requires a nonempty text description")
 
 
 def canonicalize_and_match(

@@ -68,6 +68,15 @@ def build_update_messages(
     )
 
 
+def _improved_text(text: str) -> str:
+    """The tagged rewrite; an empty one counts as absent, since an empty
+    prompt cannot be diagnosed or resumed."""
+    new_text = extract_tagged_variable(text, DEFAULT_START_TAG, DEFAULT_END_TAG)
+    if not new_text:
+        raise TagsAbsentError("improved variable empty")
+    return new_text
+
+
 def apply_update(
     prompt: PromptVersion,
     task_gradient: str,
@@ -75,7 +84,8 @@ def apply_update(
     gateway: Gateway,
     step: int,
 ) -> PromptVersion:
-    """One guided rewrite; re-asks once when the tags are missing."""
+    """One guided rewrite; re-asks once when the tags are missing or hold
+    only whitespace."""
     messages = build_update_messages(prompt, task_gradient, reg)
     request = ChatRequest(
         role=Role.OPTIMIZER, system=messages.system, user=messages.user, step=step
@@ -83,9 +93,7 @@ def apply_update(
     try:
         new_text = gateway.complete_parsed(
             request,
-            lambda text: extract_tagged_variable(
-                text, DEFAULT_START_TAG, DEFAULT_END_TAG
-            ),
+            _improved_text,
             "\n\nYour previous reply did not contain the improved variable. "
             f"You MUST wrap it between {DEFAULT_START_TAG} and {DEFAULT_END_TAG} "
             "tags.",

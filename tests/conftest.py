@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from promptreg.gateway import Fixture, Gateway, Role
+from promptreg.gateway import Gateway
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -17,16 +17,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 def scripted_gateway(fixtures: list[dict], transcript_path=None) -> Gateway:
     """Build a gateway over inline fixture dicts."""
-    parsed = [
-        Fixture(
-            role=Role(f["role"]),
-            step=f.get("step"),
-            match_substring=f.get("match_substring"),
-            response=f["response"],
-        )
-        for f in fixtures
-    ]
-    return Gateway.scripted(parsed, transcript_path=transcript_path)
+    return Gateway.scripted(fixtures, transcript_path=transcript_path)
+
+
+# JSON values that a stage must not take for the text a field should hold.
+NON_TEXT = pytest.mark.parametrize(
+    "value", [None, False, 7, ["text"], {"text": "t"}],
+    ids=["null", "false", "number", "list", "object"],
+)
 
 
 def ok_reply(content: str = "done") -> tuple[int, bytes, dict]:

@@ -1,7 +1,9 @@
 import json
+import re
 import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,18 @@ def golden_args(run_dir):
     ]
 
 
+# The options of optimize: the inputs, one per RunConfig setting, and the
+# backend's.
+OPTIMIZE_OPTIONS = {
+    "--train", "--val", "--out", "--batch-size", "--iterations", "--tau-c",
+    "--acceptance-relaxation", "--seed", "--initial-prompt",
+    "--initial-prompt-file", "--val-subsample", "--concurrency-cap",
+    "--backend", "--fixtures", "--engines", "--forward-engine",
+    "--gradient-engine", "--regularization-engine", "--optimizer-engine",
+    "--help",
+}
+
+
 class TestOptimize:
     def test_happy_path(self, runner, tmp_path):
         result = runner.invoke(main, golden_args(tmp_path / "run"))
@@ -70,6 +84,32 @@ class TestOptimize:
         assert "completed 12 steps" in result.output
         assert "best validation accuracy 0.6000" in result.output
         assert (tmp_path / "run" / "trace.jsonl").exists()
+
+    def test_help_lists_every_option(self, runner):
+        result = runner.invoke(main, ["optimize", "--help"])
+        assert result.exit_code == 0, result.output
+        listed = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
+        assert sorted(listed) == sorted(OPTIMIZE_OPTIONS)
+
+    def test_defaults_are_run_config_defaults(self, runner, tmp_path):
+        # One step-less reply per role: every gradient is rejected, so no
+        # rewrite is asked for and every seed and batch finds its reply.
+        fixtures = tmp_path / "fixtures.jsonl"
+        fixtures.write_text("".join(json.dumps(f) + "\n" for f in [
+            {"role": "FORWARD", "response": "Answer: 0"},
+            {"role": "GRADIENT", "response": '{"purified_gradient": ""}'},
+        ]))
+        run_dir = tmp_path / "run"
+        result = runner.invoke(main, [
+            "optimize", "--train", TRAIN, "--val", VAL, "--out", str(run_dir),
+            "--fixtures", str(fixtures),
+        ])
+        assert result.exit_code == 0, result.output
+        with open(run_dir / "state.json") as handle:
+            config = json.loads(handle.readline())["config"]
+        assert config == asdict(RunConfig(
+            str(Path(TRAIN).resolve()), str(Path(VAL).resolve()), str(run_dir)
+        ))
 
     def test_invalid_tau_c_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -22,7 +22,7 @@ from promptreg.errors import (
 from promptreg.gateway import (
     ChatRequest,
     EngineConfig,
-    Fixture,
+    Gateway,
     HttpBackend,
     Role,
     ScriptedBackend,
@@ -80,6 +80,23 @@ class TestScriptedBackend:
                 [gw.complete(req(Role.OPTIMIZER, step=i)) for i in range(5)]
             )
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"role": "forward", "response": "r"}, "role 'forward'"),
+            ({"role": "FORWARD", "step": -1, "response": "r"}, "step -1"),
+            ({"role": "FORWARD", "step": 1.0, "response": "r"}, "step 1.0"),
+            ({"role": "FORWARD", "response": 3}, "response 3 is not a string"),
+            ({"role": "FORWARD"}, "missing field response"),
+        ],
+        ids=["bad-role", "negative-step", "float-step", "int-response",
+             "no-response"],
+    )
+    def test_inline_records_are_validated(self, record, message):
+        good = {"role": "FORWARD", "step": 0, "response": "r"}
+        with pytest.raises(ConfigError, match=f"fixture record 2: {message}"):
+            Gateway.scripted([good, record])
 
 
 class TestFixtureFile:
@@ -155,23 +172,23 @@ class TestFixtureFile:
         assert backend.complete(req(step=1), engine) == "b"
 
 
-def linear_scan(fixtures: list[Fixture], request: ChatRequest) -> str:
+def linear_scan(fixtures: list[dict], request: ChatRequest) -> str:
     """The matcher before the (role, step) index: one pass over all fixtures."""
 
-    def specificity(fixture: Fixture) -> int:
-        return (2 if fixture.step is not None else 0) + (
-            1 if fixture.match_substring is not None else 0
+    def specificity(fixture: dict) -> int:
+        return (2 if fixture["step"] is not None else 0) + (
+            1 if fixture["match_substring"] is not None else 0
         )
 
     best = None
     for fixture in fixtures:
-        if fixture.role != request.role:
+        if fixture["role"] != request.role.value:
             continue
-        if fixture.step is not None and fixture.step != request.step:
+        if fixture["step"] is not None and fixture["step"] != request.step:
             continue
         if (
-            fixture.match_substring is not None
-            and fixture.match_substring not in request.user
+            fixture["match_substring"] is not None
+            and fixture["match_substring"] not in request.user
         ):
             continue
         if best is None or specificity(fixture) > specificity(best):
@@ -180,19 +197,18 @@ def linear_scan(fixtures: list[Fixture], request: ChatRequest) -> str:
         raise FixtureMissError(
             f"fixture miss: role={request.role.value} step={request.step}"
         )
-    return best.response
+    return best["response"]
 
 
 ROLES = st.sampled_from([Role.FORWARD, Role.GRADIENT])
 STEPS = st.integers(min_value=0, max_value=2)
 FIXTURES = st.lists(
-    st.builds(
-        Fixture,
-        role=ROLES,
-        step=st.none() | STEPS,
-        match_substring=st.none() | st.text(alphabet="ab", max_size=2),
-        response=st.text(alphabet="xyz", max_size=2),
-    ),
+    st.fixed_dictionaries({
+        "role": ROLES.map(lambda role: role.value),
+        "step": st.none() | STEPS,
+        "match_substring": st.none() | st.text(alphabet="ab", max_size=2),
+        "response": st.text(alphabet="xyz", max_size=2),
+    }),
     max_size=12,
 )
 REQUESTS = st.builds(
@@ -207,13 +223,9 @@ class TestMatcherAgainstLinearScan:
     def test_same_response_or_same_miss(self, fixtures, requests_):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fixtures.jsonl"
-            path.write_text("".join(
-                json.dumps({"role": f.role.value, "step": f.step,
-                            "match_substring": f.match_substring,
-                            "response": f.response}) + "\n"
-                for f in fixtures
-            ))
-            backends = [ScriptedBackend(fixtures), ScriptedBackend.from_jsonl(path)]
+            path.write_text("".join(json.dumps(f) + "\n" for f in fixtures))
+            backends = [ScriptedBackend(enumerate(fixtures, 1)),
+                        ScriptedBackend.from_jsonl(path)]
         engine = EngineConfig(name="scripted")
         for request in requests_:
             try:

@@ -19,6 +19,7 @@ from promptreg.errors import (
     ConfigError,
     FixtureMissError,
     RunStateError,
+    UpdateExtractionError,
 )
 from promptreg.evaluation import Sample
 from promptreg.gateway import (
@@ -377,6 +378,25 @@ class TestResumeFromCommit:
         return OptimizationRun(
             golden_config(run_dir), Gateway.scripted(FIXTURES)
         ).run(**kwargs)
+
+    def test_empty_rewrite_is_never_committed(self, tmp_path):
+        # Step 0's rewrite, and so its re-ask too, holds only whitespace.
+        empty = f"{DEFAULT_START_TAG}\n \n{DEFAULT_END_TAG}"
+        fixtures = tmp_path / "empty-rewrite.jsonl"
+        fixtures.write_text("".join(
+            json.dumps({**record, "response": empty}
+                       if (record["role"], record.get("step")) == ("OPTIMIZER", 0)
+                       else record) + "\n"
+            for record in map(json.loads, FIXTURES.read_text().splitlines())
+        ))
+        run_dir = tmp_path / "run"
+        for _ in range(2):  # the start, then a resume
+            with pytest.raises(UpdateExtractionError):
+                OptimizationRun(
+                    golden_config(run_dir), Gateway.scripted(fixtures)
+                ).run()
+        commits = (run_dir / STATE_FILE).read_text().splitlines()
+        assert [json.loads(c)["step_completed"] for c in commits] == [-1]
 
     def test_crash_mid_step_leaves_clean_transcript(self, tmp_path):
         run_dir = tmp_path / "run"

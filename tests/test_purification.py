@@ -4,7 +4,7 @@ from contextlib import closing
 
 import pytest
 
-from conftest import scripted_gateway
+from conftest import NON_TEXT, scripted_gateway
 from promptreg.evaluation import Sample, call_pool
 from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import PromptVersion
@@ -144,6 +144,16 @@ class TestPurify:
     def test_reject_malformed(self):
         gw = scripted_gateway([purifier_fixture("not json")])
         assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
+
+    @NON_TEXT
+    def test_reject_non_text_without_reasking(self, tmp_path, value):
+        transcript = tmp_path / "t.jsonl"
+        with closing(scripted_gateway(
+            [purifier_fixture(json.dumps({"purified_gradient": value}))],
+            transcript_path=transcript,
+        )) as gw:
+            assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
+        assert len(transcript.read_text().splitlines()) == 1
 
     def test_rejection_is_total(self):
         """A rejected gradient yields no task text and no bank ops."""

@@ -3,7 +3,7 @@ from contextlib import closing
 
 import pytest
 
-from conftest import scripted_gateway
+from conftest import NON_TEXT, scripted_gateway
 from promptreg.errors import BackendUnavailableError
 from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import Channel, PromptVersion
@@ -140,6 +140,19 @@ class TestSemanticDiff:
             scripted_gateway(self.fixtures(json.dumps(payload)))
         ) is NEUTRAL_DIFF
 
+    @NON_TEXT
+    def test_degrades_on_non_text_description(self, tmp_path, value):
+        payload = {
+            "rules_changed": [{"description": value, "type": "case_patch"}],
+            "specificity_direction": "increase",
+        }
+        transcript = tmp_path / "t.jsonl"
+        with closing(scripted_gateway(
+            self.fixtures(json.dumps(payload)), transcript_path=transcript
+        )) as gw:
+            assert self.call(gw) is NEUTRAL_DIFF
+        assert len(transcript.read_text().splitlines()) == 1
+
     def test_backend_failure_aborts(self):
         """Only malformed output degrades to neutral; an unreachable backend
         ends the run like a failure in any other stage."""
@@ -213,6 +226,19 @@ class TestSynthesize:
         )
         diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
         assert synthesize_reg_gradient(diag, NEUTRAL_DIFF, pv(130, 1), gw, 0) is None
+
+    @NON_TEXT
+    def test_non_text_guidance_degrades(self, tmp_path, value):
+        transcript = tmp_path / "t.jsonl"
+        diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)
+        with closing(scripted_gateway(
+            [self.synth_fixture(json.dumps({"guidance": value}))],
+            transcript_path=transcript,
+        )) as gw:
+            assert synthesize_reg_gradient(
+                diag, NEUTRAL_DIFF, pv(130, 1), gw, 0
+            ) is None
+        assert len(transcript.read_text().splitlines()) == 1
 
     def test_backend_failure_aborts(self):
         diag = diagnose(pv(100, 0), pv(130, 1), NEUTRAL_DIFF, tau_c=0.2)

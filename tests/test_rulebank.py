@@ -1,9 +1,10 @@
 import json
 import random
+from contextlib import closing
 
 import pytest
 
-from conftest import scripted_gateway
+from conftest import NON_TEXT, scripted_gateway
 from promptreg.errors import RuleBankError
 from promptreg.rulebank import (
     INCREMENT,
@@ -128,6 +129,18 @@ class TestCanonicalizeAndMatch:
         bank = bank_with(1)
         assert canonicalize_and_match("gradient", bank, gw, 0) == []
         assert bank.total_mentions() == 1
+
+    @NON_TEXT
+    def test_insert_of_non_text_dropped(self, tmp_path, value):
+        operations = [{"type": "insert", "canonical_description": value}]
+        transcript = tmp_path / "t.jsonl"
+        with closing(scripted_gateway(
+            [{"role": "GRADIENT", "step": 0,
+              "response": json.dumps({"operations": operations})}],
+            transcript_path=transcript,
+        )) as gw:
+            assert canonicalize_and_match("gradient", RuleBank(), gw, 0) == []
+        assert len(transcript.read_text().splitlines()) == 1
 
     def test_malformed_output_leaves_bank_unchanged(self):
         gw = scripted_gateway(

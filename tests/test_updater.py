@@ -90,3 +90,29 @@ class TestApplyUpdate:
         )
         with pytest.raises(UpdateExtractionError, match="update extraction failed"):
             apply_update(PROMPT, GRAD, None, gw, step=0)
+
+    # An empty rewrite is asked for again like an untagged one: accepted, it
+    # became a prompt that the next diagnosis and every resume refused.
+    EMPTY = pytest.mark.parametrize(
+        "body", ["", " \n\t "], ids=["empty", "whitespace"]
+    )
+
+    @EMPTY
+    def test_empty_rewrite_is_reasked(self, body):
+        gw = scripted_gateway([
+            {"role": "OPTIMIZER", "step": 0, "response": tagged(body)},
+            {"role": "OPTIMIZER", "step": 0,
+             "match_substring": "MUST wrap it between",
+             "response": tagged("recovered prompt")},
+        ])
+        assert apply_update(PROMPT, GRAD, None, gw, step=0).text == (
+            "recovered prompt"
+        )
+
+    @EMPTY
+    def test_empty_rewrite_after_reask_fails(self, body):
+        gw = scripted_gateway(
+            [{"role": "OPTIMIZER", "step": 0, "response": tagged(body)}]
+        )
+        with pytest.raises(UpdateExtractionError, match="update extraction failed"):
+            apply_update(PROMPT, GRAD, None, gw, step=0)
