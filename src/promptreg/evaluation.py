@@ -174,9 +174,10 @@ def evaluate(
             role=Role.FORWARD, system=prompt.text, user=sample.question, step=step
         )
         output = gateway.complete(request)
+        # extract_answer normalizes, and normalizing twice changes nothing.
         extracted = extract_answer(output)
         return SampleResult(
-            correct=exact_match(extracted, sample.answer),
+            correct=extracted == normalize_answer(sample.answer),
             extracted=extracted,
             raw_output=output,
         )

@@ -29,7 +29,8 @@ from .errors import (
     RequestRejectedError,
     TagsAbsentError,
 )
-from .jsonl import Appender, decode_body, encode_body, iter_jsonl
+from .jsonl import (Appender, decode_body, encode_body, iter_jsonl,
+                    transcript_line)
 
 logger = logging.getLogger(__name__)
 
@@ -332,6 +333,10 @@ class Gateway:
         started = time.monotonic()
         response = backend.complete(request, engine)
         latency_ms = int((time.monotonic() - started) * 1000)
+        if not isinstance(response, str):
+            raise MalformedOutputError(
+                f"{request.role.value} backend returned {response!r}, not text"
+            )
         self._record(request, response, latency_ms)
         return response
 
@@ -376,17 +381,11 @@ class Gateway:
             self._transcript.close()
 
     def _record(self, request: ChatRequest, response: str, latency_ms: int) -> None:
-        if self._transcript is None:
-            return
-        entry = {
-            "step": request.step,
-            "role": request.role.value,
-            "system": request.system,
-            "user": request.user,
-            "response": response,
-            "latency_ms": latency_ms,
-        }
-        self._transcript.append(entry)
+        if self._transcript is not None:
+            self._transcript.append_line(transcript_line(
+                request.step, request.role.value, request.system, request.user,
+                response, latency_ms,
+            ))
 
 
 _FENCE_MARKER = "```"

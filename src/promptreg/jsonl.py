@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, TypeVar
 
@@ -115,6 +116,24 @@ def write_json(path: str | Path, document: dict) -> None:
         handle.truncate()
 
 
+def transcript_line(
+    step: int, role: str, system: str, user: str, response: str,
+    latency_ms: int,
+) -> bytes:
+    """The transcript line of one call, newline included: the bytes
+    ``json.dumps(entry, sort_keys=True)`` writes for the entry of these six
+    fields, built without the dict and without the encoder's per-call setup.
+
+    Text goes through the C escaper that ``json.dumps`` uses with
+    ``ensure_ascii``; ``step`` and ``latency_ms`` must be ints, not bools.
+    """
+    return (
+        f'{{"latency_ms": {latency_ms:d}, "response": {_quote(response)}, '
+        f'"role": {_quote(role)}, "step": {step:d}, '
+        f'"system": {_quote(system)}, "user": {_quote(user)}}}\n'
+    ).encode("ascii")
+
+
 def encode_body(document: dict) -> bytes:
     """An HTTP request body: compact JSON in UTF-8."""
     return json.dumps(document).encode("utf-8")
@@ -126,13 +145,14 @@ def decode_body(text: str) -> Any:
 
 
 class Appender:
-    """A log held open for appending, one sorted-key line per entry.
+    """A log held open for appending, one sorted-key line per entry, or one
+    line given already encoded.
 
-    The file is opened on the first ``append`` and stays open until
-    ``close``; an ``append`` after ``close`` opens it again. Each line is
+    The file is opened on the first line appended and stays open until
+    ``close``; a line appended after ``close`` opens it again. Each line is
     written and flushed under a lock, so concurrent entries never interleave
-    and a finished entry is on disk, and counted in the file's size, when
-    ``append`` returns. The file is opened in append mode, so every write
+    and a finished line is on disk, and counted in the file's size, when
+    the call returns. The file is opened in append mode, so every write
     lands at the current end even after the file was cut back with
     ``os.truncate``.
     """
@@ -143,7 +163,10 @@ class Appender:
         self._lock = threading.Lock()
 
     def append(self, entry: dict) -> None:
-        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+        self.append_line((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
+
+    def append_line(self, line: bytes) -> None:
+        """Append one line already encoded, its newline included."""
         with self._lock:
             if self._handle is None:
                 self._handle = open(self.path, "ab")

@@ -77,9 +77,10 @@ class RunConfig:
             raise ConfigError("batch_size must be at least 1")
         if self.iterations < 1:
             raise ConfigError("iterations must be at least 1")
-        if self.tau_c <= -1:
+        # Written so that NaN fails too: every comparison with NaN is false.
+        if not self.tau_c > -1:
             raise ConfigError("tau_c must exceed -1")
-        if self.acceptance_relaxation < 0:
+        if not self.acceptance_relaxation >= 0:
             raise ConfigError("acceptance_relaxation must be nonnegative")
         if self.concurrency_cap < 1:
             raise ConfigError("concurrency_cap must be at least 1")

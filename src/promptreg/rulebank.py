@@ -151,10 +151,8 @@ def summarize(bank: RuleBank, max_rules: int = DEFAULT_SUMMARY_LIMIT) -> str:
     """Deterministic text listing of the highest-count rules."""
     if not bank.entries:
         return "(empty)"
-    order = {id(rule): i for i, rule in enumerate(bank.entries)}
-    ranked = sorted(
-        bank.entries, key=lambda r: (-r.mention_count, order[id(r)])
-    )
+    # sorted is stable, so rules of equal count keep their bank order.
+    ranked = sorted(bank.entries, key=lambda r: -r.mention_count)
     lines = [
         f"- [{rule.id}] {rule.canonical_description} "
         f"(mention_count={rule.mention_count})"

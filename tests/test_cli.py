@@ -118,6 +118,18 @@ class TestOptimize:
         assert result.exit_code == 2
         assert "tau_c" in result.output
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--tau-c", "tau_c must exceed -1"),
+        ("--acceptance-relaxation", "acceptance_relaxation must be nonnegative"),
+    ])
+    def test_nan_setting_is_usage_error(self, runner, tmp_path, flag, message):
+        result = runner.invoke(
+            main, golden_args(tmp_path / "run") + [flag, "nan"]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "run" / "transcript.jsonl").exists()
+
     @pytest.mark.parametrize("subsample", ["0", "-1"])
     def test_val_subsample_below_one_is_usage_error(
         self, runner, tmp_path, subsample

@@ -25,6 +25,7 @@ from promptreg.gateway import (
     Gateway,
     HttpBackend,
     Role,
+    RoleAssignment,
     ScriptedBackend,
     extract_tagged_variable,
     parse_json_object,
@@ -254,6 +255,25 @@ class TestTranscript:
         assert set(entry) == {
             "step", "role", "system", "user", "response", "latency_ms"
         }
+
+    @pytest.mark.parametrize("response", [None, b"x", 5],
+                             ids=["none", "bytes", "int"])
+    def test_non_text_response_fails_before_the_transcript(
+        self, tmp_path, response
+    ):
+        class Returns:
+            def complete(self, request, engine):
+                return response
+
+        path = tmp_path / "transcript.jsonl"
+        gw = Gateway(
+            engines=RoleAssignment.uniform(EngineConfig(name="e")),
+            backends={role: Returns() for role in Role},
+            transcript_path=path,
+        )
+        with closing(gw), pytest.raises(MalformedOutputError, match="FORWARD"):
+            gw.complete(req(Role.FORWARD))
+        assert not path.exists()
 
     def test_call_order_preserved(self, tmp_path):
         path = tmp_path / "transcript.jsonl"

@@ -5,6 +5,7 @@ import re
 from contextlib import closing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from promptreg import jsonl
 from promptreg.errors import RunStateError
@@ -13,6 +14,7 @@ from promptreg.jsonl import (
     iter_jsonl,
     read_json,
     read_last_line,
+    transcript_line,
     write_json,
 )
 
@@ -48,6 +50,26 @@ def test_written_files_read_back(tmp_path):
     assert list(iter_jsonl(tmp_path / "log.jsonl", "log", RunStateError)) == [
         (1, {"a": 1, "step": 0}), (2, {"step": 1}),
     ]
+
+
+# Any code point, lone surrogates included, with the characters JSON escapes
+# drawn often.
+TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\ud800\udfff'),
+))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=0), TEXT, TEXT, TEXT, TEXT, st.integers(min_value=0))
+def test_transcript_line_is_the_sorted_key_dump(
+    step, role, system, user, response, latency_ms
+):
+    entry = {"step": step, "role": role, "system": system, "user": user,
+             "response": response, "latency_ms": latency_ms}
+    assert transcript_line(step, role, system, user, response, latency_ms) == (
+        json.dumps(entry, sort_keys=True) + "\n"
+    ).encode("utf-8")
 
 
 def test_rewrite_over_a_longer_file_keeps_only_the_new_document(tmp_path):

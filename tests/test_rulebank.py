@@ -179,6 +179,11 @@ class TestSummarize:
         assert lines[0].startswith("- [R1]")
         assert lines[1] == "- [R2] b (mention_count=1)"
 
+    def test_equal_counts_keep_bank_order(self):
+        bank = bank_with(2, 5, 2, 5, 2)
+        ids = [line.split()[1] for line in summarize(bank).splitlines()]
+        assert ids == ["[R2]", "[R4]", "[R1]", "[R3]", "[R5]"]
+
     def test_cap_keeps_highest_counts(self):
         rng = random.Random(7)
         counts = [rng.randint(1, 100) for _ in range(50)]
