@@ -12,6 +12,7 @@ import re
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,6 +32,11 @@ class Sample:
     question: str
     answer: str
 
+    # Not a field, so asdict and equality ignore it.
+    @cached_property
+    def normalized_answer(self) -> str:
+        return normalize_answer(self.answer)
+
 
 @dataclass(frozen=True)
 class SampleResult:
@@ -48,10 +54,11 @@ class EvalReport:
     per_sample: tuple[SampleResult, ...]
 
 
-def load_dataset(path: str | Path) -> list[Sample]:
-    """Parse a JSONL file of {"question", "answer"} records, order-preserving."""
+def load_dataset(path: str | Path, data: Optional[bytes] = None) -> list[Sample]:
+    """Parse a JSONL file of {"question", "answer"} records, order-preserving;
+    from ``data``, if given, the file's bytes already read."""
     samples: list[Sample] = []
-    for number, record in iter_jsonl(path, "dataset", DatasetError):
+    for number, record in iter_jsonl(path, "dataset", DatasetError, data):
         for fieldname in ("question", "answer"):
             if fieldname not in record:
                 raise DatasetError(
@@ -177,7 +184,7 @@ def evaluate(
         # extract_answer normalizes, and normalizing twice changes nothing.
         extracted = extract_answer(output)
         return SampleResult(
-            correct=extracted == normalize_answer(sample.answer),
+            correct=extracted == sample.normalized_answer,
             extracted=extracted,
             raw_output=output,
         )

@@ -303,8 +303,14 @@ class Gateway:
         backends: dict[Role, Backend],
         transcript_path: str | Path | None = None,
     ) -> None:
-        self.engines = engines
-        self.backends = backends
+        """Raise ConfigError naming the first role ``backends`` lacks."""
+        for role in Role:
+            if role not in backends:
+                raise ConfigError(f"no backend for role {role.value}")
+        # Each role's (engine, backend), looked up once here, not per call.
+        self._routes = {
+            role: (engines.for_role(role), backends[role]) for role in Role
+        }
         self._transcript = Appender(transcript_path) if transcript_path else None
 
     @classmethod
@@ -328,8 +334,7 @@ class Gateway:
         )
 
     def complete(self, request: ChatRequest) -> str:
-        engine = self.engines.for_role(request.role)
-        backend = self.backends[request.role]
+        engine, backend = self._routes[request.role]
         started = time.monotonic()
         response = backend.complete(request, engine)
         latency_ms = int((time.monotonic() - started) * 1000)

@@ -1,21 +1,25 @@
 """The one module that encodes and decodes the files promptreg reads or
 writes, and the bodies ``HttpBackend`` sends and receives: JSONL read line
 by line or by their last line, JSON documents read whole, run files and
-log lines written."""
+commit and log lines written."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import threading
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
 # Decodes one value at an index; json.loads adds a call layer per line.
 _SCAN = json.JSONDecoder().scan_once
+# The JSON text json.dumps(value, sort_keys=True) writes, from one encoder
+# built here: json.dumps builds a new one on every call.
+encode = json.JSONEncoder(sort_keys=True).encode
 # JSON's own whitespace: str.strip() would also drop, say, a form feed.
 _WHITESPACE = " \t\r\n"
 # The first block read_last_line reads from the end of a file.
@@ -23,16 +27,19 @@ _TAIL_BLOCK = 1 << 16
 
 
 def iter_jsonl(
-    path: str | Path, what: str, error: type[Exception]
+    path: str | Path, what: str, error: type[Exception],
+    data: Optional[bytes] = None,
 ) -> Iterator[tuple[int, dict]]:
     """Yield the 1-based line number and the object of each non-blank line.
 
     Lines end at ``\\n``, and each non-blank one must hold exactly one JSON
     object. Every failure raises ``error``, its message naming ``what``, the
-    path and, for a bad line, its number.
+    path and, for a bad line, its number. ``data``, if given, is the file's
+    bytes, already read with ``read_bytes``.
     """
     try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
+        with (open(path, encoding="utf-8", newline="\n") if data is None
+              else io.StringIO(data.decode("utf-8"), newline="\n")) as handle:
             for number, line in enumerate(handle, 1):
                 text = line.strip(_WHITESPACE)
                 if not text:
@@ -56,6 +63,17 @@ def iter_jsonl(
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{what} unreadable: {path}: {exc}") from exc
+
+
+def read_bytes(path: str | Path, what: str, error: type[Exception]) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be read raises
+    ``error`` as ``iter_jsonl`` does."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:
         raise error(f"{what} unreadable: {path}: {exc}") from exc
 
 
@@ -110,7 +128,7 @@ def write_json(path: str | Path, document: dict) -> None:
     zero first: ext4 flushes a file that was truncated to zero and written
     again when it is closed, which made each write cost about 0.2 ms.
     """
-    data = (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+    data = (encode(document) + "\n").encode("ascii")
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
         handle.write(data)
         handle.truncate()
@@ -132,6 +150,29 @@ def transcript_line(
         f'"role": {_quote(role)}, "step": {step:d}, '
         f'"system": {_quote(system)}, "user": {_quote(user)}}}\n'
     ).encode("ascii")
+
+
+def object_json(members: dict[str, Any], encoded: dict[str, str]) -> str:
+    """The JSON text ``json.dumps(document, sort_keys=True)`` writes for the
+    object holding ``members`` and, for each key of ``encoded``, the value
+    whose JSON text it maps to. ``encoded`` carries members a caller encoded
+    once and reuses; the two must not share a key."""
+    texts = {key: encode(value) for key, value in members.items()}
+    texts.update(encoded)
+    return "{" + ", ".join(
+        f"{_quote(key)}: {texts[key]}" for key in sorted(texts)
+    ) + "}"
+
+
+def array_json(texts: Iterable[str]) -> str:
+    """The JSON text of the array whose items have these JSON texts."""
+    return "[" + ", ".join(texts) + "]"
+
+
+def commit_line(members: dict[str, Any], encoded: dict[str, str]) -> bytes:
+    """A commit line of state.json, newline included: ``object_json`` of
+    ``members`` and ``encoded``."""
+    return (object_json(members, encoded) + "\n").encode("ascii")
 
 
 def encode_body(document: dict) -> bytes:
@@ -163,7 +204,7 @@ class Appender:
         self._lock = threading.Lock()
 
     def append(self, entry: dict) -> None:
-        self.append_line((json.dumps(entry, sort_keys=True) + "\n").encode("utf-8"))
+        self.append_line((encode(entry) + "\n").encode("ascii"))
 
     def append_line(self, line: bytes) -> None:
         """Append one line already encoded, its newline included."""

@@ -14,9 +14,14 @@ the diagnosis before the forward calls, as it always has.
 Every decision lands in an append-only trace so that a scripted run is
 replayable byte-for-byte. State is committed after every step as one line
 appended to a commit log, with the accepted prompt, the run's config, the
-length of every step log and the bank, so the commit log is the run's record
-of its accepted prompts. A run resumes from the last complete line if that
-config is its own.
+SHA-256 of its train and val files, the length of every step log and the
+bank, so the commit log is the run's record of its accepted prompts. A run
+resumes from the last complete line if that config and those files are its
+own.
+
+What does not change within a run is worked out once: the order batches are
+drawn in, and the JSON texts of the config and the input digests. Each
+rule's JSON text is reused from commit to commit until the rule changes.
 """
 
 from __future__ import annotations
@@ -24,16 +29,18 @@ from __future__ import annotations
 import logging
 import os
 import random
+from functools import lru_cache
 from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .errors import ConfigError, RunStateError
+from .errors import ConfigError, DatasetError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
-from .jsonl import Appender, iter_jsonl, read_last_line
+from .jsonl import (Appender, array_json, commit_line, encode, iter_jsonl,
+                    object_json, read_bytes, read_last_line)
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
@@ -90,14 +97,23 @@ class RunConfig:
             raise ConfigError("initial_prompt must be nonempty")
 
 
+# Cached, so that a run shuffles its train set once, not at every step.
+@lru_cache(maxsize=8)
+def batch_order(size: int, seed: int) -> tuple[int, ...]:
+    """The seed-shuffled permutation of ``range(size)`` that every step's
+    batch is a window over."""
+    order = list(range(size))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
+
+
 def next_batch(
     train: list[Sample], step: int, batch_size: int, seed: int
 ) -> list[Sample]:
     """Contiguous window over a seed-shuffled permutation, wrapping around."""
     if not train:
         raise ValueError("training dataset must be nonempty")
-    order = list(range(len(train)))
-    random.Random(seed).shuffle(order)
+    order = batch_order(len(train), seed)
     start = (step * batch_size) % len(train)
     return [train[order[(start + i) % len(train)]] for i in range(batch_size)]
 
@@ -114,6 +130,16 @@ class RunState:
     previous: Optional[PromptVersion]
     contexts: tuple[ExecutionContext, ...]
     step_completed: int  # -1 before the first step
+
+
+def _load_input(path: str) -> tuple[list[Sample], str]:
+    """A dataset file's samples and the SHA-256 of its bytes, read once."""
+    # Imported here, not with the module: hashlib loads OpenSSL, whose
+    # import time and memory commands that never start a run need not pay.
+    import hashlib
+
+    data = read_bytes(path, "dataset", DatasetError)
+    return load_dataset(path, data), hashlib.sha256(data).hexdigest()
 
 
 def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
@@ -156,12 +182,23 @@ class OptimizationRun:
         self.config = config
         self.gateway = gateway
         self.run_dir = Path(config.run_dir)
-        self.train = load_dataset(config.train_path)
-        val = load_dataset(config.val_path)
+        self.train, train_sha256 = _load_input(config.train_path)
+        val, val_sha256 = _load_input(config.val_path)
         if config.val_subsample is not None:
             val = val[: config.val_subsample]
         self.val = val
         self.state: Optional[RunState] = None
+        # The SHA-256 of each input file's bytes, by role, which a resume
+        # or a replay compares with the commit's.
+        self.input_sha256 = {"train": train_sha256, "val": val_sha256}
+        # The commit-line members that are the same on every line, encoded.
+        self._fixed_json = {
+            "config": encode(vars(config)),
+            "input_sha256": encode(self.input_sha256),
+        }
+        # Each rule's JSON text, keyed by everything it encodes, so that a
+        # changed rule is encoded anew. Only the last commit's rules are kept.
+        self._rule_json: dict[tuple, str] = {}
 
     # -- persistence ------------------------------------------------------
 
@@ -169,23 +206,58 @@ class OptimizationRun:
         return self.run_dir / STATE_FILE
 
     def _log_size(self, name: str) -> int:
-        path = self.run_dir / name
-        return path.stat().st_size if path.exists() else 0
+        try:
+            return os.stat(self.run_dir / name).st_size
+        except FileNotFoundError:
+            return 0
+
+    def check_inputs(self, recorded: dict, where: Path) -> None:
+        """Refuse train or val files whose SHA-256 differs from the one
+        ``recorded`` in the commit log at ``where``."""
+        if not isinstance(recorded, dict):
+            raise RunStateError(
+                f"run state unreadable: {where}: input_sha256 is {recorded!r}"
+            )
+        for name, path in (("train", self.config.train_path),
+                           ("val", self.config.val_path)):
+            if recorded.get(name) != self.input_sha256[name]:
+                raise RunStateError(
+                    f"{name} file {path} differs from the one recorded in "
+                    f"{where}"
+                )
+
+    def _bank_json(self, bank: RuleBank) -> str:
+        """The JSON text of ``bank_document(bank)``, each rule's text reused
+        from the last commit while the rule is unchanged."""
+        document = bank_document(bank)
+        cached, kept, texts = self._rule_json, {}, []
+        for rule in document.pop("entries"):
+            # Types too: 1 and 1.0 are equal keys but encode apart.
+            key = (*rule.values(), *map(type, rule.values()))
+            text = kept[key] = cached.get(key) or encode(rule)
+            texts.append(text)
+        self._rule_json = kept
+        return object_json(document, {"entries": array_json(texts)})
 
     def _commit(self, commit_log: Appender) -> None:
-        """Append the commit line: state, config, step log lengths and bank."""
+        """Append the commit line: state, config, input digests, step log
+        lengths and bank."""
         state = self.state
         assert state is not None
-        # vars(), not asdict(): this runs every step, and asdict deep-copies.
-        commit_log.append(dict(
+        # The members that change from step to step are encoded here, from
+        # views of the state (vars() copies nothing); the config, the input
+        # digests and every unchanged rule reuse their texts.
+        members = dict(
             vars(state),
             current=vars(state.current),
             best=vars(state.best),
             previous=vars(state.previous) if state.previous else None,
             contexts=[vars(c) for c in state.contexts],
-            bank=bank_document(state.bank),
-            config=vars(self.config),
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
+        )
+        bank = members.pop("bank")
+        commit_log.append_line(commit_line(
+            members, dict(self._fixed_json, bank=self._bank_json(bank))
         ))
 
     def _resume(self) -> Optional[RunState]:
@@ -205,6 +277,10 @@ class OptimizationRun:
                     f"config differs from {self._state_path()}: "
                     + ", ".join(changed)
                 )
+            # Lines written before the digests were recorded resume unchecked.
+            inputs = document.pop("input_sha256", None)
+            if inputs is not None:
+                self.check_inputs(inputs, self._state_path())
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
             previous = document["previous"]
@@ -441,16 +517,18 @@ def replay_divergences(
     if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
         # Running into it would resume the old replay, not re-execute.
         raise RunStateError(f"replay directory already holds a run: {replay_dir}")
-    config, _ = read_last_line(
+    found, _ = read_last_line(
         run_dir / STATE_FILE, "run state", RunStateError,
-        lambda document: replace(
-            RunConfig(**document["config"]), run_dir=str(replay_dir)
+        lambda document: (
+            replace(RunConfig(**document["config"]), run_dir=str(replay_dir)),
+            document.get("input_sha256"),
         ),
     )
-    if config is None:
+    if found is None:
         raise RunStateError(
             f"run state unreadable: {run_dir / STATE_FILE}: no commit"
         )
+    config, inputs = found
     # An unreadable recorded trace or commit log is refused before anything
     # runs.
     recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
@@ -460,7 +538,10 @@ def replay_divergences(
     with closing(Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
-        OptimizationRun(config, gateway).run()
+        run = OptimizationRun(config, gateway)
+        if inputs is not None:
+            run.check_inputs(inputs, run_dir / STATE_FILE)
+        run.run()
     replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
     replayed_prompts = _accepted_by_step(
         replay_dir / STATE_FILE, "replayed run state"

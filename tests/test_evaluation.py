@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +137,15 @@ class TestNormalize:
         assert normalize_answer("007") == "7"
         assert normalize_answer("-0") == "0"
         assert normalize_answer("+3.20") == "3.2"
+
+
+class TestSample:
+    def test_normalized_answer_is_no_field(self):
+        sample = Sample("q", " 7.0. ")
+        assert sample.normalized_answer == "7"
+        assert asdict(sample) == {"question": "q", "answer": " 7.0. "}
+        assert sample == Sample("q", " 7.0. ")
+        assert repr(sample) == "Sample(question='q', answer=' 7.0. ')"
 
 
 class TestExactMatch:

@@ -304,6 +304,37 @@ class TestTranscript:
         assert users == ["before", "after"]
 
 
+class TestRoutes:
+    @pytest.mark.parametrize("missing", list(Role),
+                             ids=[r.value for r in Role])
+    def test_backends_lacking_a_role_are_refused(self, missing):
+        backend = ScriptedBackend([])
+        with pytest.raises(ConfigError,
+                           match=f"no backend for role {missing.value}"):
+            Gateway(
+                engines=RoleAssignment.uniform(EngineConfig(name="e")),
+                backends={r: backend for r in Role if r is not missing},
+            )
+
+    def test_each_role_reaches_its_engine_and_backend(self):
+        class Echo:
+            def __init__(self, name):
+                self.name = name
+
+            def complete(self, request, engine):
+                return f"{self.name}:{engine.name}"
+
+        engines = RoleAssignment(**{
+            role.value.lower(): EngineConfig(name=role.value.lower())
+            for role in Role
+        })
+        gw = Gateway(engines=engines,
+                     backends={role: Echo(role.value) for role in Role})
+        for role in Role:
+            assert gw.complete(req(role)) == \
+                f"{role.value}:{role.value.lower()}"
+
+
 class TestCompleteJson:
     def test_repair_reask(self):
         gw = scripted_gateway(

@@ -1,6 +1,9 @@
 import builtins
+import hashlib
 import json
 import os
+import random
+import re
 import shutil
 import sys
 import threading
@@ -11,6 +14,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, scripted_gateway
 from promptreg import loop
@@ -38,6 +42,7 @@ from promptreg.loop import (
     TRANSCRIPT_FILE,
     OptimizationRun,
     RunConfig,
+    batch_order,
     next_batch,
     replay_divergences,
     run_optimization,
@@ -48,6 +53,7 @@ from promptreg.rulebank import (
     RuleBankOp,
     apply_ops,
     bank_document,
+    bank_from_document,
     load_rulebank,
 )
 from promptreg.updater import (
@@ -124,6 +130,21 @@ class TestNextBatch:
     def test_empty_train(self):
         with pytest.raises(ValueError):
             next_batch([], 0, 3, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32), st.integers(1, 12),
+           st.integers(0, 500))
+    def test_same_windows_as_a_shuffle_per_step(self, n, seed, size, step):
+        """The order is shuffled once per train size and seed; the batches
+        are those of shuffling the train set anew at every step."""
+        train = [Sample(f"q{i}", "a") for i in range(n)]
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        start = (step * size) % n
+        shuffled_per_step = [train[order[(start + i) % n]]
+                             for i in range(size)]
+        assert next_batch(train, step, size, seed) == shuffled_per_step
+        assert batch_order(n, seed) == tuple(order)
 
 
 class TestRunConfig:
@@ -589,15 +610,14 @@ def tear_commit(monkeypatch, commit, keep) -> None:
     class Tearing(loop.Appender):
         written = 0
 
-        def append(self, entry):
+        def append_line(self, line):
             if self.path.name == STATE_FILE:
                 if self.written == commit:
-                    line = (json.dumps(entry, sort_keys=True) + "\n").encode()
                     with open(self.path, "ab") as handle:
                         handle.write(line[:keep(len(line))])
                     raise Crash
                 self.written += 1
-            super().append(entry)
+            super().append_line(line)
 
     monkeypatch.setattr(loop, "Appender", Tearing)
 
@@ -767,15 +787,15 @@ class TestHeldLogs:
         committed = []
 
         class Checking(loop.Appender):
-            def append(self, entry):
+            def append_line(self, line):
                 if self.path.name == STATE_FILE:
                     committed.append((
-                        entry["log_bytes"],
+                        json.loads(line)["log_bytes"],
                         {name: (run_dir / name).stat().st_size
                          if (run_dir / name).exists() else 0
                          for name in STEP_LOGS},
                     ))
-                super().append(entry)
+                super().append_line(line)
 
         monkeypatch.setattr(loop, "Appender", Checking)
         gateway = Gateway.scripted(
@@ -1067,3 +1087,148 @@ class TestReplay:
         mutated.write_text("".join(l + "\n" for l in swapped))
         diverged = replay_divergences(run_dir, mutated, tmp_path / "replay")
         assert 10 in diverged
+
+
+class TestInputDigests:
+    """Each commit line records the SHA-256 of the train and val files. A
+    resume or a replay over files changed since is refused before any call:
+    it would mix two datasets, and the trace would not show it."""
+
+    def config(self, tmp_path) -> RunConfig:
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train.jsonl", "val.jsonl"):
+            shutil.copy(DATA_DIR / name, data / name)
+        return replace(
+            golden_config(tmp_path / "run"),
+            train_path=str(data / "train.jsonl"),
+            val_path=str(data / "val.jsonl"),
+        )
+
+    @staticmethod
+    def edit_a_question(path: Path) -> None:
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["question"] += " Edited."
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+
+    @staticmethod
+    def run(config, **kwargs) -> dict:
+        transcript = Path(config.run_dir) / TRANSCRIPT_FILE
+        return OptimizationRun(
+            config, Gateway.scripted(FIXTURES, transcript_path=transcript)
+        ).run(**kwargs)
+
+    def test_every_commit_line_records_the_digests(self, tmp_path):
+        config = self.config(tmp_path)
+        self.run(config, stop_after_step=3)
+        expected = {
+            name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for name, path in (("train", config.train_path),
+                               ("val", config.val_path))
+        }
+        lines = commits(Path(config.run_dir))
+        assert len(lines) == 5
+        assert all(line["input_sha256"] == expected for line in lines)
+
+    @pytest.mark.parametrize("name", ["train", "val"])
+    def test_resume_over_a_changed_file_is_refused(self, tmp_path, name):
+        config = self.config(tmp_path)
+        run_dir = Path(config.run_dir)
+        self.run(config, stop_after_step=3)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        path = getattr(config, f"{name}_path")
+        self.edit_a_question(Path(path))
+        message = f"{name} file {re.escape(path)} differs from the one " \
+            f"recorded in {re.escape(str(run_dir / STATE_FILE))}"
+        with pytest.raises(RunStateError, match=message):
+            self.run(config)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["train", "val"])
+    def test_replay_over_a_changed_file_is_refused(self, tmp_path, name):
+        config = self.config(tmp_path)
+        self.run(config)
+        path = getattr(config, f"{name}_path")
+        self.edit_a_question(Path(path))
+        with pytest.raises(RunStateError,
+                           match=f"{name} file {re.escape(path)}"):
+            replay_divergences(config.run_dir, FIXTURES, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
+    def test_commit_lines_without_digests_resume(self, tmp_path):
+        """Lines written before the digests were recorded resume unchecked,
+        and the lines the resume appends record them."""
+        config = self.config(tmp_path)
+        run_dir = Path(config.run_dir)
+        self.run(config, stop_after_step=3)
+        lines = commits(run_dir)
+        for line in lines:
+            del line["input_sha256"]
+        (run_dir / STATE_FILE).write_text("".join(
+            json.dumps(line, sort_keys=True) + "\n" for line in lines
+        ))
+        self.edit_a_question(Path(config.val_path))
+        self.run(config)
+        lines = commits(run_dir)
+        assert [("input_sha256" in line) for line in lines] == \
+            [False] * 5 + [True] * 8
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+
+class TestCommitEncoding:
+    """A run encodes each rule once and reuses its text until the rule
+    changes; the lines are the bytes of encoding each commit whole."""
+
+    def test_a_changed_rule_is_encoded_anew(self, tmp_path):
+        run = OptimizationRun(golden_config(tmp_path / "run"),
+                              Gateway.scripted(FIXTURES))
+        bank = RuleBank()
+
+        def check():
+            assert run._bank_json(bank) == \
+                json.dumps(bank_document(bank), sort_keys=True)
+
+        check()
+        apply_ops(bank, [RuleBankOp(kind="INSERT", canonical_description="a"),
+                         RuleBankOp(kind="INSERT", canonical_description="b")],
+                  step=0)
+        check()
+        apply_ops(bank, [RuleBankOp(kind="INCREMENT", rule_id="R1")], step=1)
+        check()
+        bank.entries[1].canonical_description = "b, reworded"
+        check()
+        assert bank_document(bank)["entries"][0]["mention_count"] == 2
+        # Equal rules are two entries; an equal count of another type is
+        # another text.
+        bank.entries.append(replace(bank.entries[0]))
+        check()
+        bank.entries[0].mention_count = 2.0
+        check()
+
+    def test_a_resumed_run_writes_the_lines_of_an_uninterrupted_one(
+        self, tmp_path
+    ):
+        """The resume rebuilds the bank with bank_from_document and encodes
+        it afresh; its lines are byte for byte the uninterrupted run's."""
+        whole, resumed = tmp_path / "whole", tmp_path / "resumed"
+        run_optimization(golden_config(whole), Gateway.scripted(FIXTURES))
+        OptimizationRun(golden_config(resumed), Gateway.scripted(FIXTURES)) \
+            .run(stop_after_step=5)
+        OptimizationRun(golden_config(resumed), Gateway.scripted(FIXTURES)) \
+            .run()
+        assert (resumed / STATE_FILE).read_text() == \
+            (whole / STATE_FILE).read_text().replace(str(whole), str(resumed))
+        for line in commits(whole):
+            bank = bank_from_document(line["bank"])
+            run = OptimizationRun(golden_config(tmp_path / "other"),
+                                  Gateway.scripted(FIXTURES))
+            assert run._bank_json(bank) == \
+                json.dumps(line["bank"], sort_keys=True)
+
+    def test_each_line_is_the_sorted_key_dump_of_its_commit(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
+        for line in (run_dir / STATE_FILE).read_text().splitlines():
+            assert line == json.dumps(json.loads(line), sort_keys=True)
