@@ -9,6 +9,7 @@ import io
 import json
 import os
 import threading
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
@@ -24,6 +25,11 @@ encode = json.JSONEncoder(sort_keys=True).encode
 _WHITESPACE = " \t\r\n"
 # The first block read_last_line reads from the end of a file.
 _TAIL_BLOCK = 1 << 16
+# The escaped system text of a transcript line. A run repeats few system
+# texts over many calls (153 distinct in a 200-step run's 4,755), mostly
+# call after call; user texts and responses are mostly unique, and caching
+# them too measured slower.
+_quote_system = lru_cache(maxsize=64)(_quote)
 
 
 def iter_jsonl(
@@ -143,12 +149,13 @@ def transcript_line(
     fields, built without the dict and without the encoder's per-call setup.
 
     Text goes through the C escaper that ``json.dumps`` uses with
-    ``ensure_ascii``; ``step`` and ``latency_ms`` must be ints, not bools.
+    ``ensure_ascii``, the system text through a small memo of it;
+    ``step`` and ``latency_ms`` must be ints, not bools.
     """
     return (
         f'{{"latency_ms": {latency_ms:d}, "response": {_quote(response)}, '
         f'"role": {_quote(role)}, "step": {step:d}, '
-        f'"system": {_quote(system)}, "user": {_quote(user)}}}\n'
+        f'"system": {_quote_system(system)}, "user": {_quote(user)}}}\n'
     ).encode("ascii")
 
 

@@ -50,6 +50,16 @@ from .rulebank import RuleBank, bank_document, bank_from_document, save_rulebank
 from .rulebank import load_rulebank  # noqa: F401
 from .updater import apply_update
 
+# CPython's own SHA-256, as random.py takes its SHA-512: hashlib loads
+# OpenSSL, whose import time and memory a run need not pay for two digests.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 logger = logging.getLogger(__name__)
 
 DEFAULT_INITIAL_PROMPT = (
@@ -134,12 +144,8 @@ class RunState:
 
 def _load_input(path: str) -> tuple[list[Sample], str]:
     """A dataset file's samples and the SHA-256 of its bytes, read once."""
-    # Imported here, not with the module: hashlib loads OpenSSL, whose
-    # import time and memory commands that never start a run need not pay.
-    import hashlib
-
     data = read_bytes(path, "dataset", DatasetError)
-    return load_dataset(path, data), hashlib.sha256(data).hexdigest()
+    return load_dataset(path, data), _sha256(data).hexdigest()
 
 
 def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
@@ -199,6 +205,10 @@ class OptimizationRun:
         # Each rule's JSON text, keyed by everything it encodes, so that a
         # changed rule is encoded anew. Only the last commit's rules are kept.
         self._rule_json: dict[tuple, str] = {}
+        # The path of state.json and of each step log, joined once: every
+        # commit and resume stats them.
+        self._paths = {name: os.path.join(self.run_dir, name)
+                       for name in (STATE_FILE, *STEP_LOGS)}
 
     # -- persistence ------------------------------------------------------
 
@@ -207,7 +217,7 @@ class OptimizationRun:
 
     def _log_size(self, name: str) -> int:
         try:
-            return os.stat(self.run_dir / name).st_size
+            return os.stat(self._paths[name]).st_size
         except FileNotFoundError:
             return 0
 

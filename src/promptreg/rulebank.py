@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -25,6 +26,8 @@ INCREMENT = "INCREMENT"
 INSERT = "INSERT"
 
 DEFAULT_SUMMARY_LIMIT = 20
+
+_mention_count = attrgetter("mention_count")
 
 
 @dataclass
@@ -151,8 +154,9 @@ def summarize(bank: RuleBank, max_rules: int = DEFAULT_SUMMARY_LIMIT) -> str:
     """Deterministic text listing of the highest-count rules."""
     if not bank.entries:
         return "(empty)"
-    # sorted is stable, so rules of equal count keep their bank order.
-    ranked = sorted(bank.entries, key=lambda r: -r.mention_count)
+    # sorted is stable, reverse too, so rules of equal count keep their
+    # bank order.
+    ranked = sorted(bank.entries, key=_mention_count, reverse=True)
     lines = [
         f"- [{rule.id}] {rule.canonical_description} "
         f"(mention_count={rule.mention_count})"

@@ -46,24 +46,25 @@ def load_asset(name: str) -> str:
     )
 
 
-def placeholders(template: str) -> set[str]:
+@lru_cache(maxsize=32)
+def placeholders(template: str) -> frozenset[str]:
     """Names of all substitution markers in a template string."""
-    return set(_PLACEHOLDER_RE.findall(template))
+    return frozenset(_PLACEHOLDER_RE.findall(template))
 
 
 def render(template: str, **values: str) -> str:
-    """Substitute every placeholder; unknown or missing names are errors."""
+    """Substitute every placeholder; unknown or missing names are errors.
+
+    Values are inserted verbatim, in one pass over the template: a marker
+    inside a value is text, not a placeholder.
+    """
     expected = placeholders(template)
-    provided = set(values)
-    if provided != expected:
+    if values.keys() != expected:
         raise ValueError(
             f"placeholder mismatch: template wants {sorted(expected)}, "
-            f"got {sorted(provided)}"
+            f"got {sorted(values)}"
         )
-    out = template
-    for name, value in values.items():
-        out = out.replace("{" + name + "}", value)
-    return out
+    return _PLACEHOLDER_RE.sub(lambda match: values[match[1]], template)
 
 
 def render_asset(name: str, **values: str) -> str:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ok_reply, scripted_gateway
+from promptreg.evaluation import call_pool
 from promptreg.errors import (
     BackendUnavailableError,
     ConfigError,
@@ -274,6 +275,39 @@ class TestTranscript:
         with closing(gw), pytest.raises(MalformedOutputError, match="FORWARD"):
             gw.complete(req(Role.FORWARD))
         assert not path.exists()
+
+    def test_lines_at_cap_4_are_the_sorted_key_dump(self, tmp_path):
+        """Concurrent calls that alternate between a few system texts, one
+        of them non-ASCII, then cycle through more than the escape memo
+        holds, each write the line json.dumps writes for their fields."""
+
+        class Echo:
+            def complete(self, request, engine):
+                return f"re: {request.user}"
+
+        systems = ["system A", "system B", 'système ☃ "B"\n\u2028']
+        sent = {f"call {i}": systems[i % 3] for i in range(120)}
+        sent.update({f"cycle {i}": f"system {i % 80}" for i in range(240)})
+        path = tmp_path / "transcript.jsonl"
+        gw = Gateway(
+            engines=RoleAssignment.uniform(EngineConfig(name="e")),
+            backends={role: Echo() for role in Role},
+            transcript_path=path,
+        )
+        with closing(gw), call_pool(4) as pool:
+            list(pool.map(
+                lambda item: gw.complete(req(user=item[0], system=item[1])),
+                sent.items(),
+            ))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == len(sent)
+        for line in lines:
+            entry = json.loads(line)
+            assert entry["system"] == sent[entry["user"]]
+            assert entry["response"] == "re: " + entry["user"]
+            assert line == (
+                json.dumps(entry, sort_keys=True) + "\n"
+            ).encode("ascii")
 
     def test_call_order_preserved(self, tmp_path):
         path = tmp_path / "transcript.jsonl"

@@ -5,6 +5,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import time
@@ -1087,6 +1088,26 @@ class TestReplay:
         mutated.write_text("".join(l + "\n" for l in swapped))
         diverged = replay_divergences(run_dir, mutated, tmp_path / "replay")
         assert 10 in diverged
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=4096))
+def test_input_digest_is_hashlibs_sha256(data):
+    assert loop._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_loads_no_openssl():
+    """Starting a run digests its inputs without importing hashlib, whose
+    OpenSSL module costs milliseconds of start-up and megabytes of memory."""
+    code = ("import sys, promptreg.loop as loop; "
+            "loop._load_input(sys.argv[1]); "
+            "print('hashlib' in sys.modules, '_hashlib' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(DATA_DIR / "train.jsonl")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.split() == ["False", "False"]
 
 
 class TestInputDigests:

@@ -155,6 +155,23 @@ class TestPurify:
             assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
         assert len(transcript.read_text().splitlines()) == 1
 
+    def test_prompt_is_sent_verbatim(self, tmp_path):
+        """A prompt holding a marker of the purifier template reaches the
+        engine as written, not with the bank summary put in its place."""
+        prompt = PromptVersion.create(
+            "Answer. Rules so far: {rulebank_summary}", version=0
+        )
+        transcript = tmp_path / "t.jsonl"
+        with closing(scripted_gateway(
+            [purifier_fixture(json.dumps({"purified_gradient": "x"}))],
+            transcript_path=transcript,
+        )) as gw:
+            purify(self.raw(), RuleBank(), prompt, gw)
+        (line,) = transcript.read_text().splitlines()
+        entry = json.loads(line)
+        assert entry["role"] == "GRADIENT"
+        assert "Answer. Rules so far: {rulebank_summary}" in entry["user"]
+
     def test_rejection_is_total(self):
         """A rejected gradient yields no task text and no bank ops."""
         gw = scripted_gateway(

@@ -69,6 +69,12 @@ class TestRender:
     def test_repeated_marker_fills_all(self):
         assert templates.render("{x}/{x}", x="q") == "q/q"
 
+    def test_values_are_inserted_verbatim(self):
+        """A value holding another placeholder's marker is not substituted
+        again."""
+        assert templates.render("A {x} B {y}", x="{y}", y="Z") == "A {y} B Z"
+        assert templates.render("A {x} B {y}", y="{x}", x="Z") == "A Z B {x}"
+
     def test_uppercase_braces_not_markers(self):
         assert templates.render("keep {NOT_A_SLOT} as is") == (
             "keep {NOT_A_SLOT} as is"
