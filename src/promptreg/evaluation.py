@@ -65,7 +65,7 @@ def load_dataset(path: str | Path, data: Optional[bytes] = None) -> list[Sample]
                     f"dataset {path}: line {number}: missing field {fieldname}"
                 )
             value = record[fieldname]
-            if value is None or isinstance(value, (list, dict)):
+            if value is None or isinstance(value, (bool, list, dict)):
                 raise DatasetError(
                     f"dataset {path}: line {number}: field {fieldname} is "
                     f"{value!r}, not text or a number"

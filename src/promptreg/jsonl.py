@@ -12,7 +12,7 @@ import threading
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -157,29 +157,6 @@ def transcript_line(
         f'"role": {_quote(role)}, "step": {step:d}, '
         f'"system": {_quote_system(system)}, "user": {_quote(user)}}}\n'
     ).encode("ascii")
-
-
-def object_json(members: dict[str, Any], encoded: dict[str, str]) -> str:
-    """The JSON text ``json.dumps(document, sort_keys=True)`` writes for the
-    object holding ``members`` and, for each key of ``encoded``, the value
-    whose JSON text it maps to. ``encoded`` carries members a caller encoded
-    once and reuses; the two must not share a key."""
-    texts = {key: encode(value) for key, value in members.items()}
-    texts.update(encoded)
-    return "{" + ", ".join(
-        f"{_quote(key)}: {texts[key]}" for key in sorted(texts)
-    ) + "}"
-
-
-def array_json(texts: Iterable[str]) -> str:
-    """The JSON text of the array whose items have these JSON texts."""
-    return "[" + ", ".join(texts) + "]"
-
-
-def commit_line(members: dict[str, Any], encoded: dict[str, str]) -> bytes:
-    """A commit line of state.json, newline included: ``object_json`` of
-    ``members`` and ``encoded``."""
-    return (object_json(members, encoded) + "\n").encode("ascii")
 
 
 def encode_body(document: dict) -> bytes:

@@ -18,10 +18,6 @@ SHA-256 of its train and val files, the length of every step log and the
 bank, so the commit log is the run's record of its accepted prompts. A run
 resumes from the last complete line if that config and those files are its
 own.
-
-What does not change within a run is worked out once: the order batches are
-drawn in, and the JSON texts of the config and the input digests. Each
-rule's JSON text is reused from commit to commit until the rule changes.
 """
 
 from __future__ import annotations
@@ -39,8 +35,7 @@ from typing import Optional
 from .errors import ConfigError, DatasetError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
-from .jsonl import (Appender, array_json, commit_line, encode, iter_jsonl,
-                    object_json, read_bytes, read_last_line)
+from .jsonl import Appender, iter_jsonl, read_bytes, read_last_line
 from .metrics import PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
@@ -197,23 +192,14 @@ class OptimizationRun:
         # The SHA-256 of each input file's bytes, by role, which a resume
         # or a replay compares with the commit's.
         self.input_sha256 = {"train": train_sha256, "val": val_sha256}
-        # The commit-line members that are the same on every line, encoded.
-        self._fixed_json = {
-            "config": encode(vars(config)),
-            "input_sha256": encode(self.input_sha256),
+        # The path of each run file, joined once: every commit and resume
+        # stats them.
+        self._paths = {
+            name: str(self.run_dir / name)
+            for name in (STATE_FILE, RULEBANK_FILE, *STEP_LOGS)
         }
-        # Each rule's JSON text, keyed by everything it encodes, so that a
-        # changed rule is encoded anew. Only the last commit's rules are kept.
-        self._rule_json: dict[tuple, str] = {}
-        # The path of state.json and of each step log, joined once: every
-        # commit and resume stats them.
-        self._paths = {name: os.path.join(self.run_dir, name)
-                       for name in (STATE_FILE, *STEP_LOGS)}
 
     # -- persistence ------------------------------------------------------
-
-    def _state_path(self) -> Path:
-        return self.run_dir / STATE_FILE
 
     def _log_size(self, name: str) -> int:
         try:
@@ -221,7 +207,7 @@ class OptimizationRun:
         except FileNotFoundError:
             return 0
 
-    def check_inputs(self, recorded: dict, where: Path) -> None:
+    def check_inputs(self, recorded: dict, where: str | Path) -> None:
         """Refuse train or val files whose SHA-256 differs from the one
         ``recorded`` in the commit log at ``where``."""
         if not isinstance(recorded, dict):
@@ -236,44 +222,29 @@ class OptimizationRun:
                     f"{where}"
                 )
 
-    def _bank_json(self, bank: RuleBank) -> str:
-        """The JSON text of ``bank_document(bank)``, each rule's text reused
-        from the last commit while the rule is unchanged."""
-        document = bank_document(bank)
-        cached, kept, texts = self._rule_json, {}, []
-        for rule in document.pop("entries"):
-            # Types too: 1 and 1.0 are equal keys but encode apart.
-            key = (*rule.values(), *map(type, rule.values()))
-            text = kept[key] = cached.get(key) or encode(rule)
-            texts.append(text)
-        self._rule_json = kept
-        return object_json(document, {"entries": array_json(texts)})
-
     def _commit(self, commit_log: Appender) -> None:
         """Append the commit line: state, config, input digests, step log
         lengths and bank."""
         state = self.state
         assert state is not None
-        # The members that change from step to step are encoded here, from
-        # views of the state (vars() copies nothing); the config, the input
-        # digests and every unchanged rule reuse their texts.
-        members = dict(
+        # vars(), not asdict(): this runs every step, and asdict deep-copies.
+        commit_log.append(dict(
             vars(state),
             current=vars(state.current),
             best=vars(state.best),
             previous=vars(state.previous) if state.previous else None,
             contexts=[vars(c) for c in state.contexts],
+            bank=bank_document(state.bank),
+            config=vars(self.config),
+            input_sha256=self.input_sha256,
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
-        )
-        bank = members.pop("bank")
-        commit_log.append_line(commit_line(
-            members, dict(self._fixed_json, bank=self._bank_json(bank))
         ))
 
     def _resume(self) -> Optional[RunState]:
-        """Load the last commit, refuse it if it was made under a config
-        other than this run's, and cut state.json and every step log back to
-        it. None if state.json holds no complete line."""
+        """Load the last commit, refuse it if it was made under a config or
+        over input files other than this run's, and cut state.json and every
+        step log back to it. None if state.json holds no complete line."""
+        state_path = self._paths[STATE_FILE]
 
         def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
             recorded = RunConfig(**document.pop("config"))
@@ -284,13 +255,9 @@ class OptimizationRun:
             ]
             if changed:
                 raise RunStateError(
-                    f"config differs from {self._state_path()}: "
-                    + ", ".join(changed)
+                    f"config differs from {state_path}: " + ", ".join(changed)
                 )
-            # Lines written before the digests were recorded resume unchecked.
-            inputs = document.pop("input_sha256", None)
-            if inputs is not None:
-                self.check_inputs(inputs, self._state_path())
+            self.check_inputs(document.pop("input_sha256"), state_path)
             log_bytes = document.pop("log_bytes")
             committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
             previous = document["previous"]
@@ -306,11 +273,11 @@ class OptimizationRun:
             }), committed
 
         found, end = read_last_line(
-            self._state_path(), "run state", RunStateError, build
+            state_path, "run state", RunStateError, build
         )
         # A line torn by a crash inside its write is no commit.
         if self._log_size(STATE_FILE) > end:
-            os.truncate(self._state_path(), end)
+            os.truncate(state_path, end)
         if found is None:
             return None
         state, committed = found
@@ -318,11 +285,11 @@ class OptimizationRun:
             size = self._log_size(name)
             if size < length:
                 raise RunStateError(
-                    f"{self.run_dir / name} holds {size} bytes, fewer than "
+                    f"{self._paths[name]} holds {size} bytes, fewer than "
                     f"the {length} committed in {STATE_FILE}"
                 )
             if size > length:
-                os.truncate(self.run_dir / name, length)
+                os.truncate(self._paths[name], length)
         return state
 
     # -- pipeline ---------------------------------------------------------
@@ -338,7 +305,7 @@ class OptimizationRun:
         # commit to cut them back by; this start logs anew.
         for name in STEP_LOGS:
             if self._log_size(name):
-                os.truncate(self.run_dir / name, 0)
+                os.truncate(self._paths[name], 0)
         current = PromptVersion.create(self.config.initial_prompt, version=0)
         initial_report = evaluate(
             current, self.val, self.gateway, step=0, dataset_name="val",
@@ -477,12 +444,13 @@ class OptimizationRun:
         # their transcript lines land before a resume cuts them back, and
         # before the transcript is released. The logs open on their first
         # line, after any cut-back below.
+        paths = self._paths
         with closing(self.gateway), \
                 call_pool(self.config.concurrency_cap) as pool, \
-                closing(Appender(self.run_dir / TRACE_FILE)) as trace_log, \
-                closing(Appender(self._state_path())) as commit_log:
+                closing(Appender(paths[TRACE_FILE])) as trace_log, \
+                closing(Appender(paths[STATE_FILE])) as commit_log:
             self.state = (
-                self._resume() if self._state_path().exists() else None
+                self._resume() if os.path.exists(paths[STATE_FILE]) else None
             )
             if self.state is None:
                 self._initialize(pool)
@@ -498,7 +466,7 @@ class OptimizationRun:
                 if stop_after_step is not None and step >= stop_after_step:
                     break
         state = self.state
-        save_rulebank(state.bank, self.run_dir / RULEBANK_FILE)
+        save_rulebank(state.bank, paths[RULEBANK_FILE])
         return {
             "current": asdict(state.current),
             "best": asdict(state.best),
@@ -531,7 +499,7 @@ def replay_divergences(
         run_dir / STATE_FILE, "run state", RunStateError,
         lambda document: (
             replace(RunConfig(**document["config"]), run_dir=str(replay_dir)),
-            document.get("input_sha256"),
+            document["input_sha256"],
         ),
     )
     if found is None:
@@ -549,8 +517,7 @@ def replay_divergences(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
         run = OptimizationRun(config, gateway)
-        if inputs is not None:
-            run.check_inputs(inputs, run_dir / STATE_FILE)
+        run.check_inputs(inputs, run_dir / STATE_FILE)
         run.run()
     replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
     replayed_prompts = _accepted_by_step(

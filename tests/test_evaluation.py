@@ -61,9 +61,11 @@ class TestLoadDataset:
             ('{"question": ["q"], "answer": "a"}\n', "line 1: field question is"),
             ('{"question": "q", "answer": "a"}\n{"question": "q", "answer": {}}\n',
              "line 2: field answer is"),
+            ('{"question": "q", "answer": true}\n',
+             "line 1: field answer is True, not text or a number"),
         ],
         ids=["not-json-after-blank", "string", "number", "null-answer",
-             "list-question", "object-answer"],
+             "list-question", "object-answer", "boolean-answer"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "d.jsonl"

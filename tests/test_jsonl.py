@@ -11,11 +11,7 @@ from promptreg import jsonl
 from promptreg.errors import RunStateError
 from promptreg.jsonl import (
     Appender,
-    array_json,
-    commit_line,
-    encode,
     iter_jsonl,
-    object_json,
     read_bytes,
     read_json,
     read_last_line,
@@ -74,56 +70,6 @@ def test_transcript_line_is_the_sorted_key_dump(
              "response": response, "latency_ms": latency_ms}
     assert transcript_line(step, role, system, user, response, latency_ms) == (
         json.dumps(entry, sort_keys=True) + "\n"
-    ).encode("utf-8")
-
-
-NUMBER = st.one_of(st.integers(), st.floats())
-PROMPT = st.fixed_dictionaries({
-    "text": TEXT, "token_count": st.integers(min_value=0),
-    "version": st.integers(min_value=0),
-})
-CONTEXT = st.fixed_dictionaries({
-    "sample_input": TEXT, "model_output": TEXT, "expected": TEXT,
-    "correct": st.booleans(),
-})
-RULE = st.fixed_dictionaries({
-    "id": TEXT, "canonical_description": TEXT,
-    "mention_count": st.integers(min_value=1),
-})
-SCALAR = st.one_of(st.none(), st.booleans(), NUMBER, TEXT)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    current=PROMPT, best=PROMPT, previous=st.none() | PROMPT,
-    contexts=st.lists(CONTEXT, max_size=3), rules=st.lists(RULE, max_size=4),
-    updated_step=st.integers(min_value=0), best_val=NUMBER,
-    current_val=NUMBER, step=st.integers(min_value=-1),
-    config=st.dictionaries(TEXT, SCALAR, max_size=4),
-    inputs=st.dictionaries(TEXT, TEXT, max_size=2),
-    log_bytes=st.dictionaries(TEXT, st.integers(min_value=0), max_size=3),
-)
-def test_commit_line_is_the_sorted_key_dump(
-    current, best, previous, contexts, rules, updated_step, best_val,
-    current_val, step, config, inputs, log_bytes,
-):
-    members = {
-        "current": current, "best": best, "previous": previous,
-        "contexts": contexts, "best_val": best_val, "current_val": current_val,
-        "step_completed": step, "log_bytes": log_bytes,
-    }
-    encoded = {
-        "bank": object_json({"updated_step": updated_step},
-                            {"entries": array_json(map(encode, rules))}),
-        "config": encode(config),
-        "input_sha256": encode(inputs),
-    }
-    document = dict(
-        members, bank={"entries": rules, "updated_step": updated_step},
-        config=config, input_sha256=inputs,
-    )
-    assert commit_line(members, encoded) == (
-        json.dumps(document, sort_keys=True) + "\n"
     ).encode("utf-8")
 
 

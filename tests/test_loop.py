@@ -54,7 +54,6 @@ from promptreg.rulebank import (
     RuleBankOp,
     apply_ops,
     bank_document,
-    bank_from_document,
     load_rulebank,
 )
 from promptreg.updater import (
@@ -501,9 +500,11 @@ class TestResumeFromCommit:
             ),
             # Written while the config sat in a file of its own.
             lambda d: d.pop("config", None),
+            # Written before the input files' digests were recorded.
+            lambda d: d.pop("input_sha256", None),
         ],
         ids=["state-without-log-lengths", "snapshot-with-dropped-fields",
-             "state-without-config"],
+             "state-without-config", "state-without-input-digests"],
     )
     def test_run_directory_of_older_format_is_refused(self, tmp_path, edit):
         run_dir = tmp_path / "run"
@@ -1178,61 +1179,36 @@ class TestInputDigests:
             replay_divergences(config.run_dir, FIXTURES, tmp_path / "replay")
         assert not (tmp_path / "replay").exists()
 
-    def test_commit_lines_without_digests_resume(self, tmp_path):
-        """Lines written before the digests were recorded resume unchecked,
-        and the lines the resume appends record them."""
+    def test_replay_of_commit_lines_without_digests_is_refused(
+        self, tmp_path
+    ):
+        """Lines written before the digests were recorded cannot show that
+        the files are the run's own, so the replay is refused before any
+        call."""
         config = self.config(tmp_path)
         run_dir = Path(config.run_dir)
-        self.run(config, stop_after_step=3)
+        self.run(config)
         lines = commits(run_dir)
         for line in lines:
             del line["input_sha256"]
         (run_dir / STATE_FILE).write_text("".join(
             json.dumps(line, sort_keys=True) + "\n" for line in lines
         ))
-        self.edit_a_question(Path(config.val_path))
-        self.run(config)
-        lines = commits(run_dir)
-        assert [("input_sha256" in line) for line in lines] == \
-            [False] * 5 + [True] * 8
-        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        message = "run state unreadable: " \
+            f"{re.escape(str(run_dir / STATE_FILE))}: 'input_sha256'"
+        with pytest.raises(RunStateError, match=message):
+            replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
 
 
 class TestCommitEncoding:
-    """A run encodes each rule once and reuses its text until the rule
-    changes; the lines are the bytes of encoding each commit whole."""
-
-    def test_a_changed_rule_is_encoded_anew(self, tmp_path):
-        run = OptimizationRun(golden_config(tmp_path / "run"),
-                              Gateway.scripted(FIXTURES))
-        bank = RuleBank()
-
-        def check():
-            assert run._bank_json(bank) == \
-                json.dumps(bank_document(bank), sort_keys=True)
-
-        check()
-        apply_ops(bank, [RuleBankOp(kind="INSERT", canonical_description="a"),
-                         RuleBankOp(kind="INSERT", canonical_description="b")],
-                  step=0)
-        check()
-        apply_ops(bank, [RuleBankOp(kind="INCREMENT", rule_id="R1")], step=1)
-        check()
-        bank.entries[1].canonical_description = "b, reworded"
-        check()
-        assert bank_document(bank)["entries"][0]["mention_count"] == 2
-        # Equal rules are two entries; an equal count of another type is
-        # another text.
-        bank.entries.append(replace(bank.entries[0]))
-        check()
-        bank.entries[0].mention_count = 2.0
-        check()
+    """Each commit line is the bytes of encoding its commit whole."""
 
     def test_a_resumed_run_writes_the_lines_of_an_uninterrupted_one(
         self, tmp_path
     ):
-        """The resume rebuilds the bank with bank_from_document and encodes
-        it afresh; its lines are byte for byte the uninterrupted run's."""
+        """The resume rebuilds the bank with bank_from_document; its lines
+        are byte for byte the uninterrupted run's."""
         whole, resumed = tmp_path / "whole", tmp_path / "resumed"
         run_optimization(golden_config(whole), Gateway.scripted(FIXTURES))
         OptimizationRun(golden_config(resumed), Gateway.scripted(FIXTURES)) \
@@ -1241,12 +1217,6 @@ class TestCommitEncoding:
             .run()
         assert (resumed / STATE_FILE).read_text() == \
             (whole / STATE_FILE).read_text().replace(str(whole), str(resumed))
-        for line in commits(whole):
-            bank = bank_from_document(line["bank"])
-            run = OptimizationRun(golden_config(tmp_path / "other"),
-                                  Gateway.scripted(FIXTURES))
-            assert run._bank_json(bank) == \
-                json.dumps(line["bank"], sort_keys=True)
 
     def test_each_line_is_the_sorted_key_dump_of_its_commit(self, tmp_path):
         run_dir = tmp_path / "run"
