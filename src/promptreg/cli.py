@@ -57,17 +57,19 @@ def _engines(document: dict) -> tuple[dict[str, EngineConfig], dict[str, str]]:
 
 def _build_gateway(
     transcript_path: Path | None,
-    backend: str,
     fixtures: str | None,
     engines_file: str | None,
     **engine_flags: str | None,
 ) -> Gateway:
-    if backend == "scripted":
-        if not fixtures:
-            raise click.UsageError("--backend scripted requires --fixtures")
+    """The scripted gateway over ``fixtures`` or the HTTP one over
+    ``engines_file``; a role's engine flag needs the latter."""
+    if (fixtures is None) == (engines_file is None):
+        raise click.UsageError("give exactly one of --fixtures and --engines")
+    if fixtures is not None:
+        for flag, name in engine_flags.items():
+            if name is not None:
+                raise click.UsageError(f"--{flag.replace('_', '-')} needs --engines")
         return Gateway.scripted(fixtures, transcript_path=transcript_path)
-    if not engines_file:
-        raise click.UsageError("--backend http requires --engines")
     engines, role_names = read_json(
         engines_file, "engines file", click.UsageError, _engines
     )
@@ -111,17 +113,12 @@ RECORDED_INPUT_FILE = click.Path(exists=True, dir_okay=False, resolve_path=True)
 INPUT_ERRORS = (ConfigError, DatasetError, RunStateError, RuleBankError)
 
 backend_options = [
-    click.option(
-        "--backend",
-        type=click.Choice(["scripted", "http"]),
-        default="scripted",
-        show_default=True,
-    ),
     click.option("--fixtures", type=click.Path(), default=None,
-                 help="Fixture JSONL for the scripted backend."),
+                 help="Fixture JSONL to replay: the scripted backend."),
     click.option("--engines", "engines_file", type=click.Path(), default=None,
-                 help="Engine configuration JSON for the http backend."),
-    *(click.option(f"--{role.value.lower()}-engine", default=None)
+                 help="Engine configuration JSON: the http backend."),
+    *(click.option(f"--{role.value.lower()}-engine", default=None,
+                   help="Engine of this role; needs --engines.")
       for role in Role),
 ]
 

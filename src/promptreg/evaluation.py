@@ -8,6 +8,7 @@ strips trailing punctuation, and canonicalizes plain numeric strings.
 
 from __future__ import annotations
 
+import math
 import re
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -65,7 +66,8 @@ def load_dataset(path: str | Path, data: Optional[bytes] = None) -> list[Sample]
                     f"dataset {path}: line {number}: missing field {fieldname}"
                 )
             value = record[fieldname]
-            if value is None or isinstance(value, (bool, list, dict)):
+            if (type(value) not in (str, int, float)
+                    or type(value) is float and not math.isfinite(value)):
                 raise DatasetError(
                     f"dataset {path}: line {number}: field {fieldname} is "
                     f"{value!r}, not text or a number"

@@ -408,7 +408,7 @@ def _strip_code_fences(text: str) -> str:
         if first_newline != -1 and block[:first_newline].strip().isalpha():
             block = block[first_newline + 1:]
         candidates.append(block)
-    return "\n".join(candidates) if candidates else text
+    return "\n".join(candidates)
 
 
 def parse_json_object(text: str, required_keys: list[str]) -> dict:
@@ -418,16 +418,14 @@ def parse_json_object(text: str, required_keys: list[str]) -> dict:
     index = stripped.find("{")
     while index != -1:
         try:
-            value, _ = decoder.raw_decode(stripped, index)
+            value, _ = decoder.raw_decode(stripped, index)  # a dict, at "{"
         except json.JSONDecodeError:
             index = stripped.find("{", index + 1)
             continue
-        if isinstance(value, dict):
-            for key in required_keys:
-                if key not in value:
-                    raise MissingFieldError(f"missing field: {key}")
-            return value
-        index = stripped.find("{", index + 1)
+        for key in required_keys:
+            if key not in value:
+                raise MissingFieldError(f"missing field: {key}")
+        return value
     raise MalformedOutputError("malformed structured output")
 
 

@@ -60,7 +60,6 @@ def golden_args(run_dir):
         "--val", VAL,
         "--out", str(run_dir),
         "--seed", "7",
-        "--backend", "scripted",
         "--fixtures", FIXTURES,
     ]
 
@@ -71,7 +70,7 @@ OPTIMIZE_OPTIONS = {
     "--train", "--val", "--out", "--batch-size", "--iterations", "--tau-c",
     "--acceptance-relaxation", "--seed", "--initial-prompt",
     "--initial-prompt-file", "--val-subsample", "--concurrency-cap",
-    "--backend", "--fixtures", "--engines", "--forward-engine",
+    "--fixtures", "--engines", "--forward-engine",
     "--gradient-engine", "--regularization-engine", "--optimizer-engine",
     "--help",
 }
@@ -237,7 +236,7 @@ class TestOptimize:
         result = runner.invoke(main, [
             "optimize", "--train", TRAIN, "--val", VAL,
             "--out", str(tmp_path / out), "--seed", "7",
-            "--backend", "http", "--engines", str(engines),
+            "--engines", str(engines),
         ])
         assert result.exit_code == 2, result.output
         assert f"cannot make run directory {tmp_path / out}" in result.output
@@ -351,9 +350,8 @@ class TestEvaluate:
             engines.write_text(engines_text)
         dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
         args = self.evaluate_args(tmp_path, dataset, FIXTURES)
-        result = runner.invoke(
-            main, args + ["--backend", "http", "--engines", str(engines)]
-        )
+        args[args.index("--fixtures"):] = ["--engines", str(engines)]
+        result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert f"engines file unreadable: {engines}" in result.output
 
@@ -436,7 +434,7 @@ ROLES = ["forward", "gradient", "regularization", "optimizer"]
 
 
 class TestEvaluateOverHttp:
-    """``evaluate --backend http`` against the loopback server of
+    """``evaluate --engines`` against the loopback server of
     ``conftest``: engine choice per role, credentials and the request body.
     Only the forward role reaches the wire; every role is picked when the
     gateway is built."""
@@ -462,8 +460,7 @@ class TestEvaluateOverHttp:
         dataset.write_text(json.dumps({"question": "2 + 2?", "answer": "4"}) + "\n")
         return runner.invoke(main, [
             "evaluate", "--prompt-file", str(prompt_file),
-            "--dataset", str(dataset), "--backend", "http",
-            "--engines", engines, *flags,
+            "--dataset", str(dataset), "--engines", engines, *flags,
         ])
 
     def test_roles_map_picks_the_engine_and_its_settings(
@@ -563,6 +560,58 @@ class TestEvaluateOverHttp:
         assert "--out-report" in result.output
         assert message in result.output
         assert loopback.received == []
+
+
+class TestBackendInput:
+    """The input picks the backend: ``--fixtures`` the scripted one and
+    ``--engines`` the http one. Both, neither, or a role's engine flag
+    without ``--engines`` is a usage error before any call."""
+
+    @pytest.fixture(params=["optimize", "evaluate"])
+    def command(self, request, tmp_path):
+        if request.param == "optimize":
+            return ["optimize", "--train", TRAIN, "--val", VAL,
+                    "--out", str(tmp_path / "run"), "--seed", "7"]
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_text("Reply with the letter.")
+        return ["evaluate", "--prompt-file", str(prompt_file), "--dataset", VAL]
+
+    def assert_refused_before_any_call(self, result, tmp_path, message):
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "accuracy=" not in result.output
+        assert not (tmp_path / "run").exists()
+
+    def test_fixtures_and_engines_together(
+        self, runner, tmp_path, loopback, command
+    ):
+        engines = tmp_path / "e.json"
+        engines.write_text(json.dumps({
+            "engines": {"e": {"endpoint": loopback.url, "model_id": "m"}},
+            "roles": dict.fromkeys(ROLES, "e"),
+        }))
+        result = runner.invoke(main, command + [
+            "--fixtures", FIXTURES, "--engines", str(engines),
+        ])
+        self.assert_refused_before_any_call(
+            result, tmp_path, "give exactly one of --fixtures and --engines"
+        )
+        assert loopback.received == []
+
+    def test_neither_fixtures_nor_engines(self, runner, tmp_path, command):
+        result = runner.invoke(main, command)
+        self.assert_refused_before_any_call(
+            result, tmp_path, "give exactly one of --fixtures and --engines"
+        )
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_engine_flag_without_engines(self, runner, tmp_path, command, role):
+        result = runner.invoke(main, command + [
+            "--fixtures", FIXTURES, f"--{role}-engine", "big",
+        ])
+        self.assert_refused_before_any_call(
+            result, tmp_path, f"--{role}-engine needs --engines"
+        )
 
 
 class TestRulebankShow:

@@ -63,9 +63,16 @@ class TestLoadDataset:
              "line 2: field answer is"),
             ('{"question": "q", "answer": true}\n',
              "line 1: field answer is True, not text or a number"),
+            ('{"question": "q", "answer": NaN}\n',
+             "line 1: field answer is nan, not text or a number"),
+            ('{"question": Infinity, "answer": "a"}\n',
+             "line 1: field question is inf, not text or a number"),
+            ('{"question": "q", "answer": 1e400}\n',
+             "line 1: field answer is inf, not text or a number"),
         ],
         ids=["not-json-after-blank", "string", "number", "null-answer",
-             "list-question", "object-answer", "boolean-answer"],
+             "list-question", "object-answer", "boolean-answer", "nan",
+             "infinity", "overflow"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "d.jsonl"

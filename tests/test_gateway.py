@@ -28,6 +28,7 @@ from promptreg.gateway import (
     Role,
     RoleAssignment,
     ScriptedBackend,
+    check_endpoint,
     extract_tagged_variable,
     parse_json_object,
 )
@@ -644,6 +645,11 @@ class TestHttpBackend:
                 req(Role.FORWARD), engine_at(endpoint)
             )
         assert sleeps == []
+
+    def test_unclosed_ipv6_bracket_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"engine live: endpoint "
+                           r"'http://\[::1' is not an http:// or https:// URL"):
+            check_endpoint(engine_at("http://[::1"))
 
     def test_port_that_cannot_be_sent_fails_at_once(self):
         sleeps = []

@@ -189,11 +189,12 @@ class TestAcceptanceGate:
     """The gate compares candidate validation accuracy against the cached
     score with the configured relaxation; ties are accepted."""
 
-    def run_one_step(self, tmp_path, relaxation, candidate_answers):
+    def run_one_step(self, tmp_path, relaxation, candidate_answers, **settings):
         # val: 20 questions; the initial prompt answers 14 correctly (0.70).
         # The purifier rejects at step 0, so step 1 carries the only update
         # and its candidate eval is the only forward traffic at step 1
-        # besides the T-prefixed batch.
+        # besides the T-prefixed batch. The run's summary is kept in
+        # self.summary and its commit lines in self.commits.
         val = [
             {"question": f"V{i:02d}", "answer": "A" if i < 14 else "B"}
             for i in range(20)
@@ -228,15 +229,21 @@ class TestAcceptanceGate:
                 {"role": "FORWARD", "step": 1, "match_substring": f"V{i:02d}",
                  "response": f"Answer: {answer}"}
             )
+        run_dir = tmp_path / "run"
         config = RunConfig(
             train_path=str(tmp_path / "train.jsonl"),
             val_path=str(tmp_path / "val.jsonl"),
-            run_dir=str(tmp_path / "run"),
+            run_dir=str(run_dir),
             iterations=2,
             acceptance_relaxation=relaxation,
+            **settings,
         )
-        run_optimization(config, scripted_gateway(fixtures))
-        lines = (tmp_path / "run" / TRACE_FILE).read_text().splitlines()
+        self.summary = run_optimization(config, scripted_gateway(
+            fixtures, transcript_path=run_dir / TRANSCRIPT_FILE
+        ))
+        self.commits = [json.loads(line) for line in
+                        (run_dir / STATE_FILE).read_text().splitlines()]
+        lines = (run_dir / TRACE_FILE).read_text().splitlines()
         return json.loads(lines[1])
 
     def test_tie_accepted_without_relaxation(self, tmp_path):
@@ -265,6 +272,44 @@ class TestAcceptanceGate:
         answers = ["A"] * 13 + ["X"] * 7
         trace = self.run_one_step(tmp_path, 0.01, answers)
         assert trace["accepted"] is False
+
+    def test_better_candidate_becomes_best(self, tmp_path):
+        # 20/20 = 1.0 against the best 0.70
+        answers = ["A"] * 14 + ["B"] * 6
+        trace = self.run_one_step(tmp_path, 0.0, answers)
+        assert trace["accepted"] is True
+        for record in (self.summary, self.commits[-1]):
+            assert record["best"]["version"] == 1
+            assert record["best"]["text"] == "candidate prompt"
+            assert record["best_val"] == 1.0
+            assert record["current"] == record["best"]
+
+    def test_relaxed_acceptance_leaves_best(self, tmp_path):
+        # 13/20 = 0.65 becomes current; the best stays version 0 at 0.70
+        answers = ["A"] * 13 + ["X"] * 7
+        self.run_one_step(tmp_path, 0.05, answers)
+        for record in (self.summary, self.commits[-1]):
+            assert record["current"]["version"] == 1
+            assert record["current_val"] == 0.65
+            assert record["best"]["version"] == 0
+            assert record["best_val"] == 0.70
+
+    def test_val_subsample_gates_on_the_first_questions(self, tmp_path):
+        answers = ["A"] * 5
+        trace = self.run_one_step(tmp_path, 0.0, answers, val_subsample=5)
+        assert trace["candidate_val"] == 1.0
+        calls = [json.loads(line) for line in
+                 (tmp_path / "run" / TRANSCRIPT_FILE).read_text().splitlines()]
+        gated = Counter((call["step"], call["user"]) for call in calls
+                        if call["role"] == "FORWARD"
+                        and call["user"].startswith("V"))
+        # The initial gate at step 0 and the candidate's at step 1.
+        assert gated == {(step, f"V{i:02d}"): 1
+                         for step in (0, 1) for i in range(5)}
+        # The digest is of the whole val file, not of the subsample.
+        whole = hashlib.sha256((tmp_path / "val.jsonl").read_bytes())
+        for commit in self.commits:
+            assert commit["input_sha256"]["val"] == whole.hexdigest()
 
 
 class TestGoldenRun:

@@ -142,6 +142,30 @@ class TestCanonicalizeAndMatch:
             assert canonicalize_and_match("gradient", RuleBank(), gw, 0) == []
         assert len(transcript.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "operations",
+        [None, "insert", {"type": "insert", "canonical_description": "x"}],
+        ids=["null", "string", "object"],
+    )
+    def test_operations_not_a_list_yield_no_ops(self, operations):
+        gw = scripted_gateway([{
+            "role": "GRADIENT", "step": 0,
+            "response": json.dumps({"operations": operations}),
+        }])
+        assert canonicalize_and_match("gradient", RuleBank(), gw, 0) == []
+
+    def test_op_of_unknown_type_dropped_beside_a_valid_one(self):
+        gw = scripted_gateway([{
+            "role": "GRADIENT", "step": 0,
+            "response": json.dumps({"operations": [
+                {"type": "delete", "rule_id": "R1"},
+                {"type": "insert", "canonical_description": "check units"},
+            ]}),
+        }])
+        assert canonicalize_and_match("gradient", bank_with(1), gw, 0) == [
+            RuleBankOp(kind=INSERT, canonical_description="check units")
+        ]
+
     def test_malformed_output_leaves_bank_unchanged(self):
         gw = scripted_gateway(
             [{"role": "GRADIENT", "step": 0, "response": "garbled"}]
