@@ -1135,6 +1135,22 @@ class TestReplay:
         diverged = replay_divergences(run_dir, mutated, tmp_path / "replay")
         assert 10 in diverged
 
+    @pytest.mark.parametrize(
+        "keep", [lambda line: b"", lambda line: line[:len(line) // 2]],
+        ids=["empty", "torn-first-line"],
+    )
+    def test_commit_log_without_a_complete_line_is_refused(
+        self, tmp_path, keep
+    ):
+        run_dir = tmp_path / "run"
+        run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
+        state = run_dir / STATE_FILE
+        state.write_bytes(keep(state.read_bytes().split(b"\n")[0]))
+        message = f"run state unreadable: {re.escape(str(state))}: no commit"
+        with pytest.raises(RunStateError, match=message):
+            replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(max_size=4096))
@@ -1243,6 +1259,29 @@ class TestInputDigests:
             f"{re.escape(str(run_dir / STATE_FILE))}: 'input_sha256'"
         with pytest.raises(RunStateError, match=message):
             replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
+        assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize("command", ["resume", "replay"])
+    def test_digests_that_are_not_an_object_are_refused(
+        self, tmp_path, command
+    ):
+        config = self.config(tmp_path)
+        run_dir = Path(config.run_dir)
+        self.run(config, stop_after_step=3)
+        lines = commits(run_dir)
+        lines[-1]["input_sha256"] = "abc"
+        (run_dir / STATE_FILE).write_text("".join(
+            json.dumps(line, sort_keys=True) + "\n" for line in lines
+        ))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        message = "run state unreadable: " \
+            f"{re.escape(str(run_dir / STATE_FILE))}: input_sha256 is 'abc'"
+        with pytest.raises(RunStateError, match=message):
+            if command == "resume":
+                self.run(config)
+            else:
+                replay_divergences(run_dir, FIXTURES, tmp_path / "replay")
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
         assert not (tmp_path / "replay").exists()
 
 
