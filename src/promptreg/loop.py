@@ -30,7 +30,7 @@ from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ConfigError, DatasetError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
@@ -143,36 +143,41 @@ def _load_input(path: str) -> tuple[list[Sample], str]:
     return load_dataset(path, data), _sha256(data).hexdigest()
 
 
-def _trace_by_step(path: Path, what: str) -> dict[int, dict]:
-    entries = {}
+def _by_step(path: Path, what: str, key: str) -> Iterator[tuple[int, dict]]:
+    """Each line of a run's JSONL file with the step it holds at ``key``; a
+    line whose ``key`` is not an integer is refused."""
     for number, record in iter_jsonl(path, what, RunStateError):
-        step = record.get("step")
+        step = record.get(key)
         if type(step) is not int:
             raise RunStateError(
-                f"{what} {path}: line {number}: step {step!r} is not an integer"
+                f"{what} {path}: line {number}: {key} {step!r} is not an integer"
             )
-        entries[step] = record
-    return entries
+        yield step, record
 
 
-def _accepted_by_step(path: Path, what: str) -> dict[int, list[dict]]:
-    """The prompts each step accepted, read from the commit lines of a
-    state.json: a line's ``current`` is accepted at its ``step_completed``
-    when it differs from the line before's, and the initial prompt counts as
-    accepted at step 0."""
-    accepted: dict[int, list[dict]] = {}
+def _steps(run_dir: Path, what: str) -> dict[int, tuple[list, list]]:
+    """The trace lines and the accepted prompts of each step of the run in
+    ``run_dir``. A commit line's ``current`` is accepted at its
+    ``step_completed`` when it differs from the line before's, and the
+    initial prompt counts as accepted at step 0."""
+    steps: dict[int, tuple[list, list]] = {}
+    for step, line in _by_step(run_dir / TRACE_FILE, f"{what} trace", "step"):
+        steps.setdefault(step, ([], []))[0].append(line)
     previous = None
-    for number, commit in iter_jsonl(path, what, RunStateError):
-        current, step = commit.get("current"), commit.get("step_completed")
-        if current is None or type(step) is not int:
+    state_path = run_dir / STATE_FILE
+    for step, commit in _by_step(
+        state_path, f"{what} run state", "step_completed"
+    ):
+        current = commit.get("current")
+        if current is None:
             raise RunStateError(
-                f"{what} {path}: line {number}: no current prompt or no "
-                f"integer step_completed"
+                f"{what} run state {state_path}: step_completed {step}: no "
+                f"current prompt"
             )
         if current != previous:
-            accepted.setdefault(max(step, 0), []).append(current)
+            steps.setdefault(max(step, 0), ([], []))[1].append(current)
             previous = current
-    return accepted
+    return steps
 
 
 class OptimizationRun:
@@ -207,16 +212,28 @@ class OptimizationRun:
         except FileNotFoundError:
             return 0
 
-    def check_inputs(self, recorded: dict, where: str | Path) -> None:
-        """Refuse train or val files whose SHA-256 differs from the one
-        ``recorded`` in the commit log at ``where``."""
-        if not isinstance(recorded, dict):
+    def check_commit(self, commit: dict, where: str | Path) -> None:
+        """Refuse a commit line, read from the commit log at ``where``, that
+        is not this run's own: one made under another config (any field but
+        ``run_dir``) or over train or val files of another SHA-256."""
+        recorded = RunConfig(**commit["config"])
+        changed = [
+            f.name for f in fields(RunConfig)
+            if f.name != "run_dir"
+            and getattr(recorded, f.name) != getattr(self.config, f.name)
+        ]
+        if changed:
             raise RunStateError(
-                f"run state unreadable: {where}: input_sha256 is {recorded!r}"
+                f"config differs from {where}: " + ", ".join(changed)
+            )
+        digests = commit["input_sha256"]
+        if not isinstance(digests, dict):
+            raise RunStateError(
+                f"run state unreadable: {where}: input_sha256 is {digests!r}"
             )
         for name, path in (("train", self.config.train_path),
                            ("val", self.config.val_path)):
-            if recorded.get(name) != self.input_sha256[name]:
+            if digests.get(name) != self.input_sha256[name]:
                 raise RunStateError(
                     f"{name} file {path} differs from the one recorded in "
                     f"{where}"
@@ -241,25 +258,22 @@ class OptimizationRun:
         ))
 
     def _resume(self) -> Optional[RunState]:
-        """Load the last commit, refuse it if it was made under a config or
-        over input files other than this run's, and cut state.json and every
-        step log back to it. None if state.json holds no complete line."""
+        """Load the last commit, refuse it if it is not this run's own, and
+        cut state.json and every step log back to it. A state.json that is
+        missing or holds no complete line commits empty step logs, and gives
+        None."""
         state_path = self._paths[STATE_FILE]
 
-        def build(document: dict) -> tuple[RunState, list[tuple[str, int]]]:
-            recorded = RunConfig(**document.pop("config"))
-            changed = [
-                f.name for f in fields(RunConfig)
-                if f.name != "run_dir"
-                and getattr(recorded, f.name) != getattr(self.config, f.name)
-            ]
-            if changed:
-                raise RunStateError(
-                    f"config differs from {state_path}: " + ", ".join(changed)
-                )
-            self.check_inputs(document.pop("input_sha256"), state_path)
+        def build(document: dict) -> tuple[RunState, dict[str, int]]:
+            self.check_commit(document, state_path)
+            del document["config"], document["input_sha256"]
             log_bytes = document.pop("log_bytes")
-            committed = [(name, int(log_bytes[name])) for name in STEP_LOGS]
+            committed = {name: log_bytes[name] for name in STEP_LOGS}
+            for name, length in committed.items():
+                if type(length) is not int or length < 0:
+                    raise ValueError(
+                        f"log_bytes {name} is {length!r}, not a byte count"
+                    )
             previous = document["previous"]
             return RunState(**{
                 **document,
@@ -272,16 +286,15 @@ class OptimizationRun:
                 "bank": bank_from_document(document["bank"]),
             }), committed
 
+        size = self._log_size(STATE_FILE)
         found, end = read_last_line(
             state_path, "run state", RunStateError, build
-        )
+        ) if size else (None, 0)
         # A line torn by a crash inside its write is no commit.
-        if self._log_size(STATE_FILE) > end:
+        if size > end:
             os.truncate(state_path, end)
-        if found is None:
-            return None
-        state, committed = found
-        for name, length in committed:
+        state, committed = found or (None, dict.fromkeys(STEP_LOGS, 0))
+        for name, length in committed.items():
             size = self._log_size(name)
             if size < length:
                 raise RunStateError(
@@ -295,17 +308,6 @@ class OptimizationRun:
     # -- pipeline ---------------------------------------------------------
 
     def _initialize(self, pool: Executor) -> None:
-        try:
-            self.run_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:  # say, a file where a directory must be
-            raise RunStateError(
-                f"cannot make run directory {self.run_dir}: {exc.strerror}"
-            ) from exc
-        # A start that failed before its first commit left logs but no
-        # commit to cut them back by; this start logs anew.
-        for name in STEP_LOGS:
-            if self._log_size(name):
-                os.truncate(self._paths[name], 0)
         current = PromptVersion.create(self.config.initial_prompt, version=0)
         initial_report = evaluate(
             current, self.val, self.gateway, step=0, dataset_name="val",
@@ -449,9 +451,13 @@ class OptimizationRun:
                 call_pool(self.config.concurrency_cap) as pool, \
                 closing(Appender(paths[TRACE_FILE])) as trace_log, \
                 closing(Appender(paths[STATE_FILE])) as commit_log:
-            self.state = (
-                self._resume() if os.path.exists(paths[STATE_FILE]) else None
-            )
+            try:
+                self.run_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # say, a file where a directory must be
+                raise RunStateError(
+                    f"cannot make run directory {self.run_dir}: {exc.strerror}"
+                ) from exc
+            self.state = self._resume()
             if self.state is None:
                 self._initialize(pool)
                 self._commit(commit_log)
@@ -495,39 +501,27 @@ def replay_divergences(
     if any((replay_dir / name).exists() for name in (STATE_FILE, TRACE_FILE)):
         # Running into it would resume the old replay, not re-execute.
         raise RunStateError(f"replay directory already holds a run: {replay_dir}")
-    found, _ = read_last_line(
-        run_dir / STATE_FILE, "run state", RunStateError,
-        lambda document: (
-            replace(RunConfig(**document["config"]), run_dir=str(replay_dir)),
-            document["input_sha256"],
-        ),
-    )
-    if found is None:
-        raise RunStateError(
-            f"run state unreadable: {run_dir / STATE_FILE}: no commit"
-        )
-    config, inputs = found
-    # An unreadable recorded trace or commit log is refused before anything
-    # runs.
-    recorded = _trace_by_step(run_dir / TRACE_FILE, "recorded trace")
-    recorded_prompts = _accepted_by_step(
-        run_dir / STATE_FILE, "recorded run state"
-    )
+    state_path = run_dir / STATE_FILE
     with closing(Gateway.scripted(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
-        run = OptimizationRun(config, gateway)
-        run.check_inputs(inputs, run_dir / STATE_FILE)
+
+        def build(commit: dict) -> OptimizationRun:
+            config = RunConfig(**commit["config"])
+            run = OptimizationRun(replace(config, run_dir=str(replay_dir)),
+                                  gateway)
+            run.check_commit(commit, state_path)
+            return run
+
+        run, _ = read_last_line(state_path, "run state", RunStateError, build)
+        if run is None:
+            raise RunStateError(f"run state unreadable: {state_path}: no commit")
+        # An unreadable recorded trace or commit log is refused before
+        # anything runs.
+        recorded = _steps(run_dir, "recorded")
         run.run()
-    replayed = _trace_by_step(replay_dir / TRACE_FILE, "replayed trace")
-    replayed_prompts = _accepted_by_step(
-        replay_dir / STATE_FILE, "replayed run state"
+    replayed = _steps(replay_dir, "replayed")
+    return sorted(
+        step for step in recorded.keys() | replayed.keys()
+        if recorded.get(step) != replayed.get(step)
     )
-    return sorted({
-        step
-        for old, new in (
-            (recorded, replayed), (recorded_prompts, replayed_prompts)
-        )
-        for step in old.keys() | new.keys()
-        if old.get(step) != new.get(step)
-    })

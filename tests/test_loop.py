@@ -533,6 +533,25 @@ class TestResumeFromCommit:
         with pytest.raises(RunStateError, match="fewer than"):
             self.run(run_dir)
 
+    @pytest.mark.parametrize("length", [-5, 3.7, "12", True, None])
+    def test_committed_log_length_that_is_no_byte_count_is_refused(
+        self, tmp_path, length
+    ):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=3)
+        lines = commits(run_dir)
+        lines[-1]["log_bytes"][TRACE_FILE] = length
+        (run_dir / STATE_FILE).write_text("".join(
+            json.dumps(line, sort_keys=True) + "\n" for line in lines
+        ))
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        message = "run state unreadable: " \
+            f"{re.escape(str(run_dir / STATE_FILE))}: log_bytes {TRACE_FILE} " \
+            f"is {re.escape(repr(length))}, not a byte count"
+        with pytest.raises(RunStateError, match=message):
+            self.run(run_dir)
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
     @pytest.mark.parametrize(
         "edit",
         [
