@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import click
+from click.core import ParameterSource
 
 from .errors import (
     ConfigError,
@@ -76,7 +77,9 @@ def _build_gateway(
 
     def pick(role: Role) -> EngineConfig:
         key = role.value.lower()
-        name = engine_flags[f"{key}_engine"] or role_names.get(key)
+        # An empty flag names no engine; it does not defer to the roles map.
+        name = engine_flags[f"{key}_engine"]
+        name = role_names.get(key) if name is None else name
         if name is None:
             raise click.UsageError(f"no engine configured for role {key}")
         if name not in engines:
@@ -181,6 +184,12 @@ def optimize(train, val, run_dir, initial_prompt_file, **flags) -> None:
     """Run the three-stage optimization loop."""
     settings = {f.name: flags.pop(f.name) for f in SETTINGS}
     if initial_prompt_file:
+        ctx = click.get_current_context()
+        if ctx.get_parameter_source("initial_prompt") is not \
+                ParameterSource.DEFAULT:
+            raise click.UsageError(
+                "give at most one of --initial-prompt and --initial-prompt-file"
+            )
         settings["initial_prompt"] = _read_prompt(initial_prompt_file)
     config = RunConfig(train, val, run_dir, **settings)
     with closing(

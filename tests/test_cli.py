@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from conftest import DATA_DIR, ok_reply
 from promptreg.cli import main
 from promptreg.gateway import Gateway
-from promptreg.loop import RunConfig, run_optimization
+from promptreg.loop import DEFAULT_INITIAL_PROMPT, RunConfig, run_optimization
 from promptreg.rulebank import Rule, RuleBank, save_rulebank
 
 FIXTURES = str(DATA_DIR / "fixtures.jsonl")
@@ -204,6 +204,22 @@ class TestOptimize:
             + ["--initial-prompt-file", str(prompt_file)],
         )
         assert result.exit_code == 0, result.output
+
+    # The default text too: the flag is refused because it was given.
+    @pytest.mark.parametrize("text", ["From the flag.", DEFAULT_INITIAL_PROMPT],
+                             ids=["other-text", "default-text"])
+    def test_initial_prompt_beside_its_file_is_usage_error(
+        self, runner, tmp_path, text
+    ):
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_text("From the file.")
+        result = runner.invoke(main, golden_args(tmp_path / "run") + [
+            "--initial-prompt", text, "--initial-prompt-file", str(prompt_file),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "give at most one of --initial-prompt and " \
+            "--initial-prompt-file" in result.output
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unusable_initial_prompt_file_is_usage_error(
@@ -602,6 +618,27 @@ class TestBackendInput:
         result = runner.invoke(main, command)
         self.assert_refused_before_any_call(
             result, tmp_path, "give exactly one of --fixtures and --engines"
+        )
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_empty_engine_name_is_unknown(
+        self, runner, tmp_path, monkeypatch, command, role
+    ):
+        """An empty flag is refused, not read as the roles map's engine.
+        That engine's credential is unset, so a call to it fails at once,
+        before it is sent."""
+        monkeypatch.delenv("PROMPTREG_TEST_KEY", raising=False)
+        engines = tmp_path / "e.json"
+        engines.write_text(json.dumps({
+            "engines": {"e": {"endpoint": "http://127.0.0.1:9/",
+                              "auth_env_var": "PROMPTREG_TEST_KEY"}},
+            "roles": dict.fromkeys(ROLES, "e"),
+        }))
+        result = runner.invoke(main, command + [
+            "--engines", str(engines), f"--{role}-engine", "",
+        ])
+        self.assert_refused_before_any_call(
+            result, tmp_path, "unknown engine name: \n"
         )
 
     @pytest.mark.parametrize("role", ROLES)
