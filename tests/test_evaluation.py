@@ -69,10 +69,14 @@ class TestLoadDataset:
              "line 1: field question is inf, not text or a number"),
             ('{"question": "q", "answer": 1e400}\n',
              "line 1: field answer is inf, not text or a number"),
+            ('{"question": "", "answer": "a"}\n',
+             "line 1: empty field question"),
+            ('{"question": "q", "answer": "a"}\n{"question": "q", "answer": ""}\n',
+             "line 2: empty field answer"),
         ],
         ids=["not-json-after-blank", "string", "number", "null-answer",
              "list-question", "object-answer", "boolean-answer", "nan",
-             "infinity", "overflow"],
+             "infinity", "overflow", "empty-question", "empty-answer"],
     )
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "d.jsonl"

@@ -92,9 +92,11 @@ class TestScriptedBackend:
             ({"role": "FORWARD", "step": 1.0, "response": "r"}, "step 1.0"),
             ({"role": "FORWARD", "response": 3}, "response 3 is not a string"),
             ({"role": "FORWARD"}, "missing field response"),
+            ({"role": "FORWARD", "match_substring": 3, "response": "r"},
+             "match_substring 3 is not a string"),
         ],
         ids=["bad-role", "negative-step", "float-step", "int-response",
-             "no-response"],
+             "no-response", "int-match-substring"],
     )
     def test_inline_records_are_validated(self, record, message):
         good = {"role": "FORWARD", "step": 0, "response": "r"}
@@ -410,6 +412,9 @@ class TestParseJsonObject:
             ["operations"],
         )
         assert out == {"operations": []}
+
+    def test_brace_that_starts_no_json_is_skipped(self):
+        assert parse_json_object('see {this} then {"a": 1}', ["a"]) == {"a": 1}
 
     def test_no_json(self):
         with pytest.raises(MalformedOutputError):

@@ -134,6 +134,15 @@ class TestSemanticDiff:
     def test_degrades_to_neutral_on_garbage(self):
         assert self.call(scripted_gateway(self.fixtures("garbage"))) is NEUTRAL_DIFF
 
+    def test_degrades_on_unknown_change_type(self):
+        payload = {
+            "rules_changed": [{"description": "d", "type": "rewrite"}],
+            "specificity_direction": "increase",
+        }
+        assert self.call(
+            scripted_gateway(self.fixtures(json.dumps(payload)))
+        ) is NEUTRAL_DIFF
+
     def test_degrades_on_bad_direction(self):
         payload = {"rules_changed": [], "specificity_direction": "sideways"}
         assert self.call(
