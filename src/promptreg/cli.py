@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 import click
-from click.core import ParameterSource
 
 from .errors import (
     ConfigError,
@@ -186,7 +185,7 @@ def optimize(train, val, run_dir, initial_prompt_file, **flags) -> None:
     if initial_prompt_file:
         ctx = click.get_current_context()
         if ctx.get_parameter_source("initial_prompt") is not \
-                ParameterSource.DEFAULT:
+                click.core.ParameterSource.DEFAULT:
             raise click.UsageError(
                 "give at most one of --initial-prompt and --initial-prompt-file"
             )

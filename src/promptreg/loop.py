@@ -164,15 +164,12 @@ def _steps(run_dir: Path, what: str) -> dict[int, tuple[list, list]]:
     for step, line in _by_step(run_dir / TRACE_FILE, f"{what} trace", "step"):
         steps.setdefault(step, ([], []))[0].append(line)
     previous = None
-    state_path = run_dir / STATE_FILE
-    for step, commit in _by_step(
-        state_path, f"{what} run state", "step_completed"
-    ):
+    path = run_dir / STATE_FILE
+    for step, commit in _by_step(path, f"{what} run state", "step_completed"):
         current = commit.get("current")
         if current is None:
             raise RunStateError(
-                f"{what} run state {state_path}: step_completed {step}: no "
-                f"current prompt"
+                f"{what} run state {path}: step {step} has no current prompt"
             )
         if current != previous:
             steps.setdefault(max(step, 0), ([], []))[1].append(current)
@@ -260,8 +257,8 @@ class OptimizationRun:
     def _resume(self) -> Optional[RunState]:
         """Load the last commit, refuse it if it is not this run's own, and
         cut state.json and every step log back to it. A state.json that is
-        missing or holds no complete line commits empty step logs, and gives
-        None."""
+        missing or holds no complete line counts as a commit of empty step
+        logs, and gives None."""
         state_path = self._paths[STATE_FILE]
 
         def build(document: dict) -> tuple[RunState, dict[str, int]]:
