@@ -129,10 +129,6 @@ def extract_answer(raw_output: str) -> str:
     return normalize_answer(raw_output)
 
 
-def exact_match(extracted: str, gold: str) -> bool:
-    return normalize_answer(extracted) == normalize_answer(gold)
-
-
 class InlineExecutor(Executor):
     """Runs every task at once in the calling thread, in submission order.
 

@@ -36,7 +36,7 @@ from .errors import ConfigError, DatasetError, RunStateError
 from .evaluation import Sample, call_pool, evaluate, load_dataset
 from .gateway import Gateway
 from .jsonl import Appender, iter_jsonl, read_bytes, read_last_line
-from .metrics import PromptVersion
+from .metrics import ChannelDiagnostics, PromptVersion
 from .purification import ExecutionContext, run_purification_stage
 from .regularization import diagnose, semantic_diff, synthesize_reg_gradient
 from .rulebank import RuleBank, bank_document, bank_from_document, save_rulebank
@@ -68,6 +68,8 @@ RULEBANK_FILE = "rulebank.json"
 TRANSCRIPT_FILE = "transcript.jsonl"
 # Append-only logs whose length each commit line of state.json records.
 STEP_LOGS = (TRACE_FILE, TRANSCRIPT_FILE)
+# The diagnostics of a transition that left the prompt as it was.
+IDENTITY_DIAGNOSTICS = ChannelDiagnostics(0.0, False, False, frozenset(), "0")
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,15 @@ def _by_step(path: Path, what: str, key: str) -> Iterator[tuple[int, dict]]:
         yield step, record
 
 
-def _steps(run_dir: Path, what: str) -> dict[int, tuple[list, list]]:
+def _steps(run_dir: Path, what: str, last: int) -> dict[int, tuple[list, list]]:
     """The trace lines and the accepted prompts of each step of the run in
-    ``run_dir``. A commit line's ``current`` is accepted at its
-    ``step_completed`` when it differs from the line before's, and the
-    initial prompt counts as accepted at step 0."""
+    ``run_dir``, whose last commit is at step ``last``. A commit line's
+    ``current`` is accepted at its ``step_completed`` when it differs from
+    the line before's, and the initial prompt counts as accepted at step 0.
+    A trace line past ``last`` is of a step that never committed, so it is
+    read but not kept, and with no step committed the trace may be
+    missing."""
     steps: dict[int, tuple[list, list]] = {}
-    for step, line in _by_step(run_dir / TRACE_FILE, f"{what} trace", "step"):
-        steps.setdefault(step, ([], []))[0].append(line)
     previous = None
     path = run_dir / STATE_FILE
     for step, commit in _by_step(path, f"{what} run state", "step_completed"):
@@ -174,6 +177,11 @@ def _steps(run_dir: Path, what: str) -> dict[int, tuple[list, list]]:
         if current != previous:
             steps.setdefault(max(step, 0), ([], []))[1].append(current)
             previous = current
+    path = run_dir / TRACE_FILE
+    if last >= 0 or path.exists():
+        for step, line in _by_step(path, f"{what} trace", "step"):
+            if step <= last:
+                steps.setdefault(step, ([], []))[0].append(line)
     return steps
 
 
@@ -328,30 +336,24 @@ class OptimizationRun:
         if state.previous.text == state.current.text:
             # Nothing changed, so neither channel can have degraded; no
             # analyzer or generator call is made.
-            return None, {
-                "status": "identity_transition",
-                "rho_c": 0.0,
-                "b_c": False,
-                "b_w": False,
-                "active": [],
-                "mode": None,
-                "reg_present": False,
-            }
-        diff = semantic_diff(
-            state.previous,
-            state.current,
-            state.bank,
-            state.contexts,
-            self.config.initial_prompt,
-            self.gateway,
-            step,
-        )
-        diag = diagnose(state.previous, state.current, diff, self.config.tau_c)
-        reg = synthesize_reg_gradient(
-            diag, diff, state.current, self.gateway, step
-        )
-        record = {
-            "status": "diagnosed",
+            status, diag, reg = "identity_transition", IDENTITY_DIAGNOSTICS, None
+        else:
+            diff = semantic_diff(
+                state.previous,
+                state.current,
+                state.bank,
+                state.contexts,
+                self.config.initial_prompt,
+                self.gateway,
+                step,
+            )
+            diag = diagnose(state.previous, state.current, diff, self.config.tau_c)
+            reg = synthesize_reg_gradient(
+                diag, diff, state.current, self.gateway, step
+            )
+            status = "diagnosed"
+        return reg, {
+            "status": status,
             "rho_c": diag.rho_c,
             "b_c": diag.b_c,
             "b_w": diag.b_w,
@@ -359,7 +361,6 @@ class OptimizationRun:
             "mode": reg.mode if reg is not None else None,
             "reg_present": reg is not None,
         }
-        return reg, record
 
     def _step(self, step: int, pool: Executor, trace_log: Appender) -> None:
         state = self.state
@@ -436,9 +437,11 @@ class OptimizationRun:
         state.step_completed = step
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
-        """Execute (or resume) the configured number of steps, committing
-        after each, then release the gateway's transcript (a later call opens
-        it again) and write the bank to rulebank.json."""
+        """Execute (or resume) the configured number of steps, or those
+        through ``stop_after_step`` (-1 for none past the initial
+        evaluation), committing after each, then release the gateway's
+        transcript (a later call opens it again) and write the bank to
+        rulebank.json."""
         # On an error the pool's exit waits for the calls still in flight, so
         # their transcript lines land before a resume cuts them back, and
         # before the transcript is released. The logs open on their first
@@ -462,12 +465,12 @@ class OptimizationRun:
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
                 )
-            first = self.state.step_completed + 1
-            for step in range(first, self.config.iterations):
+            end = self.config.iterations
+            if stop_after_step is not None:
+                end = min(end, stop_after_step + 1)
+            for step in range(self.state.step_completed + 1, end):
                 self._step(step, pool, trace_log)
                 self._commit(commit_log)
-                if stop_after_step is not None and step >= stop_after_step:
-                    break
         state = self.state
         save_rulebank(state.bank, paths[RULEBANK_FILE])
         return {
@@ -487,8 +490,8 @@ def run_optimization(config: RunConfig, gateway: Gateway) -> dict:
 def replay_divergences(
     run_dir: str | Path, fixtures_path: str | Path, replay_dir: str | Path
 ) -> list[int]:
-    """Re-execute a recorded run against fixtures and diff its decision
-    trace and accepted prompts.
+    """Re-execute a recorded run against fixtures, through its last commit,
+    and diff its decision trace and accepted prompts.
 
     Returns the steps at which the replayed trace differs from the recorded
     one (including steps present in only one of the two), and the steps at
@@ -503,21 +506,22 @@ def replay_divergences(
         fixtures_path, transcript_path=replay_dir / TRANSCRIPT_FILE
     )) as gateway:
 
-        def build(commit: dict) -> OptimizationRun:
+        def build(commit: dict) -> tuple[OptimizationRun, int]:
             config = RunConfig(**commit["config"])
             run = OptimizationRun(replace(config, run_dir=str(replay_dir)),
                                   gateway)
             run.check_commit(commit, state_path)
-            return run
+            return run, commit["step_completed"]
 
-        run, _ = read_last_line(state_path, "run state", RunStateError, build)
-        if run is None:
+        found, _ = read_last_line(state_path, "run state", RunStateError, build)
+        if found is None:
             raise RunStateError(f"run state unreadable: {state_path}: no commit")
+        run, last = found
         # An unreadable recorded trace or commit log is refused before
         # anything runs.
-        recorded = _steps(run_dir, "recorded")
-        run.run()
-    replayed = _steps(replay_dir, "replayed")
+        recorded = _steps(run_dir, "recorded", last)
+        run.run(stop_after_step=last)
+    replayed = _steps(replay_dir, "replayed", last)
     return sorted(
         step for step in recorded.keys() | replayed.keys()
         if recorded.get(step) != replayed.get(step)

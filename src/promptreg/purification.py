@@ -33,13 +33,6 @@ class ExecutionContext:
     correct: bool
 
 
-@dataclass(frozen=True)
-class RawGradient:
-    text: str
-    contexts: tuple[ExecutionContext, ...]
-    step: int
-
-
 def format_contexts(contexts: tuple[ExecutionContext, ...] | list) -> str:
     blocks = []
     for i, ctx in enumerate(contexts, start=1):
@@ -59,11 +52,11 @@ def forward_eval(
     batch: list[Sample],
     gateway: Gateway,
     step: int,
-    pool: Optional[Executor] = None,
+    pool: Executor,
     on_queued: Optional[Callable[[], object]] = None,
 ) -> list[ExecutionContext]:
-    """Run the prompt on each batch sample via the forward engine, on ``pool``
-    (inline when None); ``on_queued`` is passed on to ``evaluate``.
+    """Run the prompt on each batch sample via the forward engine, on
+    ``pool``; ``on_queued`` is passed on to ``evaluate``.
 
     ``evaluate`` is looked up on its module at call time, so a wrapper
     installed on ``evaluation.evaluate`` also sees the stage-1 batch.
@@ -87,7 +80,7 @@ def generate_raw_gradient(
     contexts: list[ExecutionContext],
     gateway: Gateway,
     step: int,
-) -> RawGradient:
+) -> str:
     """Ask the gradient engine to critique the prompt given the batch records."""
     if not contexts:
         raise ValueError("contexts must be nonempty")
@@ -97,32 +90,34 @@ def generate_raw_gradient(
         gradient_context=format_contexts(contexts),
     )
     request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=step)
-    text = gateway.complete(request)
-    return RawGradient(text=text, contexts=tuple(contexts), step=step)
+    return gateway.complete(request)
 
 
 def purify(
-    raw: RawGradient,
+    gradient: str,
+    contexts: list[ExecutionContext],
     bank: RuleBank,
     prompt: PromptVersion,
     gateway: Gateway,
+    step: int,
 ) -> Optional[str]:
-    """Dual-evidence projection: the purified text, or None when rejected."""
+    """Dual-evidence projection of the raw ``gradient`` made from
+    ``contexts``: the purified text, or None when rejected."""
     user = templates.render_asset(
         templates.PURIFIER,
         current_prompt=prompt.text,
-        gradient_context=format_contexts(raw.contexts),
-        gradient_text=raw.text,
+        gradient_context=format_contexts(contexts),
+        gradient_text=gradient,
         rulebank_summary=summarize(bank),
     )
-    request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=raw.step)
+    request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=step)
     try:
         payload = gateway.complete_json(request, required_keys=["purified_gradient"])
         purified = payload["purified_gradient"]
         if not isinstance(purified, str):
             raise MalformedOutputError(f"purified_gradient {purified!r} is not text")
     except MalformedOutputError:
-        logger.warning("purifier output unparseable at step %d; rejecting", raw.step)
+        logger.warning("purifier output unparseable at step %d; rejecting", step)
         return None
     return purified.strip() or None
 
@@ -151,20 +146,18 @@ def run_purification_stage(
     bank: RuleBank,
     gateway: Gateway,
     step: int,
-    pool: Optional[Executor] = None,
+    pool: Executor,
     on_queued: Optional[Callable[[], object]] = None,
 ) -> StageOneResult:
     """Full Stage 1 for one mini-batch: eval, critique, purify, and
-    canonicalization submitted to ``pool`` (inline when None). ``on_queued``
-    is called once the batch's forward calls are queued on ``pool``.
+    canonicalization submitted to ``pool``. ``on_queued`` is called once the
+    batch's forward calls are queued on ``pool``.
 
     The bank is left untouched until the caller applies the result's ops.
     """
-    if pool is None:
-        pool = evaluation.InlineExecutor()
     contexts = forward_eval(prompt, batch, gateway, step, pool, on_queued)
-    raw = generate_raw_gradient(prompt, contexts, gateway, step)
-    purified = purify(raw, bank, prompt, gateway)
+    gradient = generate_raw_gradient(prompt, contexts, gateway, step)
+    purified = purify(gradient, contexts, bank, prompt, gateway, step)
     bank_ops = None
     if purified is not None:
         bank_ops = pool.submit(canonicalize_and_match, purified, bank, gateway, step)

@@ -23,18 +23,6 @@ UPDATER_SKELETON = "updater_skeleton.txt"
 UPDATER_REG_SECTION = "updater_reg_section.txt"
 RAW_GRADIENT = "raw_gradient.txt"
 
-ALL_ASSETS = (
-    PURIFIER,
-    RULE_CANONICALIZER,
-    SEMANTIC_DIFF,
-    REG_GENERATOR,
-    UPDATER_SYSTEM,
-    UPDATER_TRAILING,
-    UPDATER_SKELETON,
-    UPDATER_REG_SECTION,
-    RAW_GRADIENT,
-)
-
 _PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z_]*)\}")
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 from . import templates
 from .errors import TagsAbsentError, UpdateExtractionError
 from .gateway import ChatRequest, Gateway, Role, extract_tagged_variable
-from .metrics import PromptVersion, whitespace_token_count
+from .metrics import PromptVersion
 from .regularization import RegGradient
 
 DEFAULT_START_TAG = "<IMPROVED_VARIABLE>"
@@ -101,8 +101,4 @@ def apply_update(
         )
     except TagsAbsentError as exc:
         raise UpdateExtractionError("update extraction failed") from exc
-    return PromptVersion(
-        text=new_text,
-        token_count=whitespace_token_count(new_text),
-        version=prompt.version + 1,
-    )
+    return PromptVersion.create(new_text, version=prompt.version + 1)

@@ -12,7 +12,12 @@ from click.testing import CliRunner
 from conftest import DATA_DIR, ok_reply
 from promptreg.cli import main
 from promptreg.gateway import Gateway
-from promptreg.loop import DEFAULT_INITIAL_PROMPT, RunConfig, run_optimization
+from promptreg.loop import (
+    DEFAULT_INITIAL_PROMPT,
+    OptimizationRun,
+    RunConfig,
+    run_optimization,
+)
 from promptreg.rulebank import Rule, RuleBank, save_rulebank
 
 FIXTURES = str(DATA_DIR / "fixtures.jsonl")
@@ -698,6 +703,21 @@ class TestReplayCommand:
     def test_no_divergences(self, runner, tmp_path):
         run_dir = tmp_path / "run"
         self.record_run(run_dir)
+        result = runner.invoke(
+            main,
+            ["replay", "--run-dir", str(run_dir), "--fixtures", FIXTURES,
+             "--replay-dir", str(tmp_path / "replay")],
+        )
+        assert result.exit_code == 0, result.output
+        assert "0 divergences" in result.output
+
+    def test_run_stopped_part_way_has_no_divergences(self, runner, tmp_path):
+        run_dir = tmp_path / "run"
+        OptimizationRun(
+            RunConfig(train_path=TRAIN, val_path=VAL, run_dir=str(run_dir),
+                      seed=7),
+            Gateway.scripted(FIXTURES),
+        ).run(stop_after_step=3)
         result = runner.invoke(
             main,
             ["replay", "--run-dir", str(run_dir), "--fixtures", FIXTURES,

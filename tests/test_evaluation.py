@@ -11,7 +11,6 @@ from promptreg.errors import DatasetError
 from promptreg.evaluation import (
     Sample,
     evaluate,
-    exact_match,
     extract_answer,
     generalization_gap,
     load_dataset,
@@ -162,19 +161,24 @@ class TestSample:
 
 
 class TestExactMatch:
+    """``evaluate`` scores a sample correct when its extracted answer equals
+    the normalized gold answer; both sides pass through ``normalize_answer``."""
+
     def test_equal_literals(self):
-        assert exact_match("(B)", "(B)")
+        assert normalize_answer("(B)") == normalize_answer("(B)")
 
     def test_strict_about_parentheses(self):
-        assert not exact_match("B", "(B)")
+        assert normalize_answer("B") != normalize_answer("(B)")
 
     def test_numeric_equivalence(self):
-        assert exact_match("7", "7.0")
+        assert normalize_answer("7") == normalize_answer("7.0")
 
     def test_symmetric_reflexive(self):
         for a, b in [("x", "x"), ("7.0", "7"), ("a", "b")]:
-            assert exact_match(a, b) == exact_match(b, a)
-            assert exact_match(a, a)
+            assert (normalize_answer(a) == normalize_answer(b)) == (
+                normalize_answer(b) == normalize_answer(a)
+            )
+            assert normalize_answer(a) == normalize_answer(a)
 
 
 def forward_fixtures(samples, wrong_indices=()):

@@ -1154,6 +1154,64 @@ class TestReplay:
         diverged = replay_divergences(run_dir, mutated, tmp_path / "replay")
         assert 10 in diverged
 
+    def test_run_stopped_part_way_replays_through_its_last_commit(
+        self, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        OptimizationRun(golden_config(run_dir), Gateway.scripted(FIXTURES)) \
+            .run(stop_after_step=3)
+        assert replay_divergences(run_dir, FIXTURES, tmp_path / "replay") == []
+        golden = GOLDEN_TRACE.read_text().splitlines(keepends=True)
+        assert (tmp_path / "replay" / TRACE_FILE).read_text() == \
+            "".join(golden[:4])
+
+    def test_trace_line_past_the_last_commit_is_not_compared(self, tmp_path):
+        """A crash between a step's trace line and its commit leaves a line
+        of a step that never committed."""
+        run_dir = tmp_path / "run"
+        OptimizationRun(golden_config(run_dir), Gateway.scripted(FIXTURES)) \
+            .run(stop_after_step=3)
+        with open(run_dir / TRACE_FILE, "a") as handle:
+            handle.write(GOLDEN_TRACE.read_text().splitlines(keepends=True)[4])
+        assert replay_divergences(run_dir, FIXTURES, tmp_path / "replay") == []
+
+    def test_run_that_failed_at_its_first_gradient_call_replays(
+        self, tmp_path, uninterrupted
+    ):
+        """Such a run commits only its initial evaluation and has no trace;
+        the replay re-executes that evaluation alone."""
+        first_gradient = next(
+            number for number, call in
+            enumerate(uninterrupted[TRANSCRIPT_FILE], 1)
+            if call[1] == Role.GRADIENT.value
+        )
+        run_dir = tmp_path / "run"
+        with pytest.raises(BackendUnavailableError):
+            OptimizationRun(golden_config(run_dir), gateway_over(
+                FailsAtCall(first_gradient), run_dir / TRANSCRIPT_FILE
+            )).run()
+        assert not (run_dir / TRACE_FILE).exists()
+        replay_dir = tmp_path / "replay"
+        assert replay_divergences(run_dir, FIXTURES, replay_dir) == []
+        recorded, replayed = commits(run_dir), commits(replay_dir)
+        for commit in recorded + replayed:
+            del commit["config"], commit["log_bytes"]
+        assert [c["step_completed"] for c in replayed] == [-1]
+        assert replayed == recorded
+        assert set(transcript_roles(replay_dir / TRANSCRIPT_FILE)) == {"FORWARD"}
+
+    def test_stop_after_minus_one_commits_only_the_initial_evaluation(
+        self, tmp_path
+    ):
+        run_dir = tmp_path / "run"
+        summary = OptimizationRun(golden_config(run_dir), Gateway.scripted(
+            FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
+        )).run(stop_after_step=-1)
+        assert summary["steps_completed"] == 0
+        assert [c["step_completed"] for c in commits(run_dir)] == [-1]
+        assert not (run_dir / TRACE_FILE).exists()
+        assert set(transcript_roles(run_dir / TRANSCRIPT_FILE)) == {"FORWARD"}
+
     @pytest.mark.parametrize(
         "keep", [lambda line: b"", lambda line: line[:len(line) // 2]],
         ids=["empty", "torn-first-line"],

@@ -5,12 +5,11 @@ from contextlib import closing
 import pytest
 
 from conftest import NON_TEXT, scripted_gateway
-from promptreg.evaluation import Sample, call_pool
+from promptreg.evaluation import InlineExecutor, Sample, call_pool
 from promptreg.gateway import EngineConfig, Gateway, Role, RoleAssignment
 from promptreg.metrics import PromptVersion
 from promptreg.purification import (
     ExecutionContext,
-    RawGradient,
     format_contexts,
     forward_eval,
     generate_raw_gradient,
@@ -59,7 +58,7 @@ class TestForwardEval:
                  "response": "Answer: 9"},
             ]
         )
-        contexts = forward_eval(PROMPT, batch, gw, step=0)
+        contexts = forward_eval(PROMPT, batch, gw, 0, InlineExecutor())
         assert [c.correct for c in contexts] == [True, False]
         assert contexts[0].sample_input == "q one"
 
@@ -72,12 +71,12 @@ class TestForwardEval:
                 for s in batch
             ]
         )
-        contexts = forward_eval(PROMPT, batch, gw, step=0)
+        contexts = forward_eval(PROMPT, batch, gw, 0, InlineExecutor())
         assert [c.sample_input for c in contexts] == [s.question for s in batch]
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            forward_eval(PROMPT, [], scripted_gateway([]), step=0)
+            forward_eval(PROMPT, [], scripted_gateway([]), 0, InlineExecutor())
 
     def test_concurrency_cap_runs_batch_in_parallel(self):
         # Each call waits until all three are in flight, so this only
@@ -95,7 +94,7 @@ class TestForwardEval:
         )
         batch = [Sample(f"q{i}", "1") for i in range(3)]
         with call_pool(3) as pool:
-            contexts = forward_eval(PROMPT, batch, gw, step=0, pool=pool)
+            contexts = forward_eval(PROMPT, batch, gw, 0, pool)
         assert [c.sample_input for c in contexts] == ["q0", "q1", "q2"]
         assert all(c.correct for c in contexts)
 
@@ -107,10 +106,11 @@ class TestGenerateRawGradient:
             [{"role": "GRADIENT", "step": 2, "response": "be more careful"}],
             transcript_path=transcript,
         )) as gw:
-            raw = generate_raw_gradient(PROMPT, [CTX], gw, step=2)
-        assert raw.text == "be more careful"
-        assert raw.step == 2
-        sent = json.loads(transcript.read_text().splitlines()[0])["user"]
+            text = generate_raw_gradient(PROMPT, [CTX], gw, step=2)
+        assert text == "be more careful"
+        (line,) = transcript.read_text().splitlines()
+        assert json.loads(line)["step"] == 2
+        sent = json.loads(line)["user"]
         assert PROMPT.text in sent
         assert CTX.sample_input in sent
 
@@ -124,26 +124,27 @@ def purifier_fixture(response, step=0):
     }
 
 
-class TestPurify:
-    def raw(self, step=0):
-        return RawGradient(text="raw critique", contexts=(CTX,), step=step)
+def purify_critique(bank, prompt, gateway):
+    return purify("raw critique", [CTX], bank, prompt, gateway, 0)
 
+
+class TestPurify:
     def test_accept(self):
         gw = scripted_gateway(
             [purifier_fixture(json.dumps({"purified_gradient": "tighten checks"}))]
         )
-        out = purify(self.raw(), RuleBank(), PROMPT, gw)
+        out = purify_critique(RuleBank(), PROMPT, gw)
         assert out == "tighten checks"
 
     def test_reject_empty_string(self):
         gw = scripted_gateway(
             [purifier_fixture(json.dumps({"purified_gradient": ""}))]
         )
-        assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
+        assert purify_critique(RuleBank(), PROMPT, gw) is None
 
     def test_reject_malformed(self):
         gw = scripted_gateway([purifier_fixture("not json")])
-        assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
+        assert purify_critique(RuleBank(), PROMPT, gw) is None
 
     @NON_TEXT
     def test_reject_non_text_without_reasking(self, tmp_path, value):
@@ -152,7 +153,7 @@ class TestPurify:
             [purifier_fixture(json.dumps({"purified_gradient": value}))],
             transcript_path=transcript,
         )) as gw:
-            assert purify(self.raw(), RuleBank(), PROMPT, gw) is None
+            assert purify_critique(RuleBank(), PROMPT, gw) is None
         assert len(transcript.read_text().splitlines()) == 1
 
     def test_prompt_is_sent_verbatim(self, tmp_path):
@@ -166,7 +167,7 @@ class TestPurify:
             [purifier_fixture(json.dumps({"purified_gradient": "x"}))],
             transcript_path=transcript,
         )) as gw:
-            purify(self.raw(), RuleBank(), prompt, gw)
+            purify_critique(RuleBank(), prompt, gw)
         (line,) = transcript.read_text().splitlines()
         entry = json.loads(line)
         assert entry["role"] == "GRADIENT"
@@ -184,7 +185,7 @@ class TestPurify:
         )
         bank = RuleBank()
         result = run_purification_stage(
-            PROMPT, [Sample("q", "a")], bank, gw, step=0
+            PROMPT, [Sample("q", "a")], bank, gw, 0, InlineExecutor()
         )
         assert result.task_gradient is None
         assert result.bank_ops is None
@@ -218,7 +219,8 @@ class TestRunPurificationStage:
         )
         bank = RuleBank()
         result = run_purification_stage(
-            PROMPT, [Sample("convert 3km", "3000")], bank, gw, step=1
+            PROMPT, [Sample("convert 3km", "3000")], bank, gw, 1,
+            InlineExecutor(),
         )
         assert result.task_gradient == "check units"
         # The ops reach the bank only when the caller applies them.
@@ -242,6 +244,6 @@ class TestRunPurificationStage:
         )
         result = run_purification_stage(
             PROMPT, [Sample("good q", "1"), Sample("bad q", "1")],
-            RuleBank(), gw, step=0,
+            RuleBank(), gw, 0, InlineExecutor(),
         )
         assert result.batch_accuracy == 0.5
