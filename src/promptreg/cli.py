@@ -100,7 +100,7 @@ def _report(document: dict) -> EvalReport:
 
 def _read_prompt(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise click.UsageError(f"prompt file unreadable: {path}: {exc}") from exc
 

@@ -1,9 +1,11 @@
 """Dataset loading, answer extraction, and strict exact-match scoring.
 
-Extraction is a three-tier rule: text after the last ``answer:`` marker, else
-the last number-like token, else the whole trimmed output. Both sides of a
-match pass through the same normalizer, which trims, collapses whitespace,
-strips trailing punctuation, and canonicalizes plain numeric strings.
+Extraction is a three-tier rule: text after the last ``answer:`` marker,
+matched in any ASCII letter case (``Answer:``, ``ANSWER:``), else the last
+number-like token, else the whole trimmed output. Both sides of a match pass
+through the same normalizer, which trims, collapses each whitespace run to one
+space, strips any trailing mix of spaces and ``.,;:!?``, and canonicalizes
+plain numeric strings (``007`` and ``7.0`` are ``7``).
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import DatasetError
+from .errors import ConfigError, DatasetError
 from .gateway import ChatRequest, Gateway, Role
 from .jsonl import iter_jsonl
 from .metrics import PromptVersion
 
-_ANSWER_MARKER = "answer:"
+# Through the last ``answer:`` in any ASCII letter case.
+_THROUGH_MARKER = re.compile(r".*answer:", re.I | re.A | re.S).match
 _NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
 _PLAIN_NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?$")
 _TRAILING_PUNCT = ".,;:!?"
@@ -104,14 +107,9 @@ def _canonical_number(text: str) -> str:
 
 def normalize_answer(text: str) -> str:
     """Trim, collapse whitespace, strip trailing punctuation, canonicalize numbers."""
-    out = re.sub(r"\s+", " ", text.strip())
-    # stripping punctuation can expose whitespace and vice versa, so iterate
-    # to a fixpoint to keep normalization idempotent
-    while True:
-        stripped = out.rstrip(_TRAILING_PUNCT).strip()
-        if stripped == out:
-            break
-        out = stripped
+    # Stripped and collapsed, so the only whitespace left is single spaces,
+    # and one strip of both sets reaches what alternating strips would.
+    out = re.sub(r"\s+", " ", text.strip()).rstrip(_TRAILING_PUNCT + " ")
     if _PLAIN_NUMBER_RE.fullmatch(out):
         out = _canonical_number(out)
     return out
@@ -119,10 +117,9 @@ def normalize_answer(text: str) -> str:
 
 def extract_answer(raw_output: str) -> str:
     """Apply the marker / last-number / full-text extraction rule."""
-    lowered = raw_output.lower()
-    marker_at = lowered.rfind(_ANSWER_MARKER)
-    if marker_at != -1:
-        return normalize_answer(raw_output[marker_at + len(_ANSWER_MARKER):])
+    marked = _THROUGH_MARKER(raw_output)
+    if marked:
+        return normalize_answer(raw_output[marked.end():])
     numbers = _NUMBER_RE.findall(raw_output)
     if numbers:
         return normalize_answer(numbers[-1])
@@ -148,8 +145,11 @@ def call_pool(cap: int) -> Executor:
     """The executor that LLM calls run on, used as a context manager.
 
     Above cap 1 it is a pool of ``cap`` threads, so at most ``cap`` tasks run
-    at once; at cap 1 every task runs inline and in order.
+    at once; at cap 1 every task runs inline and in order. A cap below 1 is
+    refused.
     """
+    if cap < 1:
+        raise ConfigError("concurrency_cap must be at least 1")
     return ThreadPoolExecutor(max_workers=cap) if cap > 1 else InlineExecutor()
 
 

@@ -393,39 +393,30 @@ class Gateway:
             ))
 
 
-_FENCE_MARKER = "```"
-
-
-def _strip_code_fences(text: str) -> str:
-    if _FENCE_MARKER not in text:
-        return text
-    parts = text.split(_FENCE_MARKER)
-    # Fenced content sits at odd indices; drop language hints like "json".
-    candidates = []
-    for i in range(1, len(parts), 2):
-        block = parts[i]
-        first_newline = block.find("\n")
-        if first_newline != -1 and block[:first_newline].strip().isalpha():
-            block = block[first_newline + 1:]
-        candidates.append(block)
-    return "\n".join(candidates)
-
-
 def parse_json_object(text: str, required_keys: list[str]) -> dict:
-    """Extract the first top-level JSON object from possibly noisy text."""
-    stripped = _strip_code_fences(text)
+    """The first JSON object in noisy text that holds every required key.
+
+    Each ``{`` is tried in turn, so a fenced object is found as a bare one is,
+    and a code fence inside a JSON string is text. The scan goes on past the
+    end of an object that lacks a key, not into it; when no object holds them
+    all, the error names the first key missing from the first object.
+    """
     decoder = json.JSONDecoder()
-    index = stripped.find("{")
+    missing = None
+    index = text.find("{")
     while index != -1:
         try:
-            value, _ = decoder.raw_decode(stripped, index)  # a dict, at "{"
+            value, end = decoder.raw_decode(text, index)  # a dict, at "{"
         except json.JSONDecodeError:
-            index = stripped.find("{", index + 1)
+            index = text.find("{", index + 1)
             continue
-        for key in required_keys:
-            if key not in value:
-                raise MissingFieldError(f"missing field: {key}")
-        return value
+        lacking = next((key for key in required_keys if key not in value), None)
+        if lacking is None:
+            return value
+        missing = missing or lacking
+        index = text.find("{", end)
+    if missing is not None:
+        raise MissingFieldError(f"missing field: {missing}")
     raise MalformedOutputError("malformed structured output")
 
 

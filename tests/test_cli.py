@@ -210,6 +210,23 @@ class TestOptimize:
         )
         assert result.exit_code == 0, result.output
 
+    def test_byte_order_mark_of_the_initial_prompt_file_is_dropped(
+        self, runner, tmp_path
+    ):
+        prompt_file = tmp_path / "p.txt"
+        prompt_file.write_text(DEFAULT_INITIAL_PROMPT, encoding="utf-8-sig")
+        run_dir = tmp_path / "run"
+        result = runner.invoke(
+            main, golden_args(run_dir) + ["--initial-prompt-file", str(prompt_file)]
+        )
+        assert result.exit_code == 0, result.output
+        with open(run_dir / "state.json") as handle:
+            first = json.loads(handle.readline())
+        assert first["current"]["text"] == DEFAULT_INITIAL_PROMPT
+        assert (run_dir / "trace.jsonl").read_bytes() == (
+            DATA_DIR / "golden_trace.jsonl"
+        ).read_bytes()
+
     # The default text too: the flag is refused because it was given.
     @pytest.mark.parametrize("text", ["From the flag.", DEFAULT_INITIAL_PROMPT],
                              ids=["other-text", "default-text"])

@@ -1,13 +1,14 @@
 import json
 import random
 import string
+from contextlib import closing
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import scripted_gateway
-from promptreg.errors import DatasetError
+from promptreg.errors import ConfigError, DatasetError
 from promptreg.evaluation import (
     Sample,
     evaluate,
@@ -123,6 +124,8 @@ EXTRACTION_CASES = [
     ("-7", "-7"),
     ("Answer: 0.0", "0"),
     ("Answer:  many   spaced   words  ", "many spaced words"),
+    # "İ" lowercases to two code points; the marker is found in the text.
+    ("İİİ Answer: 42", "42"),
 ]
 
 
@@ -217,6 +220,16 @@ class TestEvaluate:
         ]
         assert reports[0].accuracy == reports[1].accuracy
         assert reports[0].per_sample == reports[1].per_sample
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_is_refused_before_any_call(self, tmp_path, cap):
+        samples = [Sample(f"q{i}", str(i)) for i in range(3)]
+        transcript = tmp_path / "t.jsonl"
+        gw = scripted_gateway(forward_fixtures(samples), transcript)
+        message = "concurrency_cap must be at least 1"
+        with closing(gw), pytest.raises(ConfigError, match=message):
+            evaluate(PROMPT, samples, gw, concurrency_cap=cap)
+        assert not transcript.exists()
 
     def test_permutation_invariance(self):
         samples = [Sample(f"q{i}", str(i)) for i in range(10)]

@@ -424,6 +424,26 @@ class TestParseJsonObject:
         with pytest.raises(MissingFieldError, match="missing field: guidance"):
             parse_json_object('{"other": 1}', ["guidance"])
 
+    @pytest.mark.parametrize("text,expected", [
+        ('{"guidance": "Show it as ```x = 1```."}',
+         {"guidance": "Show it as ```x = 1```."}),
+        ('Reply as {"example": 1}, so: {"guidance": "g"}', {"guidance": "g"}),
+        ('```json\n{"example": 1}\n```\nThe answer:\n'
+         '```json\n{"guidance": "g"}\n```', {"guidance": "g"}),
+    ], ids=["fence-inside-a-string", "prose-object-without-the-key-first",
+            "second-fenced-block-holds-the-key"])
+    def test_first_object_holding_the_keys_is_used(self, text, expected):
+        assert parse_json_object(text, ["guidance"]) == expected
+
+    def test_missing_key_of_the_first_object_is_named(self):
+        with pytest.raises(MissingFieldError, match="missing field: guidance"):
+            parse_json_object('{"other": 1} {"guidance": 2}', ["guidance", "b"])
+
+    def test_object_nested_in_one_without_the_keys_is_not_used(self):
+        """The scan goes on after an object's end, not inside it."""
+        with pytest.raises(MissingFieldError, match="missing field: guidance"):
+            parse_json_object('{"reply": {"guidance": "g"}}', ["guidance"])
+
     @pytest.mark.parametrize(
         "payload",
         [

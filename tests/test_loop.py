@@ -912,11 +912,12 @@ GOLDEN_BACKEND = ScriptedBackend.from_jsonl(FIXTURES)
 
 
 class FailsAtCall:
-    """Golden replies, but the ``n``-th call fails, as a backend going down
-    there would."""
+    """``inner``'s replies (the golden ones by default), but the ``n``-th call
+    fails, as a backend going down there would."""
 
-    def __init__(self, n):
+    def __init__(self, n, inner=GOLDEN_BACKEND):
         self.n = n
+        self.inner = inner
         self.calls = 0
         self.lock = threading.Lock()
 
@@ -926,7 +927,7 @@ class FailsAtCall:
             failing = self.calls == self.n
         if failing:
             raise BackendUnavailableError(f"backend down at call {self.n}")
-        return GOLDEN_BACKEND.complete(request, engine)
+        return self.inner.complete(request, engine)
 
 
 class TestCrashAtAnyCall:

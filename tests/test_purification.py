@@ -136,6 +136,16 @@ class TestPurify:
         out = purify_critique(RuleBank(), PROMPT, gw)
         assert out == "tighten checks"
 
+    def test_accept_gradient_holding_a_code_fence_at_once(self, tmp_path):
+        gradient = "Show each rule as ```code``` before the answer."
+        transcript = tmp_path / "t.jsonl"
+        with closing(scripted_gateway(
+            [purifier_fixture(json.dumps({"purified_gradient": gradient}))],
+            transcript_path=transcript,
+        )) as gw:
+            assert purify_critique(RuleBank(), PROMPT, gw) == gradient
+        assert len(transcript.read_text().splitlines()) == 1
+
     def test_reject_empty_string(self):
         gw = scripted_gateway(
             [purifier_fixture(json.dumps({"purified_gradient": ""}))]

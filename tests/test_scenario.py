@@ -1,18 +1,24 @@
-"""The benchmark's generated 200-step scenario, run at caps 1 and 3.
+"""The benchmark's generated 200-step scenario, run at caps 1, 3 and 8.
 
 ``bench/scenario.py`` writes a train set, a val set and fixtures with
 purifier rejects, unparseable purifier replies, gate rejects and JSON and tag
-re-asks, and plans every step's decisions. Both caps must make those
-decisions, the planned calls per role and the planned bank, in one trace.
+re-asks, and plans every step's decisions. Every seed and cap must make those
+decisions, the planned calls per role and the planned bank, in one trace; a
+run that dies at any call, or stops after any step, must resume to the
+uninterrupted run.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from promptreg.gateway import Gateway
+from promptreg.errors import BackendUnavailableError
+from promptreg.gateway import Gateway, ScriptedBackend
 from promptreg.loop import TRACE_FILE, TRANSCRIPT_FILE, OptimizationRun, RunConfig
+from test_loop import FailsAtCall, gateway_over, run_files
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SEED = 1
@@ -35,24 +41,32 @@ def scenario_runs(bench_modules, tmp_path_factory):
     scenario, _ = bench_modules
     work = tmp_path_factory.mktemp("scenario")
     plan = scenario.build_loop_scenario(SEED, work)
-    runs = {}
-    for cap in (1, 3):
-        run_dir = work / f"cap{cap}"
-        config = RunConfig(
-            train_path=str(work / "train.jsonl"),
-            val_path=str(work / "val.jsonl"),
-            run_dir=str(run_dir),
-            batch_size=plan["batch_size"],
-            iterations=plan["iterations"],
-            tau_c=plan["tau_c"],
-            seed=SEED,
-            initial_prompt=plan["initial_prompt"],
-            concurrency_cap=cap,
-        )
-        gateway = Gateway.scripted(work / "fixtures.jsonl",
-                                   transcript_path=run_dir / TRANSCRIPT_FILE)
-        runs[cap] = run_dir, OptimizationRun(config, gateway).run()
+    runs = {cap: run_scenario(work, plan, SEED, cap) for cap in (1, 3)}
     return plan, runs
+
+
+def scenario_config(work, plan, seed, run_dir, cap) -> RunConfig:
+    return RunConfig(
+        train_path=str(work / "train.jsonl"),
+        val_path=str(work / "val.jsonl"),
+        run_dir=str(run_dir),
+        batch_size=plan["batch_size"],
+        iterations=plan["iterations"],
+        tau_c=plan["tau_c"],
+        seed=seed,
+        initial_prompt=plan["initial_prompt"],
+        concurrency_cap=cap,
+    )
+
+
+def run_scenario(work, plan, seed, cap):
+    """The run directory and summary of the scenario in ``work`` at ``cap``."""
+    run_dir = work / f"cap{cap}"
+    gateway = Gateway.scripted(work / "fixtures.jsonl",
+                               transcript_path=run_dir / TRANSCRIPT_FILE)
+    return run_dir, OptimizationRun(
+        scenario_config(work, plan, seed, run_dir, cap), gateway
+    ).run()
 
 
 @pytest.mark.parametrize("cap", [1, 3])
@@ -74,3 +88,93 @@ def test_traces_at_caps_one_and_three_are_byte_identical(scenario_runs):
     traces = {cap: (run_dir / TRACE_FILE).read_bytes()
               for cap, (run_dir, _) in runs.items()}
     assert traces[1] == traces[3]
+
+
+CAPS = (1, 3, 8)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["seed2", "seed3"])
+def seeded_runs(request, bench_modules, tmp_path_factory):
+    """The plan of another seed, and its run at each of ``CAPS``."""
+    scenario, _ = bench_modules
+    work = tmp_path_factory.mktemp(f"scenario-seed{request.param}")
+    plan = scenario.build_loop_scenario(request.param, work)
+    return plan, {cap: run_scenario(work, plan, request.param, cap)
+                  for cap in CAPS}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_other_seeds_make_the_planned_decisions_calls_and_bank(
+    bench_modules, seeded_runs, cap
+):
+    _, workloads = bench_modules
+    plan, runs = seeded_runs
+    run_dir, summary = runs[cap]
+    workloads.check_plan(run_dir / TRACE_FILE, plan)
+    calls = workloads.transcript_facts(run_dir / TRANSCRIPT_FILE)["calls"]
+    assert calls == plan["calls"]
+    assert summary["rules"] == plan["final_rules"]
+    assert summary["steps_completed"] == plan["iterations"]
+
+
+def test_other_seeds_trace_identically_at_every_cap(seeded_runs):
+    _, runs = seeded_runs
+    traces = {(run_dir / TRACE_FILE).read_bytes()
+              for run_dir, _ in runs.values()}
+    assert len(traces) == 1
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(scenario_runs) -> dict:
+    """``run_files`` of the seed-1 run at cap 1."""
+    _, runs = scenario_runs
+    run_dir, _ = runs[1]
+    return run_files(run_dir)
+
+
+def assert_resumed_to(uninterrupted, run_dir, cap) -> None:
+    """The trace and bank byte for byte, every commit line but its config
+    and transcript length, and the transcript call for call, in any order
+    above cap 1."""
+    files, expected = run_files(run_dir), dict(uninterrupted)
+    if cap > 1:  # calls finish in any order
+        for each in (files, expected):
+            each[TRANSCRIPT_FILE] = Counter(each[TRANSCRIPT_FILE])
+    assert files == expected
+
+
+@pytest.mark.parametrize("cap", [1, 3])
+@settings(max_examples=5, deadline=None)
+@given(call=st.integers(1, 4755))
+def test_crash_at_a_drawn_call_resumes_to_the_uninterrupted_run(
+    scenario_runs, uninterrupted, tmp_path_factory, cap, call
+):
+    plan, runs = scenario_runs
+    assert sum(plan["calls"].values()) == 4755
+    work = runs[1][0].parent
+    backend = ScriptedBackend.from_jsonl(work / "fixtures.jsonl")
+    run_dir = tmp_path_factory.mktemp("crash")
+    transcript = run_dir / TRANSCRIPT_FILE
+    config = scenario_config(work, plan, SEED, run_dir, cap)
+    with pytest.raises(BackendUnavailableError):
+        OptimizationRun(
+            config, gateway_over(FailsAtCall(call, backend), transcript)
+        ).run()
+    OptimizationRun(config, gateway_over(backend, transcript)).run()
+    assert_resumed_to(uninterrupted, run_dir, cap)
+
+
+@settings(max_examples=3, deadline=None)
+@given(step=st.integers(-1, 198))
+def test_stop_after_a_drawn_step_resumes_to_the_uninterrupted_run(
+    scenario_runs, uninterrupted, tmp_path_factory, step
+):
+    plan, runs = scenario_runs
+    work = runs[1][0].parent
+    run_dir = tmp_path_factory.mktemp("stop")
+    config = scenario_config(work, plan, SEED, run_dir, 1)
+    for stop_after_step in (step, None):
+        OptimizationRun(config, Gateway.scripted(
+            work / "fixtures.jsonl", transcript_path=run_dir / TRANSCRIPT_FILE
+        )).run(stop_after_step)
+    assert_resumed_to(uninterrupted, run_dir, 1)
