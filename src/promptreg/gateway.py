@@ -90,18 +90,35 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """OpenAI-compatible chat-completions transport with bounded retries.
+    """OpenAI-compatible chat-completions transport over pooled keep-alive
+    connections, with bounded retries.
+
+    Idle ``http.client`` connections wait in one free list per route (the
+    endpoint's scheme, host and port, and its proxy), shared by all threads.
+    A call takes an idle connection or opens one, and gives it back once the
+    whole body is read unless the response closes it, so there are never
+    more connections than concurrent calls; ``close`` closes the idle ones.
+    A reused connection that fails before any response byte was closed by
+    the server while idle, so the request is sent again at once on a new
+    connection, using no attempt and no wait. ``http.client`` turns Nagle's
+    algorithm off on each connection, and where the platform has
+    ``TCP_QUICKACK`` it is set after each request is sent: a server that
+    writes headers and body in two sends with Nagle on would otherwise wait
+    out this end's delayed ACK (about 40 ms on Linux) on every reply over a
+    reused connection.
 
     Network failures, rate limits (429) and server errors (5xx) are retried
     after a fixed backoff, and the last failure raises without a further
     wait. A numeric ``Retry-After`` on a 429 or 503 pauses the backend: no
     thread sends through it again until ``clock`` has moved on that many
     seconds, so a fake ``sleep`` must move a fake ``clock``. Any other
-    status outside 2xx raises RequestRejectedError at once (urllib follows
-    a 301, 302 or 303 of a POST as a GET, and no 307 or 308). A success body
-    without string content raises MalformedOutputError. A request that can
-    never be sent (see ``check_endpoint``, or a header urllib refuses)
-    raises ConfigError at once, with no wait.
+    status outside 2xx raises RequestRejectedError at once; no redirect is
+    followed. A success body without string content raises
+    MalformedOutputError. A request that can never be sent (see
+    ``check_endpoint``, a proxy that is not an http:// URL, a non-numeric
+    port or a header ``http.client`` refuses) raises ConfigError at once,
+    with no wait. The proxy environment (``http_proxy``, ``https_proxy``,
+    ``no_proxy``) is read when the backend first sends to an endpoint.
     """
 
     def __init__(
@@ -113,6 +130,11 @@ class HttpBackend:
         # The clock reading before which no attempt is sent.
         self._not_before = -math.inf
         self._pause_lock = threading.Lock()
+        # endpoint -> (route, request target, headers), worked out on first use
+        self._routes: dict[str, tuple[tuple, str, dict]] = {}
+        # route -> idle connections, the most recently used last
+        self._idle: dict[tuple, list] = {}
+        self._idle_lock = threading.Lock()
 
     def _wait(self, backoff: float) -> None:
         """Sleep at least ``backoff`` seconds, and until the pause is over."""
@@ -122,11 +144,13 @@ class HttpBackend:
 
     def complete(self, request: ChatRequest, engine: EngineConfig) -> str:
         from http.client import HTTPException, InvalidURL
-        from urllib.error import HTTPError
-        from urllib.request import Request, urlopen
 
-        check_endpoint(engine)
-        headers = {"Content-Type": "application/json"}
+        found = self._routes.get(engine.endpoint)
+        if found is None:
+            check_endpoint(engine)
+            found = self._routes[engine.endpoint] = _route(engine)
+        route, target, headers = found
+        headers = dict(headers)
         if engine.auth_env_var:
             key = os.environ.get(engine.auth_env_var)
             if not key:
@@ -151,14 +175,9 @@ class HttpBackend:
         for backoff in (0.0, *RETRY_BACKOFF_SECONDS):
             self._wait(backoff)
             try:
-                try:
-                    resp = urlopen(Request(engine.endpoint, data, headers),
-                                   timeout=self.timeout)
-                except HTTPError as error:  # any status outside 2xx
-                    resp = error
-                with resp:
-                    status, text = resp.status, resp.read().decode(errors="replace")
-            # A header or a port that urllib refuses fails every attempt alike.
+                resp, text = self._post(route, target, data, headers)
+            # A header or a port that http.client refuses fails every
+            # attempt alike.
             except (ValueError, InvalidURL) as exc:
                 raise ConfigError(
                     f"engine {engine.name}: request cannot be sent: {exc}"
@@ -166,6 +185,7 @@ class HttpBackend:
             except (OSError, HTTPException) as exc:
                 last_error = exc
                 continue
+            status = resp.status
             if status == 429:
                 last_error = RequestRejectedError("rate limited")
             elif status >= 500:
@@ -186,6 +206,108 @@ class HttpBackend:
             f"backend unavailable after {len(RETRY_BACKOFF_SECONDS) + 1} "
             f"attempts: {last_error}"
         )
+
+    def _post(self, route: tuple, target: str, data: bytes, headers: dict):
+        """POST ``data`` over a pooled connection: the response and its
+        whole body as text."""
+        import socket
+
+        with self._idle_lock:
+            idle = self._idle.get(route)
+            conn = idle.pop() if idle else None
+        reused = conn is not None
+        while True:
+            if conn is None:
+                conn = _connect(route, self.timeout)
+            try:
+                conn.request("POST", target, data, headers)
+                if hasattr(socket, "TCP_QUICKACK"):
+                    conn.sock.setsockopt(socket.IPPROTO_TCP,
+                                         socket.TCP_QUICKACK, 1)
+                resp = conn.getresponse()
+                break
+            except ConnectionError:
+                conn.close()
+                if not reused:
+                    raise
+                # The server closed it while idle: send again on a new one.
+                conn, reused = None, False
+            except BaseException:
+                conn.close()
+                raise
+        try:
+            text = resp.read().decode(errors="replace")
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.setdefault(route, []).append(conn)
+        return resp, text
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens new ones."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+def _route(engine: EngineConfig) -> tuple[tuple, str, dict]:
+    """The route, request target and headers of a POST to
+    ``engine.endpoint``, which ``check_endpoint`` accepted, under the proxy
+    environment.
+
+    The route ``(scheme, netloc, proxy, proxy_auth)`` says where a
+    connection goes: straight to ``netloc`` when ``proxy`` is empty, else
+    to the proxy, which gets ``proxy_auth`` (if any) as Proxy-Authorization.
+    """
+    from base64 import b64encode
+    from urllib.parse import unquote, urlsplit
+    from urllib.request import getproxies, proxy_bypass
+
+    parts = urlsplit(engine.endpoint)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    headers = {"Content-Type": "application/json", "User-Agent": "promptreg"}
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(parts.netloc):
+        return (parts.scheme, parts.netloc, "", ""), target, headers
+    proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+        raise ConfigError(
+            f"engine {engine.name}: {parts.scheme} proxy {proxy!r} is not an "
+            "http:// URL with a host"
+        )
+    auth = ""
+    if proxy_parts.username and proxy_parts.password:
+        pair = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+        auth = "Basic " + b64encode(pair.encode()).decode("ascii")
+    if parts.scheme == "http":
+        # Absolute form, and the credentials on the request itself.
+        target = f"http://{parts.netloc}{target}"
+        if auth:
+            headers["Proxy-Authorization"] = auth
+    route = (parts.scheme, parts.netloc,
+             proxy_parts.netloc.rpartition("@")[2], auth)
+    return route, target, headers
+
+
+def _connect(route: tuple, timeout: float):
+    """A new, not yet connected ``http.client`` connection along ``route``:
+    to the proxy for http, through a tunnel for https."""
+    from http.client import HTTPConnection, HTTPSConnection
+
+    scheme, netloc, proxy, proxy_auth = route
+    if scheme == "http":
+        return HTTPConnection(proxy or netloc, timeout=timeout)
+    conn = HTTPSConnection(proxy or netloc, timeout=timeout)
+    if proxy:
+        conn.set_tunnel(netloc, headers=(
+            {"Proxy-Authorization": proxy_auth} if proxy_auth else None))
+    return conn
 
 
 def check_endpoint(engine: EngineConfig) -> None:
@@ -381,9 +503,13 @@ class Gateway:
         )
 
     def close(self) -> None:
-        """Close the transcript; a later call opens it again."""
+        """Close the transcript and the idle connections of the HTTP
+        backends; a later call opens them again."""
         if self._transcript is not None:
             self._transcript.close()
+        for _, backend in self._routes.values():
+            if isinstance(backend, HttpBackend):
+                backend.close()
 
     def _record(self, request: ChatRequest, response: str, latency_ms: int) -> None:
         if self._transcript is not None:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from socketserver import ThreadingMixIn
 from pathlib import Path
 
 import pytest
@@ -39,12 +41,13 @@ class _ScriptedReply(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        self.server.received.append((self.headers, body))
-        if self.server.replies:
-            status, body, headers = self.server.replies.pop(0)
-        else:
-            self.server.unscripted += 1
-            status, body, headers = 599, b"no scripted reply", {}
+        with self.server.lock:
+            self.server.received.append((self.headers, body))
+            if self.server.replies:
+                status, body, headers = self.server.replies.pop(0)
+            else:
+                self.server.unscripted += 1
+                status, body, headers = 599, b"no scripted reply", {}
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -59,13 +62,17 @@ class _ScriptedReply(BaseHTTPRequestHandler):
 class LoopbackServer(HTTPServer):
     """Answers each POST with the next scripted ``(status, body, headers)``
     reply, one connection at a time, and records the headers and decoded
-    JSON body of every request in ``received``."""
+    JSON body of every request in ``received``. ``connections`` counts the
+    connections accepted and ``open`` those not yet closed."""
 
-    def __init__(self) -> None:
-        super().__init__(("127.0.0.1", 0), _ScriptedReply)
+    def __init__(self, handler=_ScriptedReply) -> None:
+        super().__init__(("127.0.0.1", 0), handler)
+        self.lock = threading.Lock()
         self.replies: list[tuple[int, bytes, dict]] = []
         self.received: list[tuple] = []
         self.unscripted = 0
+        self.connections = 0
+        self.open = 0
 
     @property
     def url(self) -> str:
@@ -77,18 +84,66 @@ class LoopbackServer(HTTPServer):
         self.replies.extend(replies)
         return self.received
 
+    def verify_request(self, request, client_address) -> bool:
+        with self.lock:
+            self.connections += 1
+            self.open += 1
+        return True
 
-@pytest.fixture
-def loopback():
-    """A ``LoopbackServer`` serving on its own thread for one test; a request
-    beyond the scripted replies fails the test."""
-    server = LoopbackServer()
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+
+
+class _KeepAliveReply(_ScriptedReply):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self) -> None:
+        super().do_POST()
+        # Closed without a "Connection: close", as an idle connection is.
+        self.close_connection = self.server.drop_idle
+
+
+class KeepAliveServer(ThreadingMixIn, LoopbackServer):
+    """A ``LoopbackServer`` on HTTP/1.1 that keeps each connection open and
+    serves it on its own thread; with ``drop_idle`` set, it closes each
+    connection after its first reply without saying so."""
+
+    daemon_threads = True
+
+    def __init__(self) -> None:
+        super().__init__(_KeepAliveReply)
+        self.drop_idle = False
+
+
+def _serve(server: LoopbackServer):
+    """Serve ``server`` on its own thread while the test runs, then stop it;
+    a request beyond the scripted replies fails the test."""
     thread = threading.Thread(target=server.serve_forever, args=(0.01,),
                               daemon=True)
     thread.start()
     yield server
     server.shutdown()
     thread.join(timeout=5)
-    server.server_close()
     assert not thread.is_alive(), "loopback server did not stop"
+    # A keep-alive connection ends when the client closes it.
+    deadline = time.monotonic() + 5
+    while server.open and time.monotonic() < deadline:
+        time.sleep(0.01)
+    server.server_close()
+    assert server.open == 0, "a connection was left open"
     assert server.unscripted == 0, "more requests than scripted replies"
+
+
+@pytest.fixture
+def loopback():
+    """A ``LoopbackServer`` (HTTP/1.0, one connection per request)."""
+    yield from _serve(LoopbackServer())
+
+
+@pytest.fixture
+def keepalive():
+    """A ``KeepAliveServer``; the test must close every connection it
+    opens to it."""
+    yield from _serve(KeepAliveServer())
