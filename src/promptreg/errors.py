@@ -37,7 +37,7 @@ class MissingFieldError(MalformedOutputError):
     """Parsed structured output lacks a required key."""
 
 
-class TagsAbsentError(PromptRegError):
+class TagsAbsentError(MalformedOutputError):
     """Expected variable tags were not found in model output."""
 
 

@@ -5,6 +5,11 @@ chat-completions HTTP backend for live runs, and a scripted backend that
 replays fixture responses for deterministic tests. The gateway routes each
 request to the engine configured for its role and appends one transcript line
 per completed call, through one handle held until ``close``.
+
+Only the gateway decides whether a model reply is usable; an unusable one
+yields None and a warning, and each stage takes its fallback on None. An
+error a backend raises, a malformed endpoint body included, is never caught,
+so it aborts the run at every stage.
 """
 
 from __future__ import annotations
@@ -468,39 +473,46 @@ class Gateway:
         return response
 
     def complete_parsed(
-        self,
-        request: ChatRequest,
-        parse: Callable[[str], T],
-        reask_note: str,
-        reask_on: type[Exception],
-    ) -> T:
+        self, request: ChatRequest, parse: Callable[[str], T], reask_note: str
+    ) -> Optional[T]:
         """Completion passed through ``parse``, with one bounded re-ask.
 
-        When ``parse`` raises ``reask_on``, the request is sent once more with
-        ``reask_note`` appended to its user message; a second failure raises.
+        When ``parse`` raises MalformedOutputError, the request is sent once
+        more with ``reask_note`` appended to its user message; when the
+        second reply fails too, the result is None.
         """
         text = self.complete(request)
         try:
             return parse(text)
-        except reask_on:
-            logger.warning(
-                "unparseable output from %s at step %d; re-asking",
-                request.role.value, request.step,
-            )
-        retry = replace(request, user=request.user + reask_note)
-        return parse(self.complete(retry))
+        except MalformedOutputError as exc:
+            _unusable(request, exc, "re-asking")
+        text = self.complete(replace(request, user=request.user + reask_note))
+        try:
+            return parse(text)
+        except MalformedOutputError as exc:
+            _unusable(request, exc, "no result")
+            return None
 
     def complete_json(
-        self, request: ChatRequest, required_keys: list[str]
-    ) -> dict:
-        """Completion plus strict JSON parsing with one bounded repair re-ask."""
-        return self.complete_parsed(
+        self, request: ChatRequest, fields: dict[str, type]
+    ) -> Optional[dict]:
+        """The reply's first JSON object holding every key of ``fields``,
+        re-asked once when there is none; None when the re-ask holds none
+        either, or when a field is not of its type (no further call)."""
+        payload = self.complete_parsed(
             request,
-            lambda text: parse_json_object(text, required_keys),
+            lambda text: parse_json_object(text, fields),
             "\n\nYour previous reply was not parseable. "
             "Respond with valid JSON only.",
-            MalformedOutputError,
         )
+        if payload is None:
+            return None
+        for key, kind in fields.items():
+            if not isinstance(payload[key], kind):
+                _unusable(request, f"{key} is {payload[key]!r}, not "
+                          f"{kind.__name__}", "no result")
+                return None
+        return payload
 
     def close(self) -> None:
         """Close the transcript and the idle connections of the HTTP
@@ -519,7 +531,12 @@ class Gateway:
             ))
 
 
-def parse_json_object(text: str, required_keys: list[str]) -> dict:
+def _unusable(request: ChatRequest, reason: object, outcome: str) -> None:
+    logger.warning("unusable output from %s at step %d: %s; %s",
+                   request.role.value, request.step, reason, outcome)
+
+
+def parse_json_object(text: str, required_keys: Iterable[str]) -> dict:
     """The first JSON object in noisy text that holds every required key.
 
     Each ``{`` is tried in turn, so a fenced object is found as a bare one is,

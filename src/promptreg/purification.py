@@ -10,19 +10,15 @@ after that work is joined.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import evaluation, templates
-from .errors import MalformedOutputError
 from .evaluation import Sample
 from .gateway import ChatRequest, Gateway, Role
 from .metrics import PromptVersion
 from .rulebank import RuleBank, RuleBankOp, apply_ops, canonicalize_and_match, summarize
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,8 @@ def purify(
     step: int,
 ) -> Optional[str]:
     """Dual-evidence projection of the raw ``gradient`` made from
-    ``contexts``: the purified text, or None when rejected."""
+    ``contexts``: the purified text, or None when rejected or unusable; a
+    backend failure, a malformed endpoint body included, raises."""
     user = templates.render_asset(
         templates.PURIFIER,
         current_prompt=prompt.text,
@@ -111,15 +108,10 @@ def purify(
         rulebank_summary=summarize(bank),
     )
     request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=step)
-    try:
-        payload = gateway.complete_json(request, required_keys=["purified_gradient"])
-        purified = payload["purified_gradient"]
-        if not isinstance(purified, str):
-            raise MalformedOutputError(f"purified_gradient {purified!r} is not text")
-    except MalformedOutputError:
-        logger.warning("purifier output unparseable at step %d; rejecting", step)
+    payload = gateway.complete_json(request, {"purified_gradient": str})
+    if payload is None:
         return None
-    return purified.strip() or None
+    return payload["purified_gradient"].strip() or None
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ scope channels and synthesize the textual regularization gradient.
 The capacity trigger is numeric (relative token growth against a threshold);
 the scope trigger comes from an LLM semantic diff of the two prompts. When no
 channel is active the stage produces no signal and makes no generator call.
-Malformed model output degrades to "no signal" (a neutral diff, no guidance)
-so the task path survives; a backend failure aborts the run, as in every
-other stage.
+An unusable reply or a diff outside the schema degrades to "no signal" (a
+neutral diff, no guidance) so the task path survives; a backend failure, a
+malformed endpoint body included, aborts the run, as in every other stage.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import templates
-from .errors import MalformedOutputError
 from .gateway import ChatRequest, Gateway, Role
 from .metrics import (
     Channel,
@@ -101,7 +100,7 @@ def semantic_diff(
     gateway: Gateway,
     step: int,
 ) -> SemanticDiff:
-    """LLM rule-level diff of the transition; neutral on malformed output."""
+    """LLM rule-level diff of the transition; neutral on unusable output."""
     if prev.version + 1 != curr.version:
         raise ValueError(
             f"semantic diff requires consecutive versions, got "
@@ -118,10 +117,12 @@ def semantic_diff(
     request = ChatRequest(
         role=Role.REGULARIZATION, system="", user=user, step=step
     )
+    payload = gateway.complete_json(
+        request, {"rules_changed": list, "specificity_direction": str}
+    )
+    if payload is None:
+        return NEUTRAL_DIFF
     try:
-        payload = gateway.complete_json(
-            request, required_keys=["rules_changed", "specificity_direction"]
-        )
         changes = tuple(
             RuleChange(
                 description=item["description"],
@@ -129,10 +130,13 @@ def semantic_diff(
             )
             for item in payload["rules_changed"]
         )
-        direction = str(payload["specificity_direction"]).lower()
-        return SemanticDiff(rules_changed=changes, specificity_direction=direction)
-    except (MalformedOutputError, ValueError, KeyError, TypeError) as exc:
-        logger.warning("semantic diff degraded to neutral: %s", exc)
+        return SemanticDiff(
+            rules_changed=changes,
+            specificity_direction=payload["specificity_direction"].lower(),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        logger.warning("semantic diff degraded to neutral at step %d: %s",
+                       step, exc)
         return NEUTRAL_DIFF
 
 
@@ -188,12 +192,6 @@ def synthesize_reg_gradient(
     request = ChatRequest(
         role=Role.REGULARIZATION, system="", user=user, step=step
     )
-    try:
-        payload = gateway.complete_json(request, required_keys=["guidance"])
-        guidance = payload["guidance"]
-        if not isinstance(guidance, str) or not guidance.strip():
-            raise MalformedOutputError(f"no guidance text: {guidance!r}")
-        return RegGradient(guidance=guidance.strip(), mode=mode)
-    except MalformedOutputError as exc:
-        logger.warning("regularization synthesis degraded to none: %s", exc)
-        return None
+    payload = gateway.complete_json(request, {"guidance": str})
+    guidance = payload["guidance"].strip() if payload is not None else ""
+    return RegGradient(guidance=guidance, mode=mode) if guidance else None

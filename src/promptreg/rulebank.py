@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import templates
 from .errors import RuleBankError
-from .gateway import ChatRequest, Gateway, MalformedOutputError, Role
+from .gateway import ChatRequest, Gateway, Role
 from .jsonl import read_json, write_json
 
 logger = logging.getLogger(__name__)
@@ -77,9 +77,9 @@ def canonicalize_and_match(
 ) -> list[RuleBankOp]:
     """Ask the gradient engine for bank operations and validate them.
 
-    Malformed output (after the gateway's repair attempt) yields an empty
-    operation list; an INCREMENT naming an unknown id is dropped. Either way
-    the bank is left untouched by this function.
+    An unusable reply yields no operations, and a malformed op or an INCREMENT
+    naming an unknown id is dropped; a backend failure, a malformed endpoint
+    body included, raises. The bank is left untouched by this function.
     """
     if not accepted_gradient:
         raise ValueError("accepted gradient must be nonempty")
@@ -89,17 +89,11 @@ def canonicalize_and_match(
         raw_gradient=accepted_gradient,
     )
     request = ChatRequest(role=Role.GRADIENT, system="", user=user, step=step)
-    try:
-        payload = gateway.complete_json(request, required_keys=["operations"])
-    except MalformedOutputError:
-        logger.warning("rulebank ops unparseable at step %d; bank unchanged", step)
-        return []
-    raw_ops = payload["operations"]
-    if not isinstance(raw_ops, list):
-        logger.warning("rulebank 'operations' is not a list at step %d", step)
+    payload = gateway.complete_json(request, {"operations": list})
+    if payload is None:
         return []
     ops: list[RuleBankOp] = []
-    for raw in raw_ops:
+    for raw in payload["operations"]:
         try:
             kind = str(raw.get("type", "")).upper()
             if kind == "INCREMENT":

@@ -90,15 +90,13 @@ def apply_update(
     request = ChatRequest(
         role=Role.OPTIMIZER, system=messages.system, user=messages.user, step=step
     )
-    try:
-        new_text = gateway.complete_parsed(
-            request,
-            _improved_text,
-            "\n\nYour previous reply did not contain the improved variable. "
-            f"You MUST wrap it between {DEFAULT_START_TAG} and {DEFAULT_END_TAG} "
-            "tags.",
-            TagsAbsentError,
-        )
-    except TagsAbsentError as exc:
-        raise UpdateExtractionError("update extraction failed") from exc
+    new_text = gateway.complete_parsed(
+        request,
+        _improved_text,
+        "\n\nYour previous reply did not contain the improved variable. "
+        f"You MUST wrap it between {DEFAULT_START_TAG} and {DEFAULT_END_TAG} "
+        "tags.",
+    )
+    if new_text is None:
+        raise UpdateExtractionError("update extraction failed")
     return PromptVersion.create(new_text, version=prompt.version + 1)

@@ -378,6 +378,29 @@ class TestRoutes:
                 f"{role.value}:{role.value.lower()}"
 
 
+class Replies:
+    """A backend that gives its replies in turn and counts its calls."""
+
+    def __init__(self, *texts):
+        self.texts = list(texts)
+        self.calls = 0
+
+    def complete(self, request, engine):
+        self.calls += 1
+        return self.texts.pop(0)
+
+    def gateway(self) -> Gateway:
+        return Gateway(engines=RoleAssignment.uniform(EngineConfig(name="r")),
+                       backends={role: self for role in Role})
+
+
+# Pieces of noisy model replies: JSON punctuation, values, the field, other
+# keys, fences and prose, so joined runs parse, miss the key or break.
+JSON_FRAGMENTS = ['{', '}', '[', ']', ':', ',', ' ', '"guidance"', '"other"',
+                  '"g"', '7', 'null', 'true', '```json\n', '```', 'Sure: ',
+                  '{"guidance": "g"}', '{"guidance": 7}', '{"other": 1}']
+
+
 class TestCompleteJson:
     def test_repair_reask(self):
         gw = scripted_gateway(
@@ -391,14 +414,41 @@ class TestCompleteJson:
                 },
             ]
         )
-        assert gw.complete_json(req(), ["guidance"]) == {"guidance": "g"}
+        assert gw.complete_json(req(), {"guidance": str}) == {"guidance": "g"}
 
     def test_hard_failure_after_reask(self):
         gw = scripted_gateway(
             [{"role": "GRADIENT", "step": 0, "response": "still not json"}]
         )
-        with pytest.raises(MalformedOutputError):
-            gw.complete_json(req(), ["guidance"])
+        assert gw.complete_json(req(), {"guidance": str}) is None
+
+    def test_field_of_the_wrong_type_gives_none_after_one_call(self, caplog):
+        replies = Replies('{"guidance": 7}', '{"guidance": "g"}')
+        assert replies.gateway().complete_json(req(), {"guidance": str}) is None
+        assert replies.calls == 1
+        (record,) = caplog.records
+        assert "GRADIENT at step 0: guidance is 7, not str" in record.getMessage()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=10).map("".join))
+    def test_second_call_exactly_when_the_first_reply_does_not_parse(
+        self, first
+    ):
+        """The re-ask, and so ``calls_total``, follows ``parse_json_object``
+        alone; a field of the wrong type is never re-asked."""
+        try:
+            payload = parse_json_object(first, ["guidance"])
+        except MalformedOutputError:
+            payload = None
+        replies = Replies(first, '{"guidance": "again"}')
+        result = replies.gateway().complete_json(req(), {"guidance": str})
+        assert replies.calls == (1 if payload is not None else 2)
+        if payload is None:
+            assert result == {"guidance": "again"}
+        else:
+            assert result == (
+                payload if isinstance(payload["guidance"], str) else None
+            )
 
 
 class TestParseJsonObject:

@@ -23,6 +23,7 @@ from promptreg.errors import (
     BackendUnavailableError,
     ConfigError,
     FixtureMissError,
+    MalformedOutputError,
     RunStateError,
     UpdateExtractionError,
 )
@@ -49,11 +50,19 @@ from promptreg.loop import (
     run_optimization,
 )
 from promptreg.metrics import PromptVersion
+from promptreg.purification import ExecutionContext, purify
+from promptreg.regularization import (
+    NEUTRAL_DIFF,
+    diagnose,
+    semantic_diff,
+    synthesize_reg_gradient,
+)
 from promptreg.rulebank import (
     RuleBank,
     RuleBankOp,
     apply_ops,
     bank_document,
+    canonicalize_and_match,
     load_rulebank,
 )
 from promptreg.updater import (
@@ -1385,3 +1394,82 @@ class TestCommitEncoding:
         run_optimization(golden_config(run_dir), Gateway.scripted(FIXTURES))
         for line in (run_dir / STATE_FILE).read_text().splitlines():
             assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+class MalformedBodyFor:
+    """Golden replies, but every call for ``role`` raises what HttpBackend
+    raises for a 200 whose body is not a chat completion."""
+
+    def __init__(self, role):
+        self.role = role
+        self.calls = 0
+
+    def complete(self, request, engine):
+        if request.role is not self.role:
+            return GOLDEN_BACKEND.complete(request, engine)
+        self.calls += 1
+        raise MalformedOutputError(
+            "malformed response body: JSONDecodeError('Expecting value')")
+
+
+def _grown(version):
+    return PromptVersion.create("check " * (10 + 5 * version), version)
+
+
+CONTEXT = ExecutionContext("q", "Answer: 6", "8", False)
+# Each JSON stage, with the role it asks; the prompt grows past tau_c, so the
+# synthesis makes its call.
+JSON_STAGES = {
+    "purify": (Role.GRADIENT, lambda gw: purify(
+        "raw", [CONTEXT], RuleBank(), _grown(0), gw, 0)),
+    "canonicalize_and_match": (Role.GRADIENT, lambda gw: canonicalize_and_match(
+        "rule", RuleBank(), gw, 0)),
+    "semantic_diff": (Role.REGULARIZATION, lambda gw: semantic_diff(
+        _grown(0), _grown(1), RuleBank(), (CONTEXT,), "init", gw, 1)),
+    "synthesize_reg_gradient": (Role.REGULARIZATION, lambda gw:
+        synthesize_reg_gradient(
+            diagnose(_grown(0), _grown(1), NEUTRAL_DIFF, tau_c=0.2),
+            NEUTRAL_DIFF, _grown(1), gw, 1)),
+}
+
+
+class TestMalformedEndpointBody:
+    """A malformed endpoint body is a backend failure: it aborts at every
+    stage, the JSON ones included, and is never taken for unusable model
+    text that degrades the stage."""
+
+    @pytest.mark.parametrize("stage", list(JSON_STAGES))
+    def test_propagates_after_one_call(self, stage):
+        role, call = JSON_STAGES[stage]
+        backend = MalformedBodyFor(role)
+        with pytest.raises(MalformedOutputError, match="malformed response body"):
+            call(gateway_over(backend))
+        assert backend.calls == 1
+
+    def test_golden_run_aborts_on_the_regularization_role(self, tmp_path):
+        backend = MalformedBodyFor(Role.REGULARIZATION)
+        with pytest.raises(MalformedOutputError, match="malformed response body"):
+            run_optimization(golden_config(tmp_path / "run"),
+                             gateway_over(backend))
+        assert backend.calls == 1
+
+    def test_unparseable_purifier_reply_is_logged_not_traced(
+        self, tmp_path, caplog
+    ):
+        """Step 1's purifier reply, not JSON, twice: two warnings naming the
+        role, the step and the parse error, and the golden trace unchanged
+        (the reply it replaces was a rejection too)."""
+        records = [json.loads(line)
+                   for line in FIXTURES.read_text().splitlines()]
+        (purifier,) = [r for r in records if r.get("step") == 1
+                       and r.get("match_substring") == "Gradient Purifier"]
+        purifier["response"] = "not json"
+        run_optimization(golden_config(tmp_path / "run"),
+                         Gateway.scripted(records))
+        assert (tmp_path / "run" / TRACE_FILE).read_bytes() == \
+            GOLDEN_TRACE.read_bytes()
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        assert len(warnings) == 2
+        for message in warnings:
+            assert "GRADIENT at step 1: malformed structured output" in message
