@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import nullcontext
+import threading
+from collections import deque
+from concurrent.futures import Executor, Future, as_completed
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .errors import ConfigError, DatasetError
 from .gateway import ChatRequest, Gateway, Role
@@ -29,6 +31,8 @@ _THROUGH_MARKER = re.compile(r".*answer:", re.I | re.A | re.S).match
 _NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?")
 _PLAIN_NUMBER_RE = re.compile(r"[-+]?\d+(?:\.\d+)?$")
 _TRAILING_PUNCT = ".,;:!?"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -140,17 +144,185 @@ class InlineExecutor(Executor):
         future.set_result(fn(*args, **kwargs))
         return future
 
+    def slot(self, first: Callable[[], T]) -> nullcontext:
+        """Calls made on the calling thread after ``first()``, whose result
+        the block gets; inline, nothing runs beside them."""
+        return nullcontext(first())
+
+
+class CallPool(Executor):
+    """At most ``cap`` tasks at once, on up to ``cap`` threads that share
+    ``cap`` slots with the calling threads' ``slot`` blocks.
+
+    A task queued with ``submit`` takes a free slot in submission order. One
+    queued with ``submit_background`` takes a slot only when no other task
+    waits and a free slot is left for each ``slot`` request, so it fills a
+    slot that would otherwise stand idle. A thread is started per task
+    submitted until there are ``cap``; at shutdown every task queued still
+    runs.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self._cap = cap
+        self._free = cap
+        self._waiting = 0  # slot requests not yet served
+        self._queues: tuple[deque, deque] = (deque(), deque())  # tasks, background
+        self._threads: list[threading.Thread] = []
+        self._closed = False
+        self._cond = threading.Condition()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        return self._queue(0, fn, args, kwargs)
+
+    def submit_background(self, fn, /, *args, **kwargs) -> Future:
+        return self._queue(1, fn, args, kwargs)
+
+    def _queue(self, queue: int, fn, args, kwargs) -> Future:
+        future: Future = Future()
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            self._queues[queue].append((future, fn, args, kwargs))
+            if len(self._threads) < self._cap:
+                thread = threading.Thread(target=self._work, daemon=True)
+                thread.start()
+                self._threads.append(thread)
+            self._cond.notify_all()
+        return future
+
+    def _work(self) -> None:
+        cond, (tasks, background) = self._cond, self._queues
+        while True:
+            with cond:
+                while not (self._free and (
+                        tasks or background and self._free > self._waiting)):
+                    if self._closed and not (tasks or background):
+                        return
+                    cond.wait()
+                future, fn, args, kwargs = (tasks or background).popleft()
+                self._free -= 1
+            if future.set_running_or_notify_cancel():
+                try:
+                    result = fn(*args, **kwargs)
+                except BaseException as exc:
+                    future.set_exception(exc)
+                else:
+                    future.set_result(result)
+            del future, fn, args, kwargs
+            with cond:
+                self._free += 1
+                cond.notify_all()
+
+    @contextmanager
+    def slot(self, first: Callable[[], T]) -> Iterator[T]:
+        """Hold a slot while the calling thread makes the block's calls,
+        taken after ``first()``, a wait on earlier work, whose result the
+        block gets. The slot is asked for before ``first`` runs, and a
+        request is served before any background task, so none takes the
+        slot that work frees."""
+        cond = self._cond
+        with cond:
+            self._waiting += 1
+        try:
+            value = first()
+            with cond:
+                while not self._free:
+                    cond.wait()
+                self._free -= 1
+        finally:
+            with cond:
+                self._waiting -= 1
+                cond.notify_all()
+        try:
+            yield value
+        finally:
+            with cond:
+                self._free += 1
+                cond.notify_all()
+
+    def shutdown(self, wait: bool = True) -> None:
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        if wait:
+            for thread in self._threads:
+                thread.join()
+
 
 def call_pool(cap: int) -> Executor:
     """The executor that LLM calls run on, used as a context manager.
 
-    Above cap 1 it is a pool of ``cap`` threads, so at most ``cap`` tasks run
-    at once; at cap 1 every task runs inline and in order. A cap below 1 is
-    refused.
+    Above cap 1 it is a ``CallPool`` of ``cap`` slots; at cap 1 every task
+    runs inline and in order. A cap below 1 is refused.
     """
     if cap < 1:
         raise ConfigError("concurrency_cap must be at least 1")
-    return ThreadPoolExecutor(max_workers=cap) if cap > 1 else InlineExecutor()
+    return CallPool(cap) if cap > 1 else InlineExecutor()
+
+
+class Decided:
+    """A forward evaluation on a ``CallPool`` that is waited for only until
+    ``decide(correct, remaining)`` gives its outcome, a bool: ``correct`` of
+    the results landed so far are right, and ``remaining`` are yet to land.
+
+    The calls not yet sent at that point are withdrawn in the same pool task
+    that decided, before its slot takes more work. ``send_rest`` queues them
+    again as background work; ``report`` waits for every call and gives the
+    full report.
+    """
+
+    def __init__(self, pool: CallPool, run_one, samples: list[Sample],
+                 decide: Callable[[int, int], Optional[bool]],
+                 build: Callable[[list], EvalReport],
+                 on_queued: Optional[Callable[[], object]] = None) -> None:
+        self.outcome: Optional[bool] = None
+        self._run_one, self._samples, self._build = run_one, samples, build
+        tally = [0, len(samples)]  # correct, remaining
+        lock = threading.Lock()
+
+        def gated(sample: Sample) -> SampleResult:
+            result = run_one(sample)
+            with lock:
+                tally[0] += result.correct
+                tally[1] -= 1
+                if self.outcome is None:
+                    self.outcome = decide(*tally)
+                    if self.outcome is not None:
+                        for future in self._futures:
+                            future.cancel()
+            return result
+
+        with lock:
+            self._futures = [pool.submit(gated, sample) for sample in samples]
+        if on_queued is not None:
+            on_queued()
+        try:
+            for future in as_completed(self._futures):
+                if self.outcome is not None:
+                    break
+                future.result()
+        except BaseException:
+            for future in self._futures:
+                future.cancel()
+            raise
+        self._unsent = [i for i, f in enumerate(self._futures) if f.cancelled()]
+
+    def landed(self) -> bool:
+        """Whether every call has been sent and has landed."""
+        return not self._unsent and all(f.done() for f in self._futures)
+
+    def send_rest(self, pool: CallPool) -> None:
+        """Queue the withdrawn calls as background work."""
+        for i in self._unsent:
+            self._futures[i] = pool.submit_background(
+                self._run_one, self._samples[i]
+            )
+        self._unsent = []
+
+    def report(self) -> EvalReport:
+        """The full report, once every call has landed; a call's error, or
+        a withdrawn call never sent again, raises."""
+        return self._build([future.result() for future in self._futures])
 
 
 def evaluate(
@@ -163,13 +335,16 @@ def evaluate(
     engine_name: str = "",
     pool: Optional[Executor] = None,
     on_queued: Optional[Callable[[], object]] = None,
-) -> EvalReport:
+    decide: Optional[Callable[[int, int], Optional[bool]]] = None,
+) -> EvalReport | Decided:
     """Run one forward call per sample; results stay in dataset order.
 
     The calls run on ``pool`` when given, else on a ``call_pool`` of
     ``concurrency_cap`` opened for this evaluation. ``on_queued`` is called
     once the calls are queued, before their results are awaited; at cap 1
-    nothing is queued ahead, so it runs before the first call.
+    nothing is queued ahead, so it runs before the first call. With
+    ``decide``, ``pool`` must be a ``CallPool``, and the result is the
+    ``Decided`` evaluation, returned once its outcome is known.
     """
     if not samples:
         raise ValueError("dataset must be nonempty")
@@ -187,20 +362,24 @@ def evaluate(
             raw_output=output,
         )
 
+    def build(results: list[SampleResult]) -> EvalReport:
+        return EvalReport(
+            dataset=dataset_name,
+            engine=engine_name,
+            prompt_version=prompt.version,
+            accuracy=sum(r.correct for r in results) / len(results),
+            per_sample=tuple(results),
+        )
+
+    if decide is not None:
+        return Decided(pool, run_one, samples, decide, build, on_queued)
     opened = call_pool(concurrency_cap) if pool is None else nullcontext(pool)
     with opened as executor:
         results = executor.map(run_one, samples)
         if on_queued is not None:
             on_queued()
         results = list(results)
-    accuracy = sum(r.correct for r in results) / len(results)
-    return EvalReport(
-        dataset=dataset_name,
-        engine=engine_name,
-        prompt_version=prompt.version,
-        accuracy=accuracy,
-        per_sample=tuple(results),
-    )
+    return build(results)
 
 
 def generalization_gap(report_ood: EvalReport, report_train: EvalReport) -> float:

@@ -345,7 +345,7 @@ def _content(text: str) -> str:
     """The message content of a success response body."""
     try:
         content = decode_body(text)["choices"][0]["message"]["content"]
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
         raise MalformedOutputError(f"malformed response body: {exc!r}") from exc
     if not isinstance(content, str):
         raise MalformedOutputError(
@@ -422,7 +422,8 @@ class ScriptedBackend:
 
 class Gateway:
     """Routes requests to per-role backends and records a transcript, held
-    open from the first call until ``close``."""
+    open from the first call until ``close``. Between ``hold_lines_after``
+    and ``release_lines`` the lines of later steps wait in memory."""
 
     def __init__(
         self,
@@ -439,6 +440,10 @@ class Gateway:
             role: (engines.for_role(role), backends[role]) for role in Role
         }
         self._transcript = Appender(transcript_path) if transcript_path else None
+        # The transcript lines kept back by hold_lines_after, or None.
+        self._held: Optional[list[bytes]] = None
+        self._held_after = 0
+        self._hold_lock = threading.Lock()
 
     @classmethod
     def scripted(
@@ -514,9 +519,25 @@ class Gateway:
                 return None
         return payload
 
+    def hold_lines_after(self, step: int) -> None:
+        """Keep the transcript lines of calls of steps after ``step`` in
+        memory until ``release_lines``, so that a commit of ``step`` written
+        meanwhile counts none of them."""
+        self._held_after = step
+        self._held = []
+
+    def release_lines(self) -> None:
+        """Append the lines kept back, and stop keeping lines back."""
+        with self._hold_lock:
+            held, self._held = self._held, None
+            for line in held or ():
+                self._transcript.append_line(line)
+
     def close(self) -> None:
-        """Close the transcript and the idle connections of the HTTP
-        backends; a later call opens them again."""
+        """Append the transcript lines kept back, close the transcript and
+        the idle connections of the HTTP backends; a later call opens them
+        again."""
+        self.release_lines()
         if self._transcript is not None:
             self._transcript.close()
         for _, backend in self._routes.values():
@@ -524,11 +545,18 @@ class Gateway:
                 backend.close()
 
     def _record(self, request: ChatRequest, response: str, latency_ms: int) -> None:
-        if self._transcript is not None:
-            self._transcript.append_line(transcript_line(
-                request.step, request.role.value, request.system, request.user,
-                response, latency_ms,
-            ))
+        if self._transcript is None:
+            return
+        line = transcript_line(
+            request.step, request.role.value, request.system, request.user,
+            response, latency_ms,
+        )
+        if self._held is not None and request.step > self._held_after:
+            with self._hold_lock:
+                if self._held is not None:
+                    self._held.append(line)
+                    return
+        self._transcript.append_line(line)
 
 
 def _unusable(request: ChatRequest, reason: object, outcome: str) -> None:
@@ -542,7 +570,9 @@ def parse_json_object(text: str, required_keys: Iterable[str]) -> dict:
     Each ``{`` is tried in turn, so a fenced object is found as a bare one is,
     and a code fence inside a JSON string is text. The scan goes on past the
     end of an object that lacks a key, not into it; when no object holds them
-    all, the error names the first key missing from the first object.
+    all, the error names the first key missing from the first object. An
+    object nested deeper than the interpreter's recursion limit ends the
+    scan as malformed output.
     """
     decoder = json.JSONDecoder()
     missing = None
@@ -553,6 +583,11 @@ def parse_json_object(text: str, required_keys: Iterable[str]) -> dict:
         except json.JSONDecodeError:
             index = text.find("{", index + 1)
             continue
+        except RecursionError:
+            # Each "{" inside would fail alike, so the scan stops here.
+            raise MalformedOutputError(
+                "malformed structured output: nested too deep"
+            ) from None
         lacking = next((key for key in required_keys if key not in value), None)
         if lacking is None:
             return value

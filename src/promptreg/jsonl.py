@@ -59,7 +59,8 @@ def iter_jsonl(
                         ) from None
                     if end != len(text):
                         raise json.JSONDecodeError("Extra data", text, end)
-                except json.JSONDecodeError as exc:
+                # The C scanner raises RecursionError on deep nesting.
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise error(
                         f"{what} {path}: line {number}: invalid JSON: {exc}"
                     ) from exc
@@ -90,11 +91,13 @@ def read_json(
     build: Callable[[Any], T],
 ) -> T:
     """``build`` applied to the JSON document at ``path``; a file that cannot
-    be read or decoded, or a document ``build`` rejects, raises ``error``."""
+    be read or decoded (nesting too deep included), or a document ``build``
+    rejects, raises ``error``."""
     try:
         with open(path, encoding="utf-8") as handle:
             return build(json.load(handle))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise error(f"{what} unreadable: {path}: {exc}") from exc
 
 
@@ -122,7 +125,8 @@ def read_last_line(
             return None, 0
         line = tail[tail.rfind(b"\n", 0, last) + 1:last]
         return build(json.loads(line)), start + last + 1
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise error(f"{what} unreadable: {path}: {exc}") from exc
 
 

@@ -5,11 +5,21 @@ mini-batch execution and gradient purification, an optional guided rewrite,
 and a validation gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``, and is queued in this order: the batch's forward calls
 first; the diagnosis behind them, since it reads only the last commit and is
-first needed by the rewrite; rule canonicalization beside the rewrite and
-the gate, since it feeds only the bank. The raw-gradient, purifier and
-rewrite calls run on the calling thread while at most one pool task is in
-flight, so they count toward the cap too. At cap 1 every task runs inline,
-the diagnosis before the forward calls, as it always has.
+first needed by the rewrite; the previous step's unsent validation calls as
+background work, which takes only slots no other call waits for; rule
+canonicalization beside the rewrite and the gate, since it feeds only the
+bank. The raw-gradient, purifier and rewrite calls are made on the calling
+thread in slots of the pool, so they count toward the cap too. At cap 1
+every task runs inline, the diagnosis before the forward calls, as it
+always has.
+
+Above cap 1 the gate returns once its outcome is certain (``gate_outcome``),
+and the calls it has not sent wait for the next step's forward calls and
+diagnosis to be queued. The step's trace line and commit need the full
+accuracy, so they are written once those calls land, before the next step
+changes state or the bank. The gateway holds the next step's transcript
+lines until that commit, so no transcript line of step t+1 comes before
+commit t.
 
 Every decision lands in an append-only trace so that a scripted run is
 replayable byte-for-byte. State is committed after every step as one line
@@ -30,10 +40,11 @@ from concurrent.futures import Executor, Future
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import ConfigError, DatasetError, RunStateError
-from .evaluation import Sample, call_pool, evaluate, load_dataset
+from .evaluation import (CallPool, Decided, EvalReport, Sample, call_pool,
+                         evaluate, load_dataset)
 from .gateway import Gateway
 from .jsonl import Appender, iter_jsonl, read_bytes, read_last_line
 from .metrics import ChannelDiagnostics, PromptVersion
@@ -125,6 +136,21 @@ def next_batch(
     return [train[order[(start + i) % len(train)]] for i in range(batch_size)]
 
 
+def gate_outcome(
+    correct: int, remaining: int, n: int, threshold: float
+) -> Optional[bool]:
+    """The validation gate's outcome once no result still to land can change
+    it: accepted once ``correct / n >= threshold``, rejected once even
+    ``(correct + remaining) / n`` falls below it, else None. The accuracy is
+    the same float expression at every count, and a larger count never
+    gives a smaller one, so the outcome is the full accuracy's."""
+    if correct / n >= threshold:
+        return True
+    if (correct + remaining) / n < threshold:
+        return False
+    return None
+
+
 @dataclass
 class RunState:
     current: PromptVersion
@@ -199,6 +225,9 @@ class OptimizationRun:
             val = val[: config.val_subsample]
         self.val = val
         self.state: Optional[RunState] = None
+        # The last step's gate, decided with validation calls still to land,
+        # and the function that commits the step once they have.
+        self._pending: Optional[tuple[Decided, Callable]] = None
         # The SHA-256 of each input file's bytes, by role, which a resume
         # or a replay compares with the commit's.
         self.input_sha256 = {"train": train_sha256, "val": val_sha256}
@@ -362,22 +391,39 @@ class OptimizationRun:
             "reg_present": reg is not None,
         }
 
-    def _step(self, step: int, pool: Executor, trace_log: Appender) -> None:
+    def _step(self, step: int, pool: Executor, trace_log: Appender,
+              commit_log: Appender) -> None:
         state = self.state
         batch = next_batch(
             self.train, step, self.config.batch_size, self.config.seed
         )
         # The diagnosis is first needed by the rewrite, two calls after the
-        # batch's forward calls, so it queues behind them. Nothing below
-        # changes state or the bank before it is joined.
+        # batch's forward calls, so it queues behind them, and the previous
+        # step's unsent validation calls behind it. Nothing below changes
+        # state or the bank before that validation has landed.
         diagnosis: list[Future] = []
+
+        def queued() -> None:
+            diagnosis.append(pool.submit(self._regularization_phase, step))
+            if self._pending is not None:
+                self._pending[0].send_rest(pool)
+
         stage1 = run_purification_stage(
-            state.current, batch, state.bank, self.gateway, step, pool,
-            lambda: diagnosis.append(
-                pool.submit(self._regularization_phase, step)
-            ),
+            state.current, batch, state.bank, self.gateway, step, pool, queued
         )
-        reg, ser_record = diagnosis[0].result()
+        if stage1.task_gradient is None:
+            reg, ser_record = diagnosis[0].result()
+        else:
+            # The rewrite's slot is asked for while the diagnosis runs.
+            with pool.slot(diagnosis[0].result) as (reg, ser_record):
+                candidate = apply_update(
+                    state.current,
+                    stage1.task_gradient,
+                    reg,
+                    self.gateway,
+                    step,
+                )
+        self._settle()
 
         trace: dict = {
             "step": step,
@@ -385,7 +431,7 @@ class OptimizationRun:
             "batch_accuracy": stage1.batch_accuracy,
             "gradient_accepted": stage1.task_gradient is not None,
         }
-
+        gate = None
         if stage1.task_gradient is None:
             # No surviving task signal: the prompt is unchanged and the next
             # step sees an identity transition.
@@ -397,33 +443,25 @@ class OptimizationRun:
                 accepted=None,
             )
         else:
-            candidate = apply_update(
-                state.current,
-                stage1.task_gradient,
-                reg,
-                self.gateway,
-                step,
-            )
-            report = evaluate(
+            threshold = state.current_val - self.config.acceptance_relaxation
+            n = len(self.val)
+            gate = evaluate(
                 candidate, self.val, self.gateway, step=step,
                 dataset_name="val", pool=pool,
+                decide=(lambda correct, remaining:
+                        gate_outcome(correct, remaining, n, threshold))
+                if isinstance(pool, CallPool) else None,
             )
-            accepted = report.accuracy >= (
-                state.current_val - self.config.acceptance_relaxation
-            )
+            accepted = (gate.outcome if isinstance(gate, Decided)
+                        else gate.accuracy >= threshold)
             trace.update(
                 update="applied",
                 candidate_version=candidate.version,
-                candidate_val=report.accuracy,
                 accepted=accepted,
             )
             if accepted:
                 state.previous, state.contexts = state.current, stage1.contexts
                 state.current = candidate
-                state.current_val = report.accuracy
-                if report.accuracy > state.best_val:
-                    state.best = candidate
-                    state.best_val = report.accuracy
             # Rejected candidates leave current, the cached validation score,
             # and the previous transition untouched; bank updates remain.
 
@@ -431,10 +469,50 @@ class OptimizationRun:
         # could run beside them; its ops land only now.
         ops = stage1.apply_bank_ops(state.bank, step)
         trace["bank_ops"] = [vars(op) for op in ops]
-        trace["current_val"] = state.current_val
-        trace["version_after"] = state.current.version
-        trace_log.append(trace)
-        state.step_completed = step
+
+        def finish(report: Optional[EvalReport]) -> None:
+            """Write the step's trace line and commit, given the full
+            validation report of its candidate, if any."""
+            if report is not None:
+                trace["candidate_val"] = report.accuracy
+                if trace["accepted"]:
+                    state.current_val = report.accuracy
+                    if report.accuracy > state.best_val:
+                        state.best = state.current
+                        state.best_val = report.accuracy
+            trace["current_val"] = state.current_val
+            trace["version_after"] = state.current.version
+            trace_log.append(trace)
+            state.step_completed = step
+            self._commit(commit_log)
+
+        if not isinstance(gate, Decided):
+            finish(gate)
+        elif gate.landed():
+            finish(gate.report())
+        else:
+            # The next step starts now; this one commits once its unsent
+            # validation calls, queued behind the next step's forward calls
+            # and diagnosis, have landed.
+            self._pending = (gate, finish)
+            self.gateway.hold_lines_after(step)
+
+    def _settle(self, failed: bool = False) -> None:
+        """Wait for the last step's validation to land, then write its trace
+        line and commit and release the transcript lines held behind it.
+        After a failure the step commits only if its validation calls were
+        all sent and all succeeded."""
+        if self._pending is None:
+            return
+        (gate, finish), self._pending = self._pending, None
+        try:
+            report = gate.report()
+        except Exception:
+            if failed:
+                return
+            raise
+        finish(report)
+        self.gateway.release_lines()
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps, or those
@@ -468,9 +546,17 @@ class OptimizationRun:
             end = self.config.iterations
             if stop_after_step is not None:
                 end = min(end, stop_after_step + 1)
-            for step in range(self.state.step_completed + 1, end):
-                self._step(step, pool, trace_log)
-                self._commit(commit_log)
+            try:
+                for step in range(self.state.step_completed + 1, end):
+                    self._step(step, pool, trace_log, commit_log)
+                if self._pending is not None:  # no next step to queue behind
+                    self._pending[0].send_rest(pool)
+                self._settle()
+            except BaseException:
+                # A step whose own calls all landed commits even though the
+                # next one failed, so a resume sends none of them again.
+                self._settle(failed=True)
+                raise
         state = self.state
         save_rulebank(state.bank, paths[RULEBANK_FILE])
         return {

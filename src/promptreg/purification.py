@@ -143,16 +143,24 @@ def run_purification_stage(
 ) -> StageOneResult:
     """Full Stage 1 for one mini-batch: eval, critique, purify, and
     canonicalization submitted to ``pool``. ``on_queued`` is called once the
-    batch's forward calls are queued on ``pool``.
+    batch's forward calls are queued on ``pool``; the critique and the
+    purifier call run on the calling thread in one of its slots.
 
     The bank is left untouched until the caller applies the result's ops.
     """
-    contexts = forward_eval(prompt, batch, gateway, step, pool, on_queued)
-    gradient = generate_raw_gradient(prompt, contexts, gateway, step)
-    purified = purify(gradient, contexts, bank, prompt, gateway, step)
-    bank_ops = None
-    if purified is not None:
-        bank_ops = pool.submit(canonicalize_and_match, purified, bank, gateway, step)
+    # The slot is asked for before the forward calls land, and both chain
+    # calls run in it, so no background task slips in ahead of either; the
+    # slot it leaves goes to canonicalization first.
+    with pool.slot(
+        lambda: forward_eval(prompt, batch, gateway, step, pool, on_queued)
+    ) as contexts:
+        gradient = generate_raw_gradient(prompt, contexts, gateway, step)
+        purified = purify(gradient, contexts, bank, prompt, gateway, step)
+        bank_ops = None
+        if purified is not None:
+            bank_ops = pool.submit(
+                canonicalize_and_match, purified, bank, gateway, step
+            )
     batch_accuracy = sum(c.correct for c in contexts) / len(contexts)
     return StageOneResult(
         contexts=tuple(contexts),

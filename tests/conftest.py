@@ -43,8 +43,9 @@ class _ScriptedReply(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         with self.server.lock:
             self.server.received.append((self.headers, body))
-            if self.server.replies:
-                status, body, headers = self.server.replies.pop(0)
+            reply = self.server.reply(body)
+            if reply is not None:
+                status, body, headers = reply
             else:
                 self.server.unscripted += 1
                 status, body, headers = 599, b"no scripted reply", {}
@@ -73,6 +74,11 @@ class LoopbackServer(HTTPServer):
         self.unscripted = 0
         self.connections = 0
         self.open = 0
+
+    def reply(self, body: dict):
+        """The reply to a request of decoded JSON ``body``, called under
+        ``lock``: the next scripted one, or None when none is left."""
+        return self.replies.pop(0) if self.replies else None
 
     @property
     def url(self) -> str:
@@ -108,13 +114,23 @@ class _KeepAliveReply(_ScriptedReply):
 class KeepAliveServer(ThreadingMixIn, LoopbackServer):
     """A ``LoopbackServer`` on HTTP/1.1 that keeps each connection open and
     serves it on its own thread; with ``drop_idle`` set, it closes each
-    connection after its first reply without saying so."""
+    connection after its first reply without saying so. With ``keyed`` set,
+    a dict from ``(model, system, user)`` to reply content, it answers each
+    request by its key instead of in script order."""
 
     daemon_threads = True
 
     def __init__(self) -> None:
         super().__init__(_KeepAliveReply)
         self.drop_idle = False
+        self.keyed: dict[tuple[str, str, str], str] | None = None
+
+    def reply(self, body: dict):
+        if self.keyed is None:
+            return super().reply(body)
+        system, user = (message["content"] for message in body["messages"])
+        content = self.keyed.get((body["model"], system, user))
+        return None if content is None else ok_reply(content)
 
 
 def _serve(server: LoopbackServer):

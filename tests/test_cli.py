@@ -313,6 +313,23 @@ class TestEvaluate:
         return ["evaluate", "--prompt-file", str(prompt_file),
                 "--dataset", str(dataset), "--fixtures", str(fixtures)]
 
+    def test_dataset_line_nested_too_deep_is_a_usage_error(
+        self, runner, tmp_path
+    ):
+        """The C scanner raises RecursionError, not a decode error, on
+        nesting past the interpreter's limit."""
+        fixtures = tmp_path / "f.jsonl"
+        fixtures.write_text(
+            json.dumps({"role": "FORWARD", "response": "Answer: A"}) + "\n"
+        )
+        nested = "[" * 100_000 + "]" * 100_000
+        args = self.evaluate_args(
+            tmp_path, '{"question": "q", "answer": ' + nested + "}\n", fixtures
+        )
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "line 1: invalid JSON" in result.output
+
     def test_readme_command_writes_a_version_for_prompt_file(self, tmp_path):
         """The README's command that takes version 8's text from a run's
         state.json, run on the golden run."""

@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import threading
 from contextlib import closing
 from dataclasses import asdict
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import scripted_gateway
 from promptreg.errors import ConfigError, DatasetError
 from promptreg.evaluation import (
+    CallPool,
     Sample,
     evaluate,
     extract_answer,
@@ -243,6 +245,55 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             evaluate(PROMPT, [], scripted_gateway([]))
+
+
+class TestCallPool:
+    """Background tasks fill only slots that nothing else waits for."""
+
+    @staticmethod
+    def blocked(pool):
+        """Hold the pool's one slot until the event returned is set."""
+        release = threading.Event()
+        pool.submit(release.wait)
+        return release
+
+    def test_background_task_waits_for_every_other_task(self):
+        order = []
+        with CallPool(1) as pool:
+            release = self.blocked(pool)
+            pool.submit_background(order.append, "background")
+            pool.submit(order.append, "first")
+            pool.submit(order.append, "second")
+            release.set()
+        assert order == ["first", "second", "background"]
+
+    def test_slot_asked_for_is_served_before_a_background_task(self):
+        order = []
+        with CallPool(1) as pool:
+            release = self.blocked(pool)
+            pool.submit_background(order.append, "background")
+            # The slot is asked for before the work it waits on lets go.
+            with pool.slot(release.set):
+                order.append("slot")
+        assert order == ["slot", "background"]
+
+    def test_decided_evaluation_sends_the_rest_only_when_asked(self, tmp_path):
+        samples = [Sample(f"q{i}", str(i)) for i in range(5)]
+        transcript = tmp_path / "t.jsonl"
+        gw = scripted_gateway(forward_fixtures(samples, wrong_indices={3}),
+                              transcript)
+        full = evaluate(PROMPT, samples, scripted_gateway(
+            forward_fixtures(samples, wrong_indices={3})))
+        with closing(gw), CallPool(1) as pool:
+            gate = evaluate(PROMPT, samples, gw, pool=pool,
+                            decide=lambda correct, remaining: correct >= 1 or None)
+            assert gate.outcome is True
+            assert not gate.landed()
+            assert len(transcript.read_text().splitlines()) == 1
+            gate.send_rest(pool)
+            assert gate.report() == full
+            assert gate.landed()
+        assert len(transcript.read_text().splitlines()) == 5
 
 
 class TestGeneralizationGap:

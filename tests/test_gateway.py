@@ -429,6 +429,12 @@ class TestCompleteJson:
         (record,) = caplog.records
         assert "GRADIENT at step 0: guidance is 7, not str" in record.getMessage()
 
+    def test_reply_nested_too_deep_is_reasked_then_none(self):
+        nested = '{"guidance": ' * 100_000 + '"g"' + "}" * 100_000
+        replies = Replies(nested, nested)
+        assert replies.gateway().complete_json(req(), {"guidance": str}) is None
+        assert replies.calls == 2
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=10).map("".join))
     def test_second_call_exactly_when_the_first_reply_does_not_parse(
@@ -601,6 +607,11 @@ class TestHttpBackend:
     )
     def test_malformed_success_body(self, loopback, body):
         loopback.script((200, body, {}))
+        with pytest.raises(MalformedOutputError, match="malformed response body"):
+            HttpBackend().complete(req(Role.FORWARD), engine_at(loopback.url))
+
+    def test_success_body_nested_too_deep(self, loopback):
+        loopback.script((200, b"[" * 100_000 + b"]" * 100_000, {}))
         with pytest.raises(MalformedOutputError, match="malformed response body"):
             HttpBackend().complete(req(Role.FORWARD), engine_at(loopback.url))
 

@@ -10,12 +10,11 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA_DIR, scripted_gateway
 from promptreg import loop
@@ -27,10 +26,11 @@ from promptreg.errors import (
     RunStateError,
     UpdateExtractionError,
 )
-from promptreg.evaluation import Sample
+from promptreg.evaluation import CallPool, Sample
 from promptreg.gateway import (
     EngineConfig,
     Gateway,
+    HttpBackend,
     Role,
     RoleAssignment,
     ScriptedBackend,
@@ -533,6 +533,14 @@ class TestResumeFromCommit:
             handle.write('{"step": 6, "ser": {"sta')
         self.run(run_dir)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_commit_line_nested_too_deep_is_refused(self, tmp_path):
+        run_dir = tmp_path / "run"
+        self.run(run_dir, stop_after_step=1)
+        with open(run_dir / STATE_FILE, "a") as handle:
+            handle.write('{"bank": ' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        with pytest.raises(RunStateError, match="run state unreadable"):
+            self.run(run_dir)
 
     def test_log_shorter_than_commit_is_refused(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -1057,13 +1065,18 @@ class TestCallPool:
         self, tmp_path, monkeypatch, cap
     ):
         """Each step's diagnosis is submitted right behind its batch's
-        forward calls, so those never wait for it."""
+        forward calls, so those never wait for it, and the last step's
+        unsent validation calls right behind the diagnosis."""
         submitted = []
 
-        class Recording(ThreadPoolExecutor):
+        class Recording(CallPool):
             def submit(self, fn, /, *args, **kwargs):
                 submitted.append((fn.__name__, args))
                 return super().submit(fn, *args, **kwargs)
+
+            def submit_background(self, fn, /, *args, **kwargs):
+                submitted.append(("background", args))
+                return super().submit_background(fn, *args, **kwargs)
 
         monkeypatch.setattr(loop, "call_pool", lambda cap: Recording(cap))
         run_dir = tmp_path / "run"
@@ -1080,6 +1093,34 @@ class TestCallPool:
             assert submitted[at - len(batch):at] == [
                 ("run_one", (sample,)) for sample in batch
             ]
+        background = [at for at, (name, _) in enumerate(submitted)
+                      if name == "background"]
+        assert background
+        for at in background:
+            if at < diagnoses[-1][0]:
+                assert submitted[at - 1][0] in (
+                    "_regularization_phase", "background"
+                )
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    @pytest.mark.parametrize("cap", [2, 3, 8])
+    def test_each_commit_splits_the_transcript_between_steps(
+        self, tmp_path, cap
+    ):
+        """A step may start before the one before it commits, but its
+        transcript lines all land after that commit's transcript length."""
+        run_dir = tmp_path / "run"
+        self.run_with(run_dir, GOLDEN_BACKEND, cap)
+        transcript = (run_dir / TRANSCRIPT_FILE).read_bytes()
+        for commit in commits(run_dir):
+            cut = commit["log_bytes"][TRANSCRIPT_FILE]
+            step = commit["step_completed"]
+            before, after = (
+                [json.loads(line)["step"] for line in part.splitlines()]
+                for part in (transcript[:cut], transcript[cut:])
+            )
+            assert max(before) <= max(step, 0)
+            assert step < 0 or not after or min(after) == step + 1
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
@@ -1103,6 +1144,74 @@ class TestCallPool:
         self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap=2)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
         assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+
+class TestLoopOverHttp:
+    """The golden run through ``HttpBackend`` against a keep-alive stub that
+    answers each request by its engine's model (the role), system and user
+    text, with the reply the scripted run recorded for them."""
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_golden_run_at_cap(self, tmp_path, keepalive, uninterrupted, cap):
+        keepalive.keyed = {
+            (role, system, user): response
+            for _, role, system, user, response in uninterrupted[TRANSCRIPT_FILE]
+        }
+        assert len(keepalive.keyed) == sum(GOLDEN_CALLS.values())
+        engines = RoleAssignment(**{
+            role.value.lower(): EngineConfig(
+                name=role.value.lower(), endpoint=keepalive.url,
+                model_id=role.value,
+            )
+            for role in Role
+        })
+        backend = HttpBackend()
+        run_dir = tmp_path / "run"
+        OptimizationRun(golden_config(run_dir, concurrency_cap=cap), Gateway(
+            engines, {role: backend for role in Role},
+            transcript_path=run_dir / TRANSCRIPT_FILE,
+        )).run()
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert len(keepalive.received) == sum(GOLDEN_CALLS.values())
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+
+@st.composite
+def gate_cases(draw) -> tuple[float, float, list[bool]]:
+    """The current validation accuracy (some k/n), the relaxation and the
+    validation results in landing order, with the number right at the
+    threshold or one off it, where rounding decides."""
+    n = draw(st.integers(1, 40))
+    current_val = draw(st.integers(0, n)) / n
+    relaxation = draw(
+        st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 0.01, 0.05, 1 / 3])
+        | st.integers(1, 99).map(lambda percent: percent / 100)
+        | st.floats(0, 1.5, allow_nan=False)
+    )
+    near = round((current_val - relaxation) * n) + draw(st.integers(-1, 1))
+    right = min(max(near, 0), n)
+    results = draw(st.permutations([True] * right + [False] * (n - right)))
+    return current_val, relaxation, results
+
+
+@settings(max_examples=1000, deadline=None)
+@given(gate_cases())
+# 2/3 falls below 1 - 1/3 in floating point, and 0.7 below 0.8 - 0.1.
+@example((1.0, 1 / 3, [True, True, False]))
+@example((0.8, 0.1, [True] * 7 + [False] * 3))
+def test_gate_decided_early_is_the_full_accuracy_decision(case):
+    """Taken at the first count that settles it, the gate's outcome is the
+    one the full accuracy gives, for any order of results."""
+    current_val, relaxation, correct = case
+    n = len(correct)
+    threshold = current_val - relaxation
+    outcome, tally = None, 0
+    for landed, result in enumerate(correct, 1):
+        tally += result
+        outcome = loop.gate_outcome(tally, n - landed, n, threshold)
+        if outcome is not None:
+            break
+    assert outcome == (sum(correct) / n >= current_val - relaxation)
 
 
 class TestReplay:

@@ -243,6 +243,12 @@ class TestPersistence:
         with pytest.raises(RuleBankError, match="rulebank unreadable"):
             load_rulebank(path)
 
+    def test_file_nested_too_deep_errors(self, tmp_path):
+        path = tmp_path / "bank.json"
+        path.write_text('{"entries": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(RuleBankError, match="rulebank unreadable"):
+            load_rulebank(path)
+
 
 def test_apply_ops_only_reachable_from_purification():
     """The raw-gradient path must have no handle to apply_ops."""

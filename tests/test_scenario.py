@@ -164,6 +164,52 @@ def test_crash_at_a_drawn_call_resumes_to_the_uninterrupted_run(
     assert_resumed_to(uninterrupted, run_dir, cap)
 
 
+class Landed:
+    """``inner``'s replies, recording the ``(step, role, system, user)`` of
+    each call that returned."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keys = []
+
+    def complete(self, request, engine):
+        response = self.inner.complete(request, engine)
+        self.keys.append(
+            (request.step, request.role.value, request.system, request.user)
+        )
+        return response
+
+
+@settings(max_examples=10, deadline=None)
+@given(call=st.integers(1, 4755))
+def test_resume_at_cap_3_resends_no_call_of_the_steps_whose_calls_all_landed(
+    scenario_runs, uninterrupted, tmp_path_factory, call
+):
+    """A step may commit while the next one runs; a failure in the next one
+    still leaves its commit when its own calls, and every earlier step's,
+    had all landed."""
+    plan, runs = scenario_runs
+    work = runs[1][0].parent
+    backend = ScriptedBackend.from_jsonl(work / "fixtures.jsonl")
+    run_dir = tmp_path_factory.mktemp("crash")
+    transcript = run_dir / TRANSCRIPT_FILE
+    config = scenario_config(work, plan, SEED, run_dir, 3)
+    crashed = Landed(FailsAtCall(call, backend))
+    with pytest.raises(BackendUnavailableError):
+        OptimizationRun(config, gateway_over(crashed, transcript)).run()
+    resumed = Landed(backend)
+    OptimizationRun(config, gateway_over(resumed, transcript)).run()
+    assert_resumed_to(uninterrupted, run_dir, 3)
+    calls = Counter(tuple(call[:4]) for call in uninterrupted[TRANSCRIPT_FILE])
+    landed = Counter(crashed.keys)
+    # Steps commit in order, so a step after one that lost a call waits
+    # for that one's rerun, however many of its own calls landed.
+    first_short = min(
+        key[0] for key, count in calls.items() if landed[key] < count
+    )
+    assert not [key for key in resumed.keys if key[0] < first_short]
+
+
 @settings(max_examples=3, deadline=None)
 @given(step=st.integers(-1, 198))
 def test_stop_after_a_drawn_step_resumes_to_the_uninterrupted_run(
