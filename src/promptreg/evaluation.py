@@ -264,11 +264,14 @@ class Decided:
     """A forward evaluation on a ``CallPool`` that is waited for only until
     ``decide(correct, remaining)`` gives its outcome, a bool: ``correct`` of
     the results landed so far are right, and ``remaining`` are yet to land.
+    With ``on_queued``, called once every call is queued, ``decide`` is
+    first asked when it has returned, so it may read what ``on_queued``
+    sets; the results landed meanwhile are counted then.
 
-    The calls not yet sent at that point are withdrawn in the same pool task
-    that decided, before its slot takes more work. ``send_rest`` queues them
-    again as background work; ``report`` waits for every call and gives the
-    full report.
+    The calls not yet sent at that point are withdrawn in the pool task or
+    the thread that decided. ``send_rest`` queues them again as background
+    work, and ``hurry`` as tasks; ``report`` waits for every call and gives
+    the full report.
     """
 
     def __init__(self, pool: CallPool, run_one, samples: list[Sample],
@@ -279,28 +282,36 @@ class Decided:
         self._run_one, self._samples, self._build = run_one, samples, build
         tally = [0, len(samples)]  # correct, remaining
         lock = threading.Lock()
+        asking = on_queued is None
+
+        def ask() -> None:  # under lock
+            self.outcome = decide(*tally)
+            if self.outcome is not None:
+                for future in self._futures:
+                    future.cancel()
 
         def gated(sample: Sample) -> SampleResult:
             result = run_one(sample)
             with lock:
                 tally[0] += result.correct
                 tally[1] -= 1
-                if self.outcome is None:
-                    self.outcome = decide(*tally)
-                    if self.outcome is not None:
-                        for future in self._futures:
-                            future.cancel()
+                if asking and self.outcome is None:
+                    ask()
             return result
 
         with lock:
             self._futures = [pool.submit(gated, sample) for sample in samples]
-        if on_queued is not None:
-            on_queued()
         try:
-            for future in as_completed(self._futures):
-                if self.outcome is not None:
-                    break
-                future.result()
+            if on_queued is not None:
+                on_queued()
+                with lock:
+                    asking = True
+                    ask()
+            if self.outcome is None:
+                for future in as_completed(self._futures):
+                    if self.outcome is not None:
+                        break
+                    future.result()
         except BaseException:
             for future in self._futures:
                 future.cancel()
@@ -317,6 +328,15 @@ class Decided:
             self._futures[i] = pool.submit_background(
                 self._run_one, self._samples[i]
             )
+        self._unsent = []
+
+    def hurry(self, pool: CallPool) -> None:
+        """Queue as tasks, behind those queued so far, the withdrawn calls
+        and the background calls not yet started."""
+        for i, future in enumerate(self._futures):
+            # True for a future withdrawn, or cancelled here before it ran.
+            if future.cancel():
+                self._futures[i] = pool.submit(self._run_one, self._samples[i])
         self._unsent = []
 
     def report(self) -> EvalReport:
@@ -344,7 +364,8 @@ def evaluate(
     once the calls are queued, before their results are awaited; at cap 1
     nothing is queued ahead, so it runs before the first call. With
     ``decide``, ``pool`` must be a ``CallPool``, and the result is the
-    ``Decided`` evaluation, returned once its outcome is known.
+    ``Decided`` evaluation, returned once its outcome is known; ``decide``
+    is first asked once ``on_queued`` has returned.
     """
     if not samples:
         raise ValueError("dataset must be nonempty")

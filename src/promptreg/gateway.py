@@ -440,8 +440,9 @@ class Gateway:
             role: (engines.for_role(role), backends[role]) for role in Role
         }
         self._transcript = Appender(transcript_path) if transcript_path else None
-        # The transcript lines kept back by hold_lines_after, or None.
-        self._held: Optional[list[bytes]] = None
+        # The (step, line) of each transcript line kept back by
+        # hold_lines_after, in arrival order, or None.
+        self._held: Optional[list[tuple[int, bytes]]] = None
         self._held_after = 0
         self._hold_lock = threading.Lock()
 
@@ -522,15 +523,22 @@ class Gateway:
     def hold_lines_after(self, step: int) -> None:
         """Keep the transcript lines of calls of steps after ``step`` in
         memory until ``release_lines``, so that a commit of ``step`` written
-        meanwhile counts none of them."""
-        self._held_after = step
-        self._held = []
+        meanwhile counts none of them. Lines kept back already of steps up
+        to ``step`` are appended now, in arrival order."""
+        with self._hold_lock:
+            held, self._held = self._held or (), []
+            self._held_after = step
+            for at, line in held:
+                if at > step:
+                    self._held.append((at, line))
+                else:
+                    self._transcript.append_line(line)
 
     def release_lines(self) -> None:
         """Append the lines kept back, and stop keeping lines back."""
         with self._hold_lock:
             held, self._held = self._held, None
-            for line in held or ():
+            for _, line in held or ():
                 self._transcript.append_line(line)
 
     def close(self) -> None:
@@ -553,8 +561,8 @@ class Gateway:
         )
         if self._held is not None and request.step > self._held_after:
             with self._hold_lock:
-                if self._held is not None:
-                    self._held.append(line)
+                if self._held is not None and request.step > self._held_after:
+                    self._held.append((request.step, line))
                     return
         self._transcript.append_line(line)
 

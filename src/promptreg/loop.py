@@ -5,7 +5,7 @@ mini-batch execution and gradient purification, an optional guided rewrite,
 and a validation gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``, and is queued in this order: the batch's forward calls
 first; the diagnosis behind them, since it reads only the last commit and is
-first needed by the rewrite; the previous step's unsent validation calls as
+first needed by the rewrite; the last gate's unsent validation calls as
 background work, which takes only slots no other call waits for; rule
 canonicalization beside the rewrite and the gate, since it feeds only the
 bank. The raw-gradient, purifier and rewrite calls are made on the calling
@@ -16,10 +16,14 @@ always has.
 Above cap 1 the gate returns once its outcome is certain (``gate_outcome``),
 and the calls it has not sent wait for the next step's forward calls and
 diagnosis to be queued. The step's trace line and commit need the full
-accuracy, so they are written once those calls land, before the next step
-changes state or the bank. The gateway holds the next step's transcript
-lines until that commit, so no transcript line of step t+1 comes before
-commit t.
+accuracy, so they are written once those calls land, from a commit line
+taken when the step ended. Of the steps after it, only the next gate's
+decision waits for that commit, since its threshold is the accuracy: the
+next gate queues the unsent calls not yet started ahead of its own, and its
+own before it waits, and a step without a gate does not wait at all, its
+commit written behind the pending one. The gateway holds each step's transcript lines until the commit of
+the step before it, so no transcript line of step t+1 comes before commit
+t.
 
 Every decision lands in an append-only trace so that a scripted run is
 replayable byte-for-byte. State is committed after every step as one line
@@ -225,9 +229,12 @@ class OptimizationRun:
             val = val[: config.val_subsample]
         self.val = val
         self.state: Optional[RunState] = None
-        # The last step's gate, decided with validation calls still to land,
-        # and the function that commits the step once they have.
-        self._pending: Optional[tuple[Decided, Callable]] = None
+        # The last gate decided with validation calls still to land, and the
+        # steps whose commits wait on it, its own and those of the gateless
+        # steps after it: each step with the function that writes its trace
+        # line and commit.
+        self._gate: Optional[Decided] = None
+        self._pending: list[tuple[int, Callable]] = []
         # The SHA-256 of each input file's bytes, by role, which a resume
         # or a replay compares with the commit's.
         self.input_sha256 = {"train": train_sha256, "val": val_sha256}
@@ -273,23 +280,35 @@ class OptimizationRun:
                     f"{where}"
                 )
 
-    def _commit(self, commit_log: Appender) -> None:
-        """Append the commit line: state, config, input digests, step log
-        lengths and bank."""
+    def _snapshot(self) -> dict:
+        """The commit line of the state as it stands: state, config, input
+        digests and bank. ``_commit`` fills in the rest."""
         state = self.state
         assert state is not None
         # vars(), not asdict(): this runs every step, and asdict deep-copies.
-        commit_log.append(dict(
+        # The bank's rules are shared, not copied: the bank changes only
+        # after a gate, and a gate first commits every step before it.
+        return dict(
             vars(state),
             current=vars(state.current),
-            best=vars(state.best),
             previous=vars(state.previous) if state.previous else None,
             contexts=[vars(c) for c in state.contexts],
             bank=bank_document(state.bank),
             config=vars(self.config),
             input_sha256=self.input_sha256,
+        )
+
+    def _commit(self, commit_log: Appender, line: dict) -> None:
+        """Append the commit line ``line``, a ``_snapshot``, with the scores
+        as they stand now and the step logs' lengths."""
+        state = self.state
+        line.update(
+            current_val=state.current_val,
+            best=vars(state.best),
+            best_val=state.best_val,
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
-        ))
+        )
+        commit_log.append(line)
 
     def _resume(self) -> Optional[RunState]:
         """Load the last commit, refuse it if it is not this run's own, and
@@ -398,41 +417,27 @@ class OptimizationRun:
             self.train, step, self.config.batch_size, self.config.seed
         )
         # The diagnosis is first needed by the rewrite, two calls after the
-        # batch's forward calls, so it queues behind them, and the previous
-        # step's unsent validation calls behind it. Nothing below changes
-        # state or the bank before that validation has landed.
+        # batch's forward calls, so it queues behind them, and the last
+        # gate's unsent validation calls behind it. Nothing below commits a
+        # step or changes the bank before the gate.
         diagnosis: list[Future] = []
 
         def queued() -> None:
             diagnosis.append(pool.submit(self._regularization_phase, step))
-            if self._pending is not None:
-                self._pending[0].send_rest(pool)
+            if self._gate is not None:
+                self._gate.send_rest(pool)
 
         stage1 = run_purification_stage(
             state.current, batch, state.bank, self.gateway, step, pool, queued
         )
-        if stage1.task_gradient is None:
-            reg, ser_record = diagnosis[0].result()
-        else:
-            # The rewrite's slot is asked for while the diagnosis runs.
-            with pool.slot(diagnosis[0].result) as (reg, ser_record):
-                candidate = apply_update(
-                    state.current,
-                    stage1.task_gradient,
-                    reg,
-                    self.gateway,
-                    step,
-                )
-        self._settle()
-
         trace: dict = {
             "step": step,
-            "ser": ser_record,
             "batch_accuracy": stage1.batch_accuracy,
             "gradient_accepted": stage1.task_gradient is not None,
         }
         gate = None
         if stage1.task_gradient is None:
+            trace["ser"] = diagnosis[0].result()[1]
             # No surviving task signal: the prompt is unchanged and the next
             # step sees an identity transition.
             state.previous, state.contexts = state.current, stage1.contexts
@@ -443,17 +448,31 @@ class OptimizationRun:
                 accepted=None,
             )
         else:
-            threshold = state.current_val - self.config.acceptance_relaxation
-            n = len(self.val)
+            # The rewrite's slot is asked for while the diagnosis runs.
+            with pool.slot(diagnosis[0].result) as (reg, trace["ser"]):
+                candidate = apply_update(
+                    state.current,
+                    stage1.task_gradient,
+                    reg,
+                    self.gateway,
+                    step,
+                )
+            # The gate's calls queue behind the last gate's unsent ones, and
+            # only its decision waits for the commits they hold back, which
+            # set the threshold.
+            if self._gate is not None:
+                self._gate.hurry(pool)
+            decided = isinstance(pool, CallPool)
+            n, relaxation = len(self.val), self.config.acceptance_relaxation
             gate = evaluate(
                 candidate, self.val, self.gateway, step=step,
-                dataset_name="val", pool=pool,
-                decide=(lambda correct, remaining:
-                        gate_outcome(correct, remaining, n, threshold))
-                if isinstance(pool, CallPool) else None,
+                dataset_name="val", pool=pool, on_queued=self._settle,
+                decide=(lambda correct, remaining: gate_outcome(
+                    correct, remaining, n, state.current_val - relaxation))
+                if decided else None,
             )
-            accepted = (gate.outcome if isinstance(gate, Decided)
-                        else gate.accuracy >= threshold)
+            accepted = (gate.outcome if decided
+                        else gate.accuracy >= state.current_val - relaxation)
             trace.update(
                 update="applied",
                 candidate_version=candidate.version,
@@ -469,6 +488,9 @@ class OptimizationRun:
         # could run beside them; its ops land only now.
         ops = stage1.apply_bank_ops(state.bank, step)
         trace["bank_ops"] = [vars(op) for op in ops]
+        trace["version_after"] = state.current.version
+        state.step_completed = step
+        line = self._snapshot()
 
         def finish(report: Optional[EvalReport]) -> None:
             """Write the step's trace line and commit, given the full
@@ -478,33 +500,34 @@ class OptimizationRun:
                 if trace["accepted"]:
                     state.current_val = report.accuracy
                     if report.accuracy > state.best_val:
-                        state.best = state.current
+                        state.best = candidate
                         state.best_val = report.accuracy
             trace["current_val"] = state.current_val
-            trace["version_after"] = state.current.version
             trace_log.append(trace)
-            state.step_completed = step
-            self._commit(commit_log)
+            self._commit(commit_log, line)
 
-        if not isinstance(gate, Decided):
-            finish(gate)
-        elif gate.landed():
-            finish(gate.report())
-        else:
+        if isinstance(gate, Decided) and not gate.landed():
             # The next step starts now; this one commits once its unsent
             # validation calls, queued behind the next step's forward calls
             # and diagnosis, have landed.
-            self._pending = (gate, finish)
+            self._gate = gate
             self.gateway.hold_lines_after(step)
+        if self._gate is not None:
+            # Behind it, so does a step that has no gate of its own.
+            self._pending.append((step, finish))
+        else:
+            finish(gate.report() if isinstance(gate, Decided) else gate)
 
     def _settle(self, failed: bool = False) -> None:
-        """Wait for the last step's validation to land, then write its trace
-        line and commit and release the transcript lines held behind it.
-        After a failure the step commits only if its validation calls were
-        all sent and all succeeded."""
-        if self._pending is None:
+        """Wait for the last gate's validation to land, then write the trace
+        line and commit of its step and of each gateless step behind it,
+        appending before each commit the held transcript lines of its
+        step. After a failure they commit only if that validation's calls
+        were all sent and all succeeded."""
+        if self._gate is None:
             return
-        (gate, finish), self._pending = self._pending, None
+        gate, self._gate = self._gate, None
+        ((_, finish), *gateless), self._pending = self._pending, []
         try:
             report = gate.report()
         except Exception:
@@ -512,6 +535,9 @@ class OptimizationRun:
                 return
             raise
         finish(report)
+        for step, finish in gateless:
+            self.gateway.hold_lines_after(step)
+            finish(None)
         self.gateway.release_lines()
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
@@ -538,7 +564,7 @@ class OptimizationRun:
             self.state = self._resume()
             if self.state is None:
                 self._initialize(pool)
-                self._commit(commit_log)
+                self._commit(commit_log, self._snapshot())
             else:
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
@@ -549,8 +575,8 @@ class OptimizationRun:
             try:
                 for step in range(self.state.step_completed + 1, end):
                     self._step(step, pool, trace_log, commit_log)
-                if self._pending is not None:  # no next step to queue behind
-                    self._pending[0].send_rest(pool)
+                if self._gate is not None:  # no next step to queue behind
+                    self._gate.send_rest(pool)
                 self._settle()
             except BaseException:
                 # A step whose own calls all landed commits even though the

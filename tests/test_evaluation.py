@@ -295,6 +295,48 @@ class TestCallPool:
             assert gate.landed()
         assert len(transcript.read_text().splitlines()) == 5
 
+    def test_decide_is_first_asked_once_on_queued_has_returned(self):
+        """The results that land while ``on_queued`` runs are counted when
+        ``decide`` is first asked."""
+        samples = [Sample(f"q{i}", str(i)) for i in range(5)]
+        gw = scripted_gateway(forward_fixtures(samples, wrong_indices={3}))
+        asked = []
+        with CallPool(1) as pool:
+            gate = evaluate(
+                PROMPT, samples, gw, pool=pool,
+                # One slot, so this task runs once every call has landed.
+                on_queued=lambda: pool.submit(int).result(),
+                decide=lambda *tally: asked.append(tally) or True,
+            )
+            assert gate.landed()
+        assert asked == [(4, 0)]
+        assert gate.outcome is True
+
+    def test_hurried_calls_run_between_the_tasks_queued_around_it(
+        self, tmp_path
+    ):
+        samples = [Sample(f"q{i}", str(i)) for i in range(5)]
+        transcript = tmp_path / "t.jsonl"
+        gw = scripted_gateway(forward_fixtures(samples), transcript)
+        seen = []
+
+        def count_lines():
+            seen.append(len(transcript.read_text().splitlines()))
+
+        with closing(gw), CallPool(1) as pool:
+            gate = evaluate(PROMPT, samples, gw, pool=pool,
+                            decide=lambda correct, remaining: correct >= 1 or None)
+            release = self.blocked(pool)
+            try:
+                gate.send_rest(pool)
+                pool.submit(count_lines)
+                gate.hurry(pool)
+                pool.submit(count_lines)
+            finally:
+                release.set()
+            assert gate.report().accuracy == 1.0
+        assert seen == [1, 5]
+
 
 class TestGeneralizationGap:
     def make(self, acc, version=0):

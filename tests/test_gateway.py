@@ -1,5 +1,6 @@
 import base64
 import json
+import random
 import sys
 import tempfile
 import threading
@@ -345,6 +346,79 @@ class TestTranscript:
         gw.close()
         users = [json.loads(l)["user"] for l in path.read_text().splitlines()]
         assert users == ["before", "after"]
+
+    @staticmethod
+    def held_lines(path):
+        """A gateway whose every reply is "r", recording to ``path``, and a
+        function giving the (step, user) of each complete line there."""
+
+        class Reply:
+            def complete(self, request, engine):
+                return "r"
+
+        gw = Gateway(
+            engines=RoleAssignment.uniform(EngineConfig(name="e")),
+            backends={role: Reply() for role in Role},
+            transcript_path=path,
+        )
+
+        def written():
+            if not path.exists():
+                return []
+            # Complete lines only: a writer may be inside its line.
+            return [(entry["step"], entry["user"]) for entry in map(
+                json.loads, path.read_bytes().split(b"\n")[:-1])]
+
+        return gw, written
+
+    def test_held_lines_are_released_one_step_at_a_time(self, tmp_path):
+        """Holding lines after a later step appends those held of the steps
+        up to it, in arrival order, and keeps the later steps' held;
+        ``close`` appends every line still held."""
+        gw, written = self.held_lines(tmp_path / "transcript.jsonl")
+        gw.hold_lines_after(1)
+        for step, user in [(2, "a"), (1, "b"), (3, "c"), (2, "d"), (4, "e"),
+                           (3, "f"), (0, "g")]:
+            gw.complete(req(user=user, step=step))
+        assert [user for _, user in written()] == ["b", "g"]
+        gw.hold_lines_after(2)
+        assert [user for _, user in written()] == ["b", "g", "a", "d"]
+        gw.complete(req(user="h", step=2))
+        gw.complete(req(user="i", step=3))
+        assert [user for _, user in written()] == ["b", "g", "a", "d", "h"]
+        gw.hold_lines_after(3)
+        assert [user for _, user in written()] == \
+            ["b", "g", "a", "d", "h", "c", "f", "i"]
+        gw.close()
+        assert [user for _, user in written()] == \
+            ["b", "g", "a", "d", "h", "c", "f", "i", "e"]
+        gw.complete(req(user="j", step=9))  # no longer held
+        gw.close()
+        assert written()[-1] == (9, "j")
+
+    def test_held_lines_under_concurrent_calls(self, tmp_path):
+        """Eight threads make calls of steps 0-9 while the hold moves on
+        step by step: no line of a step past the hold reaches the file, and
+        every line reaches it once."""
+        gw, written = self.held_lines(tmp_path / "transcript.jsonl")
+        calls = [(step, f"{step}-{i}") for step in range(10) for i in range(40)]
+        random.Random(0).shuffle(calls)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches per call
+        try:
+            gw.hold_lines_after(0)
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(gw.complete, req(user=user, step=step))
+                           for step, user in calls]
+                for step in range(1, 10):
+                    gw.hold_lines_after(step)
+                    assert max(at for at, _ in written()) <= step
+                for future in futures:
+                    future.result(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        gw.close()
+        assert sorted(written()) == sorted(calls)
 
 
 class TestRoutes:

@@ -1,5 +1,6 @@
 import builtins
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from conftest import DATA_DIR, scripted_gateway
 from promptreg import loop
@@ -664,6 +665,42 @@ def run_files(run_dir) -> dict:
     return files
 
 
+def assert_resumed_to(uninterrupted, run_dir, cap) -> None:
+    """The trace and bank byte for byte, every commit line but its config
+    and transcript length, and the transcript call for call, in any order
+    above cap 1."""
+    files, expected = run_files(run_dir), dict(uninterrupted)
+    if cap > 1:  # calls finish in any order
+        for each in (files, expected):
+            each[TRANSCRIPT_FILE] = Counter(each[TRANSCRIPT_FILE])
+    assert files == expected
+
+
+def commits_but_cap(run_dir) -> list[dict]:
+    """The run's commit lines without their step logs' lengths, the cap and
+    the run directory."""
+    lines = commits(run_dir)
+    for line in lines:
+        del line["log_bytes"], line["config"]["concurrency_cap"], \
+            line["config"]["run_dir"]
+    return lines
+
+
+def assert_commits_split_transcript(run_dir) -> None:
+    """Each commit's transcript length falls between the lines of its step
+    and those of the next: a step may start before the one before it
+    commits, but its transcript lines all land after that commit's."""
+    lines = (run_dir / TRANSCRIPT_FILE).read_bytes().splitlines(keepends=True)
+    steps = [json.loads(line)["step"] for line in lines]
+    ends = list(itertools.accumulate(map(len, lines), initial=0))
+    for commit in commits(run_dir):
+        cut = ends.index(commit["log_bytes"][TRANSCRIPT_FILE])
+        step = commit["step_completed"]
+        before, after = steps[:cut], steps[cut:]
+        assert max(before) <= max(step, 0)
+        assert step < 0 or not after or min(after) == step + 1
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory) -> dict:
     """``run_files`` of the golden run at cap 1, run without a crash."""
@@ -966,11 +1003,7 @@ class TestCrashAtAnyCall:
                 config, gateway_over(FailsAtCall(call), transcript)
             ).run()
         OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript)).run()
-        files, expected = run_files(run_dir), dict(uninterrupted)
-        if cap > 1:  # calls finish in any order
-            for each in (files, expected):
-                each[TRANSCRIPT_FILE] = Counter(each[TRANSCRIPT_FILE])
-        assert files == expected
+        assert_resumed_to(uninterrupted, run_dir, cap)
 
 
 class Rendezvous:
@@ -1111,17 +1144,15 @@ class TestCallPool:
         transcript lines all land after that commit's transcript length."""
         run_dir = tmp_path / "run"
         self.run_with(run_dir, GOLDEN_BACKEND, cap)
-        transcript = (run_dir / TRANSCRIPT_FILE).read_bytes()
-        for commit in commits(run_dir):
-            cut = commit["log_bytes"][TRANSCRIPT_FILE]
-            step = commit["step_completed"]
-            before, after = (
-                [json.loads(line)["step"] for line in part.splitlines()]
-                for part in (transcript[:cut], transcript[cut:])
-            )
-            assert max(before) <= max(step, 0)
-            assert step < 0 or not after or min(after) == step + 1
+        assert_commits_split_transcript(run_dir)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    @pytest.mark.parametrize("cap", [2, 3, 8])
+    def test_commit_lines_do_not_depend_on_the_cap(self, tmp_path, cap):
+        for each in (1, cap):
+            self.run_with(tmp_path / f"cap{each}", GOLDEN_BACKEND, each)
+        assert commits_but_cap(tmp_path / f"cap{cap}") == \
+            commits_but_cap(tmp_path / "cap1")
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_golden_run_at_any_cap(self, tmp_path, cap):
@@ -1144,6 +1175,119 @@ class TestCallPool:
         self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap=2)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
         assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+
+VAL_QUESTIONS = [s.question for s in loop.load_dataset(DATA_DIR / "val.jsonl")]
+
+
+def last_validation_call(step):
+    """Matches the last validation call of ``step``'s gate. The golden
+    gates are decided by their first six results, so at caps 2 and 3 it is
+    withdrawn."""
+    return lambda r: (r.role == Role.FORWARD and r.step == step
+                      and r.user == VAL_QUESTIONS[-1]
+                      and r.system != DEFAULT_INITIAL_PROMPT)
+
+
+def nth(n, matches):
+    """Matches the ``n``-th call that ``matches`` matches."""
+    count = iter(range(1, n + 1))
+    return lambda r: matches(r) and next(count, None) == n
+
+
+class Holds:
+    """Golden replies, but the first call that ``held`` matches waits until
+    the first call that ``release`` matches is sent, for at most 5 seconds;
+    ``released`` then says whether it was. With ``failing`` the call
+    ``release`` matches fails, and with ``lost`` the held one fails once it
+    stops waiting."""
+
+    def __init__(self, held, release, failing=False, lost=False):
+        self.matchers = {"held": held, "release": release}
+        self.released = None
+        self.failing, self.lost = failing, lost
+        self.event = threading.Event()
+        self.lock = threading.Lock()
+
+    def complete(self, request, engine):
+        with self.lock:
+            match = next((name for name, matches in self.matchers.items()
+                          if matches(request)), None)
+            if match is not None:
+                del self.matchers[match]
+        if match == "release":
+            self.event.set()
+            if self.failing:
+                raise BackendUnavailableError("backend down")
+        if match == "held":
+            self.released = self.event.wait(timeout=5)
+            if self.lost:
+                raise BackendUnavailableError("held call lost")
+        return GOLDEN_BACKEND.complete(request, engine)
+
+
+class TestCommitPipeline:
+    """Above cap 1 only the next gate's decision waits for a step's unsent
+    validation calls: the next gate sends its own calls meanwhile, and a
+    step without a gate ends without them."""
+
+    def run_with(self, run_dir, backend, cap=2):
+        OptimizationRun(
+            golden_config(run_dir, concurrency_cap=cap),
+            gateway_over(backend, run_dir / TRANSCRIPT_FILE),
+        ).run()
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+
+    def test_next_gate_sends_calls_while_the_last_gates_call_is_held(
+        self, tmp_path
+    ):
+        backend = Holds(
+            last_validation_call(2),
+            lambda r: (r.role == Role.FORWARD and r.step == 3
+                       and r.user in VAL_QUESTIONS),
+        )
+        self.run_with(tmp_path / "run", backend)
+        assert backend.released is True
+
+    def test_gateless_step_ends_while_the_last_gates_call_is_held(
+        self, tmp_path
+    ):
+        """Step 7 has no gate: it ends, and step 8 sends its whole batch,
+        while step 6's last validation call is held."""
+        backend = Holds(
+            last_validation_call(6),
+            nth(3, lambda r: (r.role == Role.FORWARD and r.step == 8
+                              and r.user not in VAL_QUESTIONS)),
+        )
+        self.run_with(tmp_path / "run", backend)
+        assert backend.released is True
+
+    # Not shrunk: each example of a regression waits out the held call.
+    @pytest.mark.parametrize("cap", [2, 3])
+    @settings(max_examples=8, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @given(gate=st.sampled_from([0, 6, 9]), call=st.integers(1, 17),
+           lost=st.booleans())
+    def test_crash_behind_a_pending_gate_and_a_gateless_step(
+        self, tmp_path_factory, uninterrupted, cap, gate, call, lost
+    ):
+        """The ``call``-th call of step ``gate + 2`` fails while step
+        ``gate``'s last validation call is held and step ``gate + 1``, which
+        has no gate, waits to commit behind it. The held call then lands,
+        or fails when ``lost``: both steps commit only if it landed."""
+        run_dir = tmp_path_factory.mktemp("crash")
+        transcript = run_dir / TRANSCRIPT_FILE
+        config = golden_config(run_dir, concurrency_cap=cap)
+        backend = Holds(last_validation_call(gate),
+                        nth(call, lambda r: r.step == gate + 2),
+                        failing=True, lost=lost)
+        with pytest.raises(BackendUnavailableError):
+            OptimizationRun(config, gateway_over(backend, transcript)).run()
+        assert backend.released is True
+        assert commits(run_dir)[-1]["step_completed"] == \
+            (gate - 1 if lost else gate + 1)
+        OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript)).run()
+        assert_resumed_to(uninterrupted, run_dir, cap)
 
 
 class TestLoopOverHttp:

@@ -1,10 +1,11 @@
-"""The benchmark's generated 200-step scenario, run at caps 1, 3 and 8.
+"""The benchmark's generated 200-step scenario, run at caps 1, 2, 3 and 8.
 
 ``bench/scenario.py`` writes a train set, a val set and fixtures with
 purifier rejects, unparseable purifier replies, gate rejects and JSON and tag
 re-asks, and plans every step's decisions. Every seed and cap must make those
-decisions, the planned calls per role and the planned bank, in one trace; a
-run that dies at any call, or stops after any step, must resume to the
+decisions, the planned calls per role and the planned bank, in one trace,
+and write the same commit lines but for the cap and the log lengths; a run
+that dies at any call, or stops after any step, must resume to the
 uninterrupted run.
 """
 
@@ -18,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 from promptreg.errors import BackendUnavailableError
 from promptreg.gateway import Gateway, ScriptedBackend
 from promptreg.loop import TRACE_FILE, TRANSCRIPT_FILE, OptimizationRun, RunConfig
-from test_loop import FailsAtCall, gateway_over, run_files
+from test_loop import (FailsAtCall, assert_commits_split_transcript,
+                       assert_resumed_to, commits_but_cap, gateway_over,
+                       run_files)
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 SEED = 1
+CAPS = (1, 2, 3, 8)
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +45,7 @@ def scenario_runs(bench_modules, tmp_path_factory):
     scenario, _ = bench_modules
     work = tmp_path_factory.mktemp("scenario")
     plan = scenario.build_loop_scenario(SEED, work)
-    runs = {cap: run_scenario(work, plan, SEED, cap) for cap in (1, 3)}
+    runs = {cap: run_scenario(work, plan, SEED, cap) for cap in CAPS}
     return plan, runs
 
 
@@ -69,7 +73,7 @@ def run_scenario(work, plan, seed, cap):
     ).run()
 
 
-@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("cap", CAPS)
 def test_run_makes_the_planned_decisions_calls_and_bank(
     bench_modules, scenario_runs, cap
 ):
@@ -88,9 +92,6 @@ def test_traces_at_caps_one_and_three_are_byte_identical(scenario_runs):
     traces = {cap: (run_dir / TRACE_FILE).read_bytes()
               for cap, (run_dir, _) in runs.items()}
     assert traces[1] == traces[3]
-
-
-CAPS = (1, 3, 8)
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["seed2", "seed3"])
@@ -124,23 +125,34 @@ def test_other_seeds_trace_identically_at_every_cap(seeded_runs):
     assert len(traces) == 1
 
 
+def assert_alike_at_every_cap(runs) -> None:
+    """Each cap's trace is cap 1's byte for byte, and its commit lines are
+    cap 1's but for the cap and the log lengths; each commit splits the
+    transcript between steps."""
+    cap1 = runs[1][0]
+    trace, lines = (cap1 / TRACE_FILE).read_bytes(), commits_but_cap(cap1)
+    for cap, (run_dir, _) in runs.items():
+        assert (run_dir / TRACE_FILE).read_bytes() == trace, cap
+        assert commits_but_cap(run_dir) == lines, cap
+        assert_commits_split_transcript(run_dir)
+
+
+def test_commit_lines_do_not_depend_on_the_cap(scenario_runs):
+    _, runs = scenario_runs
+    assert_alike_at_every_cap(runs)
+
+
+def test_other_seeds_commit_alike_at_every_cap(seeded_runs):
+    _, runs = seeded_runs
+    assert_alike_at_every_cap(runs)
+
+
 @pytest.fixture(scope="module")
 def uninterrupted(scenario_runs) -> dict:
     """``run_files`` of the seed-1 run at cap 1."""
     _, runs = scenario_runs
     run_dir, _ = runs[1]
     return run_files(run_dir)
-
-
-def assert_resumed_to(uninterrupted, run_dir, cap) -> None:
-    """The trace and bank byte for byte, every commit line but its config
-    and transcript length, and the transcript call for call, in any order
-    above cap 1."""
-    files, expected = run_files(run_dir), dict(uninterrupted)
-    if cap > 1:  # calls finish in any order
-        for each in (files, expected):
-            each[TRANSCRIPT_FILE] = Counter(each[TRANSCRIPT_FILE])
-    assert files == expected
 
 
 @pytest.mark.parametrize("cap", [1, 3])
