@@ -347,10 +347,11 @@ class TestTranscript:
         users = [json.loads(l)["user"] for l in path.read_text().splitlines()]
         assert users == ["before", "after"]
 
-    @staticmethod
-    def held_lines(path):
-        """A gateway whose every reply is "r", recording to ``path``, and a
-        function giving the (step, user) of each complete line there."""
+    @pytest.fixture
+    def held_lines(self, tmp_path):
+        """A gateway whose every reply is "r", recording a transcript, and a
+        function giving the (step, user) of each complete line in it."""
+        path = tmp_path / "transcript.jsonl"
 
         class Reply:
             def complete(self, request, engine):
@@ -369,13 +370,14 @@ class TestTranscript:
             return [(entry["step"], entry["user"]) for entry in map(
                 json.loads, path.read_bytes().split(b"\n")[:-1])]
 
-        return gw, written
+        with closing(gw):
+            yield gw, written
 
-    def test_held_lines_are_released_one_step_at_a_time(self, tmp_path):
+    def test_held_lines_are_released_one_step_at_a_time(self, held_lines):
         """Holding lines after a later step appends those held of the steps
         up to it, in arrival order, and keeps the later steps' held;
         ``close`` appends every line still held."""
-        gw, written = self.held_lines(tmp_path / "transcript.jsonl")
+        gw, written = held_lines
         gw.hold_lines_after(1)
         for step, user in [(2, "a"), (1, "b"), (3, "c"), (2, "d"), (4, "e"),
                            (3, "f"), (0, "g")]:
@@ -396,11 +398,11 @@ class TestTranscript:
         gw.close()
         assert written()[-1] == (9, "j")
 
-    def test_held_lines_under_concurrent_calls(self, tmp_path):
+    def test_held_lines_under_concurrent_calls(self, held_lines):
         """Eight threads make calls of steps 0-9 while the hold moves on
         step by step: no line of a step past the hold reaches the file, and
         every line reaches it once."""
-        gw, written = self.held_lines(tmp_path / "transcript.jsonl")
+        gw, written = held_lines
         calls = [(step, f"{step}-{i}") for step in range(10) for i in range(40)]
         random.Random(0).shuffle(calls)
         interval = sys.getswitchinterval()
