@@ -268,10 +268,12 @@ class Decided:
     first asked when it has returned, so it may read what ``on_queued``
     sets; the results landed meanwhile are counted then.
 
-    The calls not yet sent at that point are withdrawn in the pool task or
-    the thread that decided. ``send_rest`` queues them again as background
-    work, and ``hurry`` as tasks; ``report`` waits for every call and gives
-    the full report.
+    Its calls are queued as background work, so they follow, in queue
+    order, any background calls queued before them. The calls not yet sent
+    at the decision are withdrawn, their futures cancelled, in the pool task
+    or the thread that decided. ``send_rest`` queues them again as
+    background work; ``report`` waits for every call and gives the full
+    report.
     """
 
     def __init__(self, pool: CallPool, run_one, samples: list[Sample],
@@ -300,7 +302,8 @@ class Decided:
             return result
 
         with lock:
-            self._futures = [pool.submit(gated, sample) for sample in samples]
+            self._futures = [pool.submit_background(gated, sample)
+                             for sample in samples]
         try:
             if on_queued is not None:
                 on_queued()
@@ -316,28 +319,18 @@ class Decided:
             for future in self._futures:
                 future.cancel()
             raise
-        self._unsent = [i for i, f in enumerate(self._futures) if f.cancelled()]
 
     def landed(self) -> bool:
         """Whether every call has been sent and has landed."""
-        return not self._unsent and all(f.done() for f in self._futures)
+        return all(f.done() and not f.cancelled() for f in self._futures)
 
     def send_rest(self, pool: CallPool) -> None:
         """Queue the withdrawn calls as background work."""
-        for i in self._unsent:
-            self._futures[i] = pool.submit_background(
-                self._run_one, self._samples[i]
-            )
-        self._unsent = []
-
-    def hurry(self, pool: CallPool) -> None:
-        """Queue as tasks, behind those queued so far, the withdrawn calls
-        and the background calls not yet started."""
         for i, future in enumerate(self._futures):
-            # True for a future withdrawn, or cancelled here before it ran.
-            if future.cancel():
-                self._futures[i] = pool.submit(self._run_one, self._samples[i])
-        self._unsent = []
+            if future.cancelled():
+                self._futures[i] = pool.submit_background(
+                    self._run_one, self._samples[i]
+                )
 
     def report(self) -> EvalReport:
         """The full report, once every call has landed; a call's error, or

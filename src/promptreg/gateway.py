@@ -422,8 +422,9 @@ class ScriptedBackend:
 
 class Gateway:
     """Routes requests to per-role backends and records a transcript, held
-    open from the first call until ``close``. Between ``hold_lines_after``
-    and ``release_lines`` the lines of later steps wait in memory."""
+    open from the first call until ``close``. Once ``committed(step)`` is
+    called, the lines of steps after ``step + 1`` wait in memory until the
+    commit of the step before theirs, or ``close``."""
 
     def __init__(
         self,
@@ -440,10 +441,11 @@ class Gateway:
             role: (engines.for_role(role), backends[role]) for role in Role
         }
         self._transcript = Appender(transcript_path) if transcript_path else None
-        # The (step, line) of each transcript line kept back by
-        # hold_lines_after, in arrival order, or None.
-        self._held: Optional[list[tuple[int, bytes]]] = None
-        self._held_after = 0
+        # The last step committed, or None before the first ``committed``
+        # call and after ``close``; and the (step, line) of each transcript
+        # line kept back, in arrival order.
+        self._committed: Optional[int] = None
+        self._held: list[tuple[int, bytes]] = []
         self._hold_lock = threading.Lock()
 
     @classmethod
@@ -520,32 +522,30 @@ class Gateway:
                 return None
         return payload
 
-    def hold_lines_after(self, step: int) -> None:
-        """Keep the transcript lines of calls of steps after ``step`` in
-        memory until ``release_lines``, so that a commit of ``step`` written
-        meanwhile counts none of them. Lines kept back already of steps up
-        to ``step`` are appended now, in arrival order."""
+    def committed(self, step: int) -> None:
+        """Record that ``step`` has committed: from now on the transcript
+        lines of steps up to ``step + 1`` are appended at once, those kept
+        back first, in arrival order, and later steps' lines are kept back,
+        so that no line of a step lands before the commit of the step
+        before it."""
         with self._hold_lock:
-            held, self._held = self._held or (), []
-            self._held_after = step
+            held, self._held = self._held, []
             for at, line in held:
-                if at > step:
+                if at > step + 1:
                     self._held.append((at, line))
                 else:
                     self._transcript.append_line(line)
-
-    def release_lines(self) -> None:
-        """Append the lines kept back, and stop keeping lines back."""
-        with self._hold_lock:
-            held, self._held = self._held, None
-            for _, line in held or ():
-                self._transcript.append_line(line)
+            # Only now, so that a line recorded meanwhile lands behind them.
+            self._committed = step
 
     def close(self) -> None:
-        """Append the transcript lines kept back, close the transcript and
-        the idle connections of the HTTP backends; a later call opens them
-        again."""
-        self.release_lines()
+        """Append the transcript lines kept back, forget the last step
+        committed, and close the transcript and the idle connections of the
+        HTTP backends; a later call opens them again."""
+        with self._hold_lock:
+            held, self._held, self._committed = self._held, [], None
+            for _, line in held:
+                self._transcript.append_line(line)
         if self._transcript is not None:
             self._transcript.close()
         for _, backend in self._routes.values():
@@ -559,9 +559,11 @@ class Gateway:
             request.step, request.role.value, request.system, request.user,
             response, latency_ms,
         )
-        if self._held is not None and request.step > self._held_after:
+        committed = self._committed
+        if committed is not None and request.step > committed + 1:
             with self._hold_lock:
-                if self._held is not None and request.step > self._held_after:
+                committed = self._committed
+                if committed is not None and request.step > committed + 1:
                     self._held.append((request.step, line))
                     return
         self._transcript.append_line(line)

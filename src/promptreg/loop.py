@@ -5,13 +5,13 @@ mini-batch execution and gradient purification, an optional guided rewrite,
 and a validation gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``, and is queued in this order: the batch's forward calls
 first; the diagnosis behind them, since it reads only the last commit and is
-first needed by the rewrite; the last gate's unsent validation calls as
-background work, which takes only slots no other call waits for; rule
-canonicalization beside the rewrite and the gate, since it feeds only the
-bank. The raw-gradient, purifier and rewrite calls are made on the calling
-thread in slots of the pool, so they count toward the cap too. At cap 1
-every task runs inline, the diagnosis before the forward calls, as it
-always has.
+first needed by the rewrite; the last gate's unsent validation calls;
+rule canonicalization beside the rewrite and the gate, since it feeds only
+the bank; the gate's own validation calls. Validation calls are background
+work, which takes only slots no other call waits for, in the order queued.
+The raw-gradient, purifier and rewrite calls are made on the calling thread
+in slots of the pool, so they count toward the cap too. At cap 1 every task
+runs inline, the diagnosis before the forward calls, as it always has.
 
 Above cap 1 the gate returns once its outcome is certain (``gate_outcome``),
 and the calls it has not sent wait for the next step's forward calls and
@@ -19,10 +19,11 @@ diagnosis to be queued. The step's trace line and commit need the full
 accuracy, so they are written once those calls land, from a commit line
 taken when the step ended. Of the steps after it, only the next gate's
 decision waits for that commit, since its threshold is the accuracy: the
-next gate queues the unsent calls not yet started ahead of its own, and its
-own before it waits, and a step without a gate does not wait at all, its
-commit written behind the pending one. The gateway holds each step's transcript lines until the commit of
-the step before it, so no transcript line of step t+1 comes before commit
+next gate queues its own calls, behind the unsent ones, before it waits,
+and a step without a gate does not wait at all, its commit written behind
+the pending one. Each commit tells the gateway its step
+(``Gateway.committed``), which holds back the transcript lines of later
+steps but the next, so no transcript line of step t+1 comes before commit
 t.
 
 Every decision lands in an append-only trace so that a scripted run is
@@ -229,12 +230,12 @@ class OptimizationRun:
             val = val[: config.val_subsample]
         self.val = val
         self.state: Optional[RunState] = None
-        # The last gate decided with validation calls still to land, and the
-        # steps whose commits wait on it, its own and those of the gateless
-        # steps after it: each step with the function that writes its trace
-        # line and commit.
+        # The last gate decided with validation calls still to land, and for
+        # each step whose commit waits on it, its own and those of the
+        # gateless steps after it, the function that writes its trace line
+        # and commit, in step order.
         self._gate: Optional[Decided] = None
-        self._pending: list[tuple[int, Callable]] = []
+        self._pending: list[Callable] = []
         # The SHA-256 of each input file's bytes, by role, which a resume
         # or a replay compares with the commit's.
         self.input_sha256 = {"train": train_sha256, "val": val_sha256}
@@ -300,7 +301,8 @@ class OptimizationRun:
 
     def _commit(self, commit_log: Appender, line: dict) -> None:
         """Append the commit line ``line``, a ``_snapshot``, with the scores
-        as they stand now and the step logs' lengths."""
+        as they stand now and the step logs' lengths, and let the gateway
+        append the next step's transcript lines."""
         state = self.state
         line.update(
             current_val=state.current_val,
@@ -309,6 +311,7 @@ class OptimizationRun:
             log_bytes={name: self._log_size(name) for name in STEP_LOGS},
         )
         commit_log.append(line)
+        self.gateway.committed(line["step_completed"])
 
     def _resume(self) -> Optional[RunState]:
         """Load the last commit, refuse it if it is not this run's own, and
@@ -458,10 +461,8 @@ class OptimizationRun:
                     step,
                 )
             # The gate's calls queue behind the last gate's unsent ones, and
-            # only its decision waits for the commits they hold back, which
+            # only its decision waits for the commits those hold back, which
             # set the threshold.
-            if self._gate is not None:
-                self._gate.hurry(pool)
             decided = isinstance(pool, CallPool)
             n, relaxation = len(self.val), self.config.acceptance_relaxation
             gate = evaluate(
@@ -511,23 +512,21 @@ class OptimizationRun:
             # validation calls, queued behind the next step's forward calls
             # and diagnosis, have landed.
             self._gate = gate
-            self.gateway.hold_lines_after(step)
         if self._gate is not None:
             # Behind it, so does a step that has no gate of its own.
-            self._pending.append((step, finish))
+            self._pending.append(finish)
         else:
             finish(gate.report() if isinstance(gate, Decided) else gate)
 
     def _settle(self, failed: bool = False) -> None:
         """Wait for the last gate's validation to land, then write the trace
-        line and commit of its step and of each gateless step behind it,
-        appending before each commit the held transcript lines of its
-        step. After a failure they commit only if that validation's calls
-        were all sent and all succeeded."""
+        line and commit of its step and of each gateless step behind it.
+        After a failure they commit only if that validation's calls were
+        all sent and all succeeded."""
         if self._gate is None:
             return
         gate, self._gate = self._gate, None
-        ((_, finish), *gateless), self._pending = self._pending, []
+        (finish, *gateless), self._pending = self._pending, []
         try:
             report = gate.report()
         except Exception:
@@ -535,10 +534,8 @@ class OptimizationRun:
                 return
             raise
         finish(report)
-        for step, finish in gateless:
-            self.gateway.hold_lines_after(step)
+        for finish in gateless:
             finish(None)
-        self.gateway.release_lines()
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
         """Execute (or resume) the configured number of steps, or those
@@ -569,6 +566,7 @@ class OptimizationRun:
                 logger.info(
                     "resuming from step %d", self.state.step_completed + 1
                 )
+                self.gateway.committed(self.state.step_completed)
             end = self.config.iterations
             if stop_after_step is not None:
                 end = min(end, stop_after_step + 1)

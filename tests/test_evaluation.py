@@ -312,30 +312,43 @@ class TestCallPool:
         assert asked == [(4, 0)]
         assert gate.outcome is True
 
-    def test_hurried_calls_run_between_the_tasks_queued_around_it(
+    def test_resent_calls_run_after_every_task_and_before_later_gates(
         self, tmp_path
     ):
+        """A decided gate's withdrawn calls, sent again, wait for every task,
+        even one queued after them, and run before the calls of a gate
+        queued after them."""
         samples = [Sample(f"q{i}", str(i)) for i in range(5)]
         transcript = tmp_path / "t.jsonl"
         gw = scripted_gateway(forward_fixtures(samples), transcript)
+
+        def steps():
+            return [json.loads(line)["step"]
+                    for line in transcript.read_text().splitlines()]
+
         seen = []
 
         def count_lines():
-            seen.append(len(transcript.read_text().splitlines()))
+            seen.append(len(steps()))
 
         with closing(gw), CallPool(1) as pool:
-            gate = evaluate(PROMPT, samples, gw, pool=pool,
+            gate = evaluate(PROMPT, samples, gw, step=1, pool=pool,
                             decide=lambda correct, remaining: correct >= 1 or None)
             release = self.blocked(pool)
             try:
                 gate.send_rest(pool)
                 pool.submit(count_lines)
-                gate.hurry(pool)
-                pool.submit(count_lines)
+                later = evaluate(
+                    PROMPT, samples, gw, step=2, pool=pool,
+                    on_queued=lambda: (pool.submit(count_lines), release.set()),
+                    decide=lambda correct, remaining: remaining == 0 or None,
+                )
             finally:
                 release.set()
             assert gate.report().accuracy == 1.0
-        assert seen == [1, 5]
+            assert later.landed()
+        assert seen == [1, 1]
+        assert steps() == [1] * 5 + [2] * 5
 
 
 class TestGeneralizationGap:

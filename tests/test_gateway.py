@@ -374,21 +374,22 @@ class TestTranscript:
             yield gw, written
 
     def test_held_lines_are_released_one_step_at_a_time(self, held_lines):
-        """Holding lines after a later step appends those held of the steps
-        up to it, in arrival order, and keeps the later steps' held;
-        ``close`` appends every line still held."""
+        """A commit of a later step appends the held lines of the steps up
+        to the one after it, in arrival order, and keeps the later steps'
+        held; ``close`` appends every line still held and forgets the
+        step."""
         gw, written = held_lines
-        gw.hold_lines_after(1)
+        gw.committed(0)
         for step, user in [(2, "a"), (1, "b"), (3, "c"), (2, "d"), (4, "e"),
                            (3, "f"), (0, "g")]:
             gw.complete(req(user=user, step=step))
         assert [user for _, user in written()] == ["b", "g"]
-        gw.hold_lines_after(2)
+        gw.committed(1)
         assert [user for _, user in written()] == ["b", "g", "a", "d"]
         gw.complete(req(user="h", step=2))
         gw.complete(req(user="i", step=3))
         assert [user for _, user in written()] == ["b", "g", "a", "d", "h"]
-        gw.hold_lines_after(3)
+        gw.committed(2)
         assert [user for _, user in written()] == \
             ["b", "g", "a", "d", "h", "c", "f", "i"]
         gw.close()
@@ -399,21 +400,21 @@ class TestTranscript:
         assert written()[-1] == (9, "j")
 
     def test_held_lines_under_concurrent_calls(self, held_lines):
-        """Eight threads make calls of steps 0-9 while the hold moves on
-        step by step: no line of a step past the hold reaches the file, and
-        every line reaches it once."""
+        """Eight threads make calls of steps 0-9 while the commits move on
+        step by step: no line of a step past the one after the last commit
+        reaches the file, and every line reaches it once."""
         gw, written = held_lines
         calls = [(step, f"{step}-{i}") for step in range(10) for i in range(40)]
         random.Random(0).shuffle(calls)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # many thread switches per call
         try:
-            gw.hold_lines_after(0)
+            gw.committed(-1)
             with ThreadPoolExecutor(8) as pool:
                 futures = [pool.submit(gw.complete, req(user=user, step=step))
                            for step, user in calls]
                 for step in range(1, 10):
-                    gw.hold_lines_after(step)
+                    gw.committed(step - 1)
                     assert max(at for at, _ in written()) <= step
                 for future in futures:
                     future.result(timeout=10)

@@ -701,8 +701,17 @@ def assert_commits_split_transcript(run_dir) -> None:
         assert step < 0 or not after or min(after) == step + 1
 
 
+class RunFiles(dict):
+    """``run_files`` of a run, with a short repr: hypothesis prints each
+    argument of a falsifying example, fixtures too, and a run's files
+    print to hundreds of kB."""
+
+    def __repr__(self) -> str:
+        return f"RunFiles({len(self[TRANSCRIPT_FILE])} calls)"
+
+
 @pytest.fixture(scope="module")
-def uninterrupted(tmp_path_factory) -> dict:
+def uninterrupted(tmp_path_factory) -> RunFiles:
     """``run_files`` of the golden run at cap 1, run without a crash."""
     run_dir = tmp_path_factory.mktemp("uninterrupted")
     run_optimization(golden_config(run_dir), Gateway.scripted(
@@ -710,7 +719,7 @@ def uninterrupted(tmp_path_factory) -> dict:
     ))
     files = run_files(run_dir)
     assert files[TRACE_FILE] == GOLDEN_TRACE.read_bytes()
-    return files
+    return RunFiles(files)
 
 
 # How many bytes of a commit line of ``size`` bytes, newline included, a
@@ -1099,7 +1108,8 @@ class TestCallPool:
     ):
         """Each step's diagnosis is submitted right behind its batch's
         forward calls, so those never wait for it, and the last step's
-        unsent validation calls right behind the diagnosis."""
+        unsent validation calls right behind the diagnosis. Every gate's own
+        validation calls are background work too."""
         submitted = []
 
         class Recording(CallPool):
@@ -1108,7 +1118,10 @@ class TestCallPool:
                 return super().submit(fn, *args, **kwargs)
 
             def submit_background(self, fn, /, *args, **kwargs):
-                submitted.append(("background", args))
+                # A gate queues its own calls through a wrapper that counts
+                # its results, and the calls it sends again bare.
+                resent = fn.__name__ == "run_one"
+                submitted.append(("resent" if resent else "gate", args))
                 return super().submit_background(fn, *args, **kwargs)
 
         monkeypatch.setattr(loop, "call_pool", lambda cap: Recording(cap))
@@ -1126,14 +1139,19 @@ class TestCallPool:
             assert submitted[at - len(batch):at] == [
                 ("run_one", (sample,)) for sample in batch
             ]
-        background = [at for at, (name, _) in enumerate(submitted)
-                      if name == "background"]
-        assert background
-        for at in background:
+        resent = [at for at, (name, _) in enumerate(submitted)
+                  if name == "resent"]
+        assert resent
+        for at in resent:
             if at < diagnoses[-1][0]:
                 assert submitted[at - 1][0] in (
-                    "_regularization_phase", "background"
+                    "_regularization_phase", "resent"
                 )
+        val = loop.load_dataset(config.val_path)
+        applied = [json.loads(line)["update"] == "applied"
+                   for line in GOLDEN_TRACE.read_text().splitlines()]
+        assert [args for name, args in submitted if name == "gate"] == \
+            [(sample,) for sample in val] * sum(applied)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     @pytest.mark.parametrize("cap", [2, 3, 8])
@@ -1261,6 +1279,23 @@ class TestCommitPipeline:
         )
         self.run_with(tmp_path / "run", backend)
         assert backend.released is True
+
+    @pytest.mark.parametrize("stop", range(-1, 11))
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_resumed_run_splits_the_transcript_between_steps(
+        self, tmp_path, cap, stop
+    ):
+        """A run stopped after any step and resumed to the end through a
+        fresh gateway writes the golden trace, and each commit, those of the
+        resumed run too, splits the transcript between steps."""
+        run_dir = tmp_path / "run"
+        config = golden_config(run_dir, concurrency_cap=cap)
+        for stop_after_step in (stop, None):
+            OptimizationRun(config, Gateway.scripted(
+                FIXTURES, transcript_path=run_dir / TRANSCRIPT_FILE
+            )).run(stop_after_step)
+        assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
+        assert_commits_split_transcript(run_dir)
 
     # Not shrunk: each example of a regression waits out the held call.
     @pytest.mark.parametrize("cap", [2, 3])

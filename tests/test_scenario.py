@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from promptreg.errors import BackendUnavailableError
 from promptreg.gateway import Gateway, ScriptedBackend
 from promptreg.loop import TRACE_FILE, TRANSCRIPT_FILE, OptimizationRun, RunConfig
-from test_loop import (FailsAtCall, assert_commits_split_transcript,
+from test_loop import (FailsAtCall, RunFiles, assert_commits_split_transcript,
                        assert_resumed_to, commits_but_cap, gateway_over,
                        run_files)
 
@@ -39,14 +39,22 @@ def bench_modules():
     return scenario, workloads
 
 
+class ScenarioRuns(tuple):
+    """The plan, and each cap's run, with a short repr, as ``RunFiles``
+    has."""
+
+    def __repr__(self) -> str:
+        return f"ScenarioRuns(caps={sorted(self[1])})"
+
+
 @pytest.fixture(scope="module")
-def scenario_runs(bench_modules, tmp_path_factory):
+def scenario_runs(bench_modules, tmp_path_factory) -> ScenarioRuns:
     """The plan, and the run directory and summary of each cap's run."""
     scenario, _ = bench_modules
     work = tmp_path_factory.mktemp("scenario")
     plan = scenario.build_loop_scenario(SEED, work)
     runs = {cap: run_scenario(work, plan, SEED, cap) for cap in CAPS}
-    return plan, runs
+    return ScenarioRuns((plan, runs))
 
 
 def scenario_config(work, plan, seed, run_dir, cap) -> RunConfig:
@@ -148,11 +156,11 @@ def test_other_seeds_commit_alike_at_every_cap(seeded_runs):
 
 
 @pytest.fixture(scope="module")
-def uninterrupted(scenario_runs) -> dict:
+def uninterrupted(scenario_runs) -> RunFiles:
     """``run_files`` of the seed-1 run at cap 1."""
     _, runs = scenario_runs
     run_dir, _ = runs[1]
-    return run_files(run_dir)
+    return RunFiles(run_files(run_dir))
 
 
 @pytest.mark.parametrize("cap", [1, 3])
