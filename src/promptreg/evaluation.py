@@ -264,16 +264,19 @@ class Decided:
     """A forward evaluation on a ``CallPool`` that is waited for only until
     ``decide(correct, remaining)`` gives its outcome, a bool: ``correct`` of
     the results landed so far are right, and ``remaining`` are yet to land.
-    With ``on_queued``, called once every call is queued, ``decide`` is
-    first asked when it has returned, so it may read what ``on_queued``
-    sets; the results landed meanwhile are counted then.
+    ``decide`` is first asked once every call is queued and ``on_queued``,
+    if given, has returned, so it may read what ``on_queued`` sets; the
+    results landed meanwhile are counted then. After that each result that
+    lands asks it again until it gives an outcome.
 
     Its calls are queued as background work, so they follow, in queue
     order, any background calls queued before them. The calls not yet sent
     at the decision are withdrawn, their futures cancelled, in the pool task
-    or the thread that decided. ``send_rest`` queues them again as
-    background work; ``report`` waits for every call and gives the full
-    report.
+    or the thread that decided, under the lock the outcome is read under,
+    so the evaluation returns only once the withdrawal has ended. From then
+    on only the calling thread touches the futures: ``send_rest`` queues the
+    withdrawn calls again as background work; ``report`` waits for every
+    call and gives the full report.
     """
 
     def __init__(self, pool: CallPool, run_one, samples: list[Sample],
@@ -284,7 +287,7 @@ class Decided:
         self._run_one, self._samples, self._build = run_one, samples, build
         tally = [0, len(samples)]  # correct, remaining
         lock = threading.Lock()
-        asking = on_queued is None
+        asking = False
 
         def ask() -> None:  # under lock
             self.outcome = decide(*tally)
@@ -301,20 +304,19 @@ class Decided:
                     ask()
             return result
 
-        with lock:
-            self._futures = [pool.submit_background(gated, sample)
-                             for sample in samples]
+        self._futures = [pool.submit_background(gated, sample)
+                         for sample in samples]
         try:
             if on_queued is not None:
                 on_queued()
+            with lock:
+                asking = True
+                ask()
+            for future in as_completed(self._futures):
                 with lock:
-                    asking = True
-                    ask()
-            if self.outcome is None:
-                for future in as_completed(self._futures):
                     if self.outcome is not None:
                         break
-                    future.result()
+                future.result()
         except BaseException:
             for future in self._futures:
                 future.cancel()
@@ -357,8 +359,9 @@ def evaluate(
     once the calls are queued, before their results are awaited; at cap 1
     nothing is queued ahead, so it runs before the first call. With
     ``decide``, ``pool`` must be a ``CallPool``, and the result is the
-    ``Decided`` evaluation, returned once its outcome is known; ``decide``
-    is first asked once ``on_queued`` has returned.
+    ``Decided`` evaluation, returned once its outcome is known and its
+    unsent calls are withdrawn; ``decide`` is first asked once every call
+    is queued and ``on_queued`` has returned.
     """
     if not samples:
         raise ValueError("dataset must be nonempty")

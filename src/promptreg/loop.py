@@ -42,7 +42,7 @@ import os
 import random
 from functools import lru_cache
 from concurrent.futures import Executor, Future
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -230,12 +230,11 @@ class OptimizationRun:
             val = val[: config.val_subsample]
         self.val = val
         self.state: Optional[RunState] = None
-        # The last gate decided with validation calls still to land, and for
-        # each step whose commit waits on it, its own and those of the
-        # gateless steps after it, the function that writes its trace line
-        # and commit, in step order.
-        self._gate: Optional[Decided] = None
-        self._pending: list[Callable] = []
+        # The steps whose commits wait on the last gate decided with
+        # validation calls still to land, in step order: that gate and the
+        # function that writes its step's trace line and commit, then None
+        # and that function for each gateless step after it.
+        self._pending: list[tuple[Optional[Decided], Callable]] = []
         # The SHA-256 of each input file's bytes, by role, which a resume
         # or a replay compares with the commit's.
         self.input_sha256 = {"train": train_sha256, "val": val_sha256}
@@ -427,8 +426,8 @@ class OptimizationRun:
 
         def queued() -> None:
             diagnosis.append(pool.submit(self._regularization_phase, step))
-            if self._gate is not None:
-                self._gate.send_rest(pool)
+            if self._pending:
+                self._pending[0][0].send_rest(pool)
 
         stage1 = run_purification_stage(
             state.current, batch, state.bank, self.gateway, step, pool, queued
@@ -507,34 +506,24 @@ class OptimizationRun:
             trace_log.append(trace)
             self._commit(commit_log, line)
 
-        if isinstance(gate, Decided) and not gate.landed():
-            # The next step starts now; this one commits once its unsent
-            # validation calls, queued behind the next step's forward calls
-            # and diagnosis, have landed.
-            self._gate = gate
-        if self._gate is not None:
-            # Behind it, so does a step that has no gate of its own.
-            self._pending.append(finish)
+        # While this gate's unsent validation calls, queued behind the next
+        # step's forward calls and diagnosis, are still to land, the next
+        # step starts now and this one commits once they land; so does a
+        # gateless step behind it (a gate settles before it decides).
+        if self._pending or isinstance(gate, Decided) and not gate.landed():
+            self._pending.append((gate, finish))
         else:
             finish(gate.report() if isinstance(gate, Decided) else gate)
 
-    def _settle(self, failed: bool = False) -> None:
-        """Wait for the last gate's validation to land, then write the trace
-        line and commit of its step and of each gateless step behind it.
-        After a failure they commit only if that validation's calls were
-        all sent and all succeeded."""
-        if self._gate is None:
+    def _settle(self) -> None:
+        """Wait for the pending gate's validation to land, then write the
+        trace line and commit of its step and of each gateless step behind
+        it."""
+        if not self._pending:
             return
-        gate, self._gate = self._gate, None
-        (finish, *gateless), self._pending = self._pending, []
-        try:
-            report = gate.report()
-        except Exception:
-            if failed:
-                return
-            raise
-        finish(report)
-        for finish in gateless:
+        ((gate, finish), *gateless), self._pending = self._pending, []
+        finish(gate.report())
+        for _, finish in gateless:
             finish(None)
 
     def run(self, stop_after_step: Optional[int] = None) -> dict:
@@ -573,13 +562,16 @@ class OptimizationRun:
             try:
                 for step in range(self.state.step_completed + 1, end):
                     self._step(step, pool, trace_log, commit_log)
-                if self._gate is not None:  # no next step to queue behind
-                    self._gate.send_rest(pool)
+                if self._pending:  # no next step to queue behind
+                    self._pending[0][0].send_rest(pool)
                 self._settle()
             except BaseException:
-                # A step whose own calls all landed commits even though the
-                # next one failed, so a resume sends none of them again.
-                self._settle(failed=True)
+                # The pending steps commit even though a later one failed
+                # if their gate's calls were all sent and all succeeded, so
+                # a resume sends none of them again. The error that stopped
+                # the run is the one raised, not one of that commit.
+                with suppress(Exception):
+                    self._settle()
                 raise
         state = self.state
         save_rulebank(state.bank, paths[RULEBANK_FILE])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 import threading
@@ -12,9 +13,18 @@ import pytest
 
 from promptreg.gateway import Gateway
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def load(path: Path):
+    """The module at ``path``, a script outside any package."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def scripted_gateway(fixtures: list[dict], transcript_path=None) -> Gateway:
@@ -35,8 +45,12 @@ def ok_reply(content: str = "done") -> tuple[int, bytes, dict]:
     return 200, json.dumps(body).encode(), {}
 
 
-class _ScriptedReply(BaseHTTPRequestHandler):
+class _Reply(BaseHTTPRequestHandler):
     server: "LoopbackServer"
+
+    def handle(self) -> None:
+        self.protocol_version = self.server.protocol
+        super().handle()
 
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", 0))
@@ -55,19 +69,32 @@ class _ScriptedReply(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if self.server.drop_idle:
+            # Closed without a "Connection: close", as an idle connection is.
+            self.close_connection = True
 
     def log_message(self, format, *args) -> None:  # noqa: A002 - base signature
         pass
 
 
-class LoopbackServer(HTTPServer):
-    """Answers each POST with the next scripted ``(status, body, headers)``
-    reply, one connection at a time, and records the headers and decoded
-    JSON body of every request in ``received``. ``connections`` counts the
-    connections accepted and ``open`` those not yet closed."""
+class LoopbackServer(ThreadingMixIn, HTTPServer):
+    """Serves each connection on its own thread in ``protocol``: on
+    HTTP/1.0 it closes each connection after its reply, on HTTP/1.1 it
+    keeps it open, unless a test sets ``drop_idle``, when it closes each
+    one after its first reply without saying so. It answers each POST with
+    the next scripted ``(status, body, headers)`` reply, or, once a test
+    sets ``keyed``, a dict from ``(model, system, user)`` to reply content,
+    by the request's key. It records the headers and decoded JSON body of
+    every request in ``received``; ``connections`` counts the connections
+    accepted and ``open`` those not yet closed."""
 
-    def __init__(self, handler=_ScriptedReply) -> None:
-        super().__init__(("127.0.0.1", 0), handler)
+    daemon_threads = True
+
+    def __init__(self, protocol: str) -> None:
+        super().__init__(("127.0.0.1", 0), _Reply)
+        self.protocol = protocol
+        self.drop_idle = False
+        self.keyed: dict[tuple[str, str, str], str] | None = None
         self.lock = threading.Lock()
         self.replies: list[tuple[int, bytes, dict]] = []
         self.received: list[tuple] = []
@@ -77,8 +104,12 @@ class LoopbackServer(HTTPServer):
 
     def reply(self, body: dict):
         """The reply to a request of decoded JSON ``body``, called under
-        ``lock``: the next scripted one, or None when none is left."""
-        return self.replies.pop(0) if self.replies else None
+        ``lock``, or None when there is none."""
+        if self.keyed is None:
+            return self.replies.pop(0) if self.replies else None
+        system, user = (message["content"] for message in body["messages"])
+        content = self.keyed.get((body["model"], system, user))
+        return None if content is None else ok_reply(content)
 
     @property
     def url(self) -> str:
@@ -102,37 +133,6 @@ class LoopbackServer(HTTPServer):
             self.open -= 1
 
 
-class _KeepAliveReply(_ScriptedReply):
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self) -> None:
-        super().do_POST()
-        # Closed without a "Connection: close", as an idle connection is.
-        self.close_connection = self.server.drop_idle
-
-
-class KeepAliveServer(ThreadingMixIn, LoopbackServer):
-    """A ``LoopbackServer`` on HTTP/1.1 that keeps each connection open and
-    serves it on its own thread; with ``drop_idle`` set, it closes each
-    connection after its first reply without saying so. With ``keyed`` set,
-    a dict from ``(model, system, user)`` to reply content, it answers each
-    request by its key instead of in script order."""
-
-    daemon_threads = True
-
-    def __init__(self) -> None:
-        super().__init__(_KeepAliveReply)
-        self.drop_idle = False
-        self.keyed: dict[tuple[str, str, str], str] | None = None
-
-    def reply(self, body: dict):
-        if self.keyed is None:
-            return super().reply(body)
-        system, user = (message["content"] for message in body["messages"])
-        content = self.keyed.get((body["model"], system, user))
-        return None if content is None else ok_reply(content)
-
-
 def _serve(server: LoopbackServer):
     """Serve ``server`` on its own thread while the test runs, then stop it;
     a request beyond the scripted replies fails the test."""
@@ -154,12 +154,12 @@ def _serve(server: LoopbackServer):
 
 @pytest.fixture
 def loopback():
-    """A ``LoopbackServer`` (HTTP/1.0, one connection per request)."""
-    yield from _serve(LoopbackServer())
+    """A ``LoopbackServer`` on HTTP/1.0, one connection per request."""
+    yield from _serve(LoopbackServer("HTTP/1.0"))
 
 
 @pytest.fixture
 def keepalive():
-    """A ``KeepAliveServer``; the test must close every connection it
-    opens to it."""
-    yield from _serve(KeepAliveServer())
+    """A ``LoopbackServer`` on HTTP/1.1; the test must close every
+    connection it opens to it."""
+    yield from _serve(LoopbackServer("HTTP/1.1"))

@@ -1,21 +1,11 @@
 """tools/bench_pairs.py's summary of alternating run pairs, on fabricated
 runs: every perf claim's numbers come from it."""
 
-import importlib.util
 import statistics
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+from conftest import ROOT, load
 
 bench_pairs = load(ROOT / "tools" / "bench_pairs.py")
 baseline = load(ROOT / "bench" / "baseline.py")

@@ -285,7 +285,11 @@ class TestCallPool:
         full = evaluate(PROMPT, samples, scripted_gateway(
             forward_fixtures(samples, wrong_indices={3})))
         with closing(gw), CallPool(1) as pool:
+            # No call runs before ``decide`` is first asked, at (0, 5), so
+            # the first result alone decides.
+            release = self.blocked(pool)
             gate = evaluate(PROMPT, samples, gw, pool=pool,
+                            on_queued=release.set,
                             decide=lambda correct, remaining: correct >= 1 or None)
             assert gate.outcome is True
             assert not gate.landed()

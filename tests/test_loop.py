@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import Future
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -1296,6 +1297,58 @@ class TestCommitPipeline:
             )).run(stop_after_step)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
         assert_commits_split_transcript(run_dir)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_gate_returns_once_its_withdrawal_has_ended(
+        self, tmp_path, monkeypatch, cap
+    ):
+        """A pool task that decides a gate withdraws its unsent calls one
+        slow cancel at a time. The gate returns only once all are
+        withdrawn, so the next step sends every one of them again, and no
+        report waits on a call never sent."""
+        cancel = Future.cancel
+
+        def slow_cancel(future):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.01)
+            return cancel(future)
+
+        monkeypatch.setattr(Future, "cancel", slow_cancel)
+        run_dir = tmp_path / "run"
+        self.run_with(run_dir, GOLDEN_BACKEND, cap)
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+    def test_failed_commit_behind_a_failed_step_raises_the_steps_error(
+        self, tmp_path, monkeypatch, uninterrupted
+    ):
+        """Step 3's first call fails while step 2's last validation call is
+        held, and the commit of step 2 written once it lands fails too. The
+        run raises the step's error, not the commit's, and resumes."""
+        failed = []
+
+        class FailingCommit(loop.Appender):
+            def append(self, entry):
+                if self.path.name == STATE_FILE and \
+                        entry["step_completed"] == 2:
+                    failed.append(2)
+                    raise OSError("disk full")
+                super().append(entry)
+
+        monkeypatch.setattr(loop, "Appender", FailingCommit)
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+        config = golden_config(run_dir, concurrency_cap=2)
+        backend = Holds(last_validation_call(2),
+                        nth(1, lambda r: r.step == 3), failing=True)
+        with pytest.raises(BackendUnavailableError) as raised:
+            OptimizationRun(config, gateway_over(backend, transcript)).run()
+        assert raised.type is BackendUnavailableError
+        assert backend.released is True
+        assert failed == [2]
+        assert commits(run_dir)[-1]["step_completed"] == 1
+        monkeypatch.undo()
+        OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript)).run()
+        assert_resumed_to(uninterrupted, run_dir, 2)
 
     # Not shrunk: each example of a regression waits out the held call.
     @pytest.mark.parametrize("cap", [2, 3])
