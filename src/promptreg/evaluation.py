@@ -149,6 +149,9 @@ class InlineExecutor(Executor):
         the block gets; inline, nothing runs beside them."""
         return nullcontext(first())
 
+    def hold(self, held: bool = True) -> None:
+        """Inline, no task waits in the background, so none is held."""
+
 
 class CallPool(Executor):
     """At most ``cap`` tasks at once, on up to ``cap`` threads that share
@@ -157,9 +160,9 @@ class CallPool(Executor):
     A task queued with ``submit`` takes a free slot in submission order. One
     queued with ``submit_background`` takes a slot only when no other task
     waits and a free slot is left for each ``slot`` request, so it fills a
-    slot that would otherwise stand idle. A thread is started per task
-    submitted until there are ``cap``; at shutdown every task queued still
-    runs.
+    slot that would otherwise stand idle, and none while ``hold`` is set.
+    A thread is started per task submitted until there are ``cap``; at
+    shutdown the hold is released and every task queued still runs.
     """
 
     def __init__(self, cap: int) -> None:
@@ -169,6 +172,7 @@ class CallPool(Executor):
         self._queues: tuple[deque, deque] = (deque(), deque())  # tasks, background
         self._threads: list[threading.Thread] = []
         self._closed = False
+        self._held = False
         self._cond = threading.Condition()
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
@@ -194,8 +198,8 @@ class CallPool(Executor):
         cond, (tasks, background) = self._cond, self._queues
         while True:
             with cond:
-                while not (self._free and (
-                        tasks or background and self._free > self._waiting)):
+                while not (self._free and (tasks or background
+                        and not self._held and self._free > self._waiting)):
                     if self._closed and not (tasks or background):
                         return
                     cond.wait()
@@ -240,9 +244,17 @@ class CallPool(Executor):
                 self._free += 1
                 cond.notify_all()
 
+    def hold(self, held: bool = True) -> None:
+        """Start no background task until ``hold(False)`` or shutdown; other
+        tasks and ``slot`` requests are served as before."""
+        with self._cond:
+            self._held = held and not self._closed
+            self._cond.notify_all()
+
     def shutdown(self, wait: bool = True) -> None:
         with self._cond:
             self._closed = True
+            self._held = False
             self._cond.notify_all()
         if wait:
             for thread in self._threads:
@@ -269,14 +281,11 @@ class Decided:
     results landed meanwhile are counted then. After that each result that
     lands asks it again until it gives an outcome.
 
-    Its calls are queued as background work, so they follow, in queue
-    order, any background calls queued before them. The calls not yet sent
-    at the decision are withdrawn, their futures cancelled, in the pool task
-    or the thread that decided, under the lock the outcome is read under,
-    so the evaluation returns only once the withdrawal has ended. From then
-    on only the calling thread touches the futures: ``send_rest`` queues the
-    withdrawn calls again as background work; ``report`` waits for every
-    call and gives the full report.
+    Its calls are queued as background work, behind any background calls
+    queued before them. The pool task or the thread that decides puts the
+    pool's background work on hold (``CallPool.hold``) before it publishes
+    the outcome, so the unsent calls wait until the caller releases it.
+    ``report`` waits for every call and gives the full report.
     """
 
     def __init__(self, pool: CallPool, run_one, samples: list[Sample],
@@ -284,16 +293,16 @@ class Decided:
                  build: Callable[[list], EvalReport],
                  on_queued: Optional[Callable[[], object]] = None) -> None:
         self.outcome: Optional[bool] = None
-        self._run_one, self._samples, self._build = run_one, samples, build
+        self._build = build
         tally = [0, len(samples)]  # correct, remaining
         lock = threading.Lock()
         asking = False
 
         def ask() -> None:  # under lock
-            self.outcome = decide(*tally)
-            if self.outcome is not None:
-                for future in self._futures:
-                    future.cancel()
+            outcome = decide(*tally)
+            if outcome is not None:
+                pool.hold()
+                self.outcome = outcome
 
         def gated(sample: Sample) -> SampleResult:
             result = run_one(sample)
@@ -312,31 +321,21 @@ class Decided:
             with lock:
                 asking = True
                 ask()
-            for future in as_completed(self._futures):
-                with lock:
-                    if self.outcome is not None:
-                        break
-                future.result()
+            landing = as_completed(self._futures)
+            while self.outcome is None:
+                next(landing).result()
         except BaseException:
             for future in self._futures:
                 future.cancel()
             raise
 
     def landed(self) -> bool:
-        """Whether every call has been sent and has landed."""
-        return all(f.done() and not f.cancelled() for f in self._futures)
-
-    def send_rest(self, pool: CallPool) -> None:
-        """Queue the withdrawn calls as background work."""
-        for i, future in enumerate(self._futures):
-            if future.cancelled():
-                self._futures[i] = pool.submit_background(
-                    self._run_one, self._samples[i]
-                )
+        """Whether every call has landed."""
+        return all(future.done() for future in self._futures)
 
     def report(self) -> EvalReport:
-        """The full report, once every call has landed; a call's error, or
-        a withdrawn call never sent again, raises."""
+        """The full report, once every call has landed; a call's error
+        raises."""
         return self._build([future.result() for future in self._futures])
 
 
@@ -359,9 +358,9 @@ def evaluate(
     once the calls are queued, before their results are awaited; at cap 1
     nothing is queued ahead, so it runs before the first call. With
     ``decide``, ``pool`` must be a ``CallPool``, and the result is the
-    ``Decided`` evaluation, returned once its outcome is known and its
-    unsent calls are withdrawn; ``decide`` is first asked once every call
-    is queued and ``on_queued`` has returned.
+    ``Decided`` evaluation, returned once its outcome is known, with the
+    pool's background work on hold for the caller to release; ``decide`` is
+    first asked once every call is queued and ``on_queued`` has returned.
     """
     if not samples:
         raise ValueError("dataset must be nonempty")

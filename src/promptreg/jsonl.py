@@ -39,13 +39,13 @@ def iter_jsonl(
     """Yield the 1-based line number and the object of each non-blank line.
 
     Lines end at ``\\n``, and each non-blank one must hold exactly one JSON
-    object. Every failure raises ``error``, its message naming ``what``, the
-    path and, for a bad line, its number. ``data``, if given, is the file's
-    bytes, already read with ``read_bytes``.
+    object; a leading UTF-8 byte order mark is skipped. Every failure raises
+    ``error``, its message naming ``what``, the path and, for a bad line,
+    its number. ``data``, if given, is the file's bytes, from ``read_bytes``.
     """
     try:
-        with (open(path, encoding="utf-8", newline="\n") if data is None
-              else io.StringIO(data.decode("utf-8"), newline="\n")) as handle:
+        with (open(path, encoding="utf-8-sig", newline="\n") if data is None
+              else io.StringIO(data.decode("utf-8-sig"), newline="\n")) as handle:
             for number, line in enumerate(handle, 1):
                 text = line.strip(_WHITESPACE)
                 if not text:

@@ -5,26 +5,27 @@ mini-batch execution and gradient purification, an optional guided rewrite,
 and a validation gate. All of it shares one call pool per run, bounded by
 ``concurrency_cap``, and is queued in this order: the batch's forward calls
 first; the diagnosis behind them, since it reads only the last commit and is
-first needed by the rewrite; the last gate's unsent validation calls;
-rule canonicalization beside the rewrite and the gate, since it feeds only
-the bank; the gate's own validation calls. Validation calls are background
-work, which takes only slots no other call waits for, in the order queued.
-The raw-gradient, purifier and rewrite calls are made on the calling thread
-in slots of the pool, so they count toward the cap too. At cap 1 every task
-runs inline, the diagnosis before the forward calls, as it always has.
+first needed by the rewrite; then the last gate's unsent validation calls
+are released from the pool's hold; rule canonicalization beside the rewrite
+and the gate, since it feeds only the bank; the gate's own validation calls.
+Validation calls are background work, which takes only slots no other call
+waits for, in the order queued. The raw-gradient, purifier and rewrite
+calls are made on the calling thread in slots of the pool, so they count
+toward the cap too. At cap 1 every task runs inline, the diagnosis before
+the forward calls, as it always has.
 
 Above cap 1 the gate returns once its outcome is certain (``gate_outcome``),
-and the calls it has not sent wait for the next step's forward calls and
-diagnosis to be queued. The step's trace line and commit need the full
-accuracy, so they are written once those calls land, from a commit line
-taken when the step ended. Of the steps after it, only the next gate's
-decision waits for that commit, since its threshold is the accuracy: the
-next gate queues its own calls, behind the unsent ones, before it waits,
-and a step without a gate does not wait at all, its commit written behind
-the pending one. Each commit tells the gateway its step
-(``Gateway.committed``), which holds back the transcript lines of later
-steps but the next, so no transcript line of step t+1 comes before commit
-t.
+with the pool's background work on hold, so the calls it has not sent wait,
+still queued, for the next step's forward calls and diagnosis to be queued.
+The step's trace line and commit need the full accuracy, so they are written
+once those calls land, from a commit line taken when the step ended. Of the
+steps after it, only the next gate's decision waits for that commit, since
+its threshold is the accuracy: the next gate queues its own calls, behind
+the unsent ones, before it waits, and a step without a gate does not wait
+at all, its commit written behind the pending one. Each commit tells the
+gateway its step (``Gateway.committed``), which holds back the transcript
+lines of later steps but the next, so no transcript line of step t+1 comes
+before commit t.
 
 Every decision lands in an append-only trace so that a scripted run is
 replayable byte-for-byte. State is committed after every step as one line
@@ -419,15 +420,14 @@ class OptimizationRun:
             self.train, step, self.config.batch_size, self.config.seed
         )
         # The diagnosis is first needed by the rewrite, two calls after the
-        # batch's forward calls, so it queues behind them, and the last
-        # gate's unsent validation calls behind it. Nothing below commits a
-        # step or changes the bank before the gate.
+        # batch's forward calls, so it queues behind them, and only then is
+        # the hold on the last gate's unsent validation calls released.
+        # Nothing below commits a step or changes the bank before the gate.
         diagnosis: list[Future] = []
 
         def queued() -> None:
             diagnosis.append(pool.submit(self._regularization_phase, step))
-            if self._pending:
-                self._pending[0][0].send_rest(pool)
+            pool.hold(False)
 
         stage1 = run_purification_stage(
             state.current, batch, state.bank, self.gateway, step, pool, queued
@@ -506,10 +506,10 @@ class OptimizationRun:
             trace_log.append(trace)
             self._commit(commit_log, line)
 
-        # While this gate's unsent validation calls, queued behind the next
-        # step's forward calls and diagnosis, are still to land, the next
-        # step starts now and this one commits once they land; so does a
-        # gateless step behind it (a gate settles before it decides).
+        # While this gate's unsent validation calls, held until the next
+        # step's forward calls and diagnosis are queued, are still to land,
+        # the next step starts now and this one commits once they land; so
+        # does a gateless step behind it (a gate settles before it decides).
         if self._pending or isinstance(gate, Decided) and not gate.landed():
             self._pending.append((gate, finish))
         else:
@@ -562,14 +562,14 @@ class OptimizationRun:
             try:
                 for step in range(self.state.step_completed + 1, end):
                     self._step(step, pool, trace_log, commit_log)
-                if self._pending:  # no next step to queue behind
-                    self._pending[0][0].send_rest(pool)
+                pool.hold(False)  # no next step to queue behind
                 self._settle()
             except BaseException:
-                # The pending steps commit even though a later one failed
-                # if their gate's calls were all sent and all succeeded, so
-                # a resume sends none of them again. The error that stopped
+                # Every queued call runs, those on hold too. The pending
+                # steps commit if their gate's calls all succeeded, so a
+                # resume sends none of them again. The error that stopped
                 # the run is the one raised, not one of that commit.
+                pool.hold(False)
                 with suppress(Exception):
                     self._settle()
                 raise

@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import time
+from concurrent.futures import Future, wait
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from pathlib import Path
@@ -32,6 +33,24 @@ def scripted_gateway(fixtures: list[dict], transcript_path=None) -> Gateway:
     return Gateway.scripted(fixtures, transcript_path=transcript_path)
 
 
+def within(seconds: float, fn, *args):
+    """``fn(*args)``'s result, or its error raised, from a daemon thread; a
+    call still running after ``seconds``, say one stalled on a hold that
+    nothing releases, fails the test instead of hanging it."""
+    outcome: Future = Future()
+
+    def call() -> None:
+        try:
+            outcome.set_result(fn(*args))
+        except BaseException as exc:
+            outcome.set_exception(exc)
+
+    threading.Thread(target=call, daemon=True).start()
+    assert wait([outcome], timeout=seconds).done, \
+        f"{fn.__name__} still running after {seconds} s"
+    return outcome.result()
+
+
 # JSON values that a stage must not take for the text a field should hold.
 NON_TEXT = pytest.mark.parametrize(
     "value", [None, False, 7, ["text"], {"text": "t"}],
@@ -57,6 +76,7 @@ class _Reply(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         with self.server.lock:
             self.server.received.append((self.headers, body))
+            cut, self.server.cut_next = self.server.cut_next, False
             reply = self.server.reply(body)
             if reply is not None:
                 status, body, headers = reply
@@ -68,6 +88,9 @@ class _Reply(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
+        if cut:
+            self.close_connection = True
+            return
         self.wfile.write(body)
         if self.server.drop_idle:
             # Closed without a "Connection: close", as an idle connection is.
@@ -78,15 +101,16 @@ class _Reply(BaseHTTPRequestHandler):
 
 
 class LoopbackServer(ThreadingMixIn, HTTPServer):
-    """Serves each connection on its own thread in ``protocol``: on
-    HTTP/1.0 it closes each connection after its reply, on HTTP/1.1 it
-    keeps it open, unless a test sets ``drop_idle``, when it closes each
-    one after its first reply without saying so. It answers each POST with
-    the next scripted ``(status, body, headers)`` reply, or, once a test
-    sets ``keyed``, a dict from ``(model, system, user)`` to reply content,
-    by the request's key. It records the headers and decoded JSON body of
-    every request in ``received``; ``connections`` counts the connections
-    accepted and ``open`` those not yet closed."""
+    """Serves each connection on its own thread in ``protocol``: on HTTP/1.0
+    it closes each connection after its reply, on HTTP/1.1 it keeps it open,
+    unless a test sets ``drop_idle``, when it closes each one after its
+    first reply without saying so. A test that sets ``cut_next`` has the
+    next reply end after its headers, its connection closed there. It
+    answers each POST with the next scripted ``(status, body, headers)``
+    reply, or, once a test sets ``keyed``, a dict from ``(model, system,
+    user)`` to reply content, by the request's key. It records the headers
+    and decoded JSON body of every request in ``received``; ``connections``
+    counts the connections accepted and ``open`` those not yet closed."""
 
     daemon_threads = True
 
@@ -94,6 +118,7 @@ class LoopbackServer(ThreadingMixIn, HTTPServer):
         super().__init__(("127.0.0.1", 0), _Reply)
         self.protocol = protocol
         self.drop_idle = False
+        self.cut_next = False
         self.keyed: dict[tuple[str, str, str], str] | None = None
         self.lock = threading.Lock()
         self.replies: list[tuple[int, bytes, dict]] = []

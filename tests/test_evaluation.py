@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scripted_gateway
+from conftest import scripted_gateway, within
 from promptreg.errors import ConfigError, DatasetError
 from promptreg.evaluation import (
     CallPool,
@@ -31,6 +31,11 @@ def write_jsonl(path, records):
 
 
 class TestLoadDataset:
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"question": "q", "answer": "1"}\n')
+        assert load_dataset(path) == [Sample("q", "1")]
+
     def test_order_preserved(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"question": f"q{i}", "answer": str(i)} for i in range(3)])
@@ -277,6 +282,13 @@ class TestCallPool:
                 order.append("slot")
         assert order == ["slot", "background"]
 
+    def test_submit_after_shutdown_is_refused(self):
+        pool = CallPool(2)
+        pool.shutdown()
+        with pytest.raises(RuntimeError) as raised:
+            pool.submit(int)
+        assert str(raised.value) == "cannot schedule new futures after shutdown"
+
     def test_decided_evaluation_sends_the_rest_only_when_asked(self, tmp_path):
         samples = [Sample(f"q{i}", str(i)) for i in range(5)]
         transcript = tmp_path / "t.jsonl"
@@ -292,12 +304,30 @@ class TestCallPool:
                             on_queued=release.set,
                             decide=lambda correct, remaining: correct >= 1 or None)
             assert gate.outcome is True
+            # The slot is free again, but the rest of the calls are held.
+            pool.submit(int).result()
             assert not gate.landed()
             assert len(transcript.read_text().splitlines()) == 1
-            gate.send_rest(pool)
+            pool.hold(False)
             assert gate.report() == full
             assert gate.landed()
         assert len(transcript.read_text().splitlines()) == 5
+
+    def test_gate_decided_before_any_call_is_sent_returns_at_once(self):
+        samples = [Sample(f"q{i}", str(i)) for i in range(3)]
+        gw = scripted_gateway(forward_fixtures(samples))
+        with CallPool(1) as pool:
+            release = self.blocked(pool)
+            try:
+                # Every call is held, so none lands for the gate to wait on.
+                gate = within(5, lambda: evaluate(
+                    PROMPT, samples, gw, pool=pool, decide=lambda *tally: True))
+                assert gate.outcome is True
+                assert not gate.landed()
+            finally:
+                release.set()
+            pool.hold(False)
+            assert gate.report().accuracy == 1.0
 
     def test_decide_is_first_asked_once_on_queued_has_returned(self):
         """The results that land while ``on_queued`` runs are counted when
@@ -316,12 +346,12 @@ class TestCallPool:
         assert asked == [(4, 0)]
         assert gate.outcome is True
 
-    def test_resent_calls_run_after_every_task_and_before_later_gates(
+    def test_held_calls_run_after_every_task_and_before_later_gates(
         self, tmp_path
     ):
-        """A decided gate's withdrawn calls, sent again, wait for every task,
-        even one queued after them, and run before the calls of a gate
-        queued after them."""
+        """A decided gate's calls on hold, once released, wait for every
+        task, even one queued after the release, and run before the calls
+        of a gate queued after them."""
         samples = [Sample(f"q{i}", str(i)) for i in range(5)]
         transcript = tmp_path / "t.jsonl"
         gw = scripted_gateway(forward_fixtures(samples), transcript)
@@ -340,7 +370,7 @@ class TestCallPool:
                             decide=lambda correct, remaining: correct >= 1 or None)
             release = self.blocked(pool)
             try:
-                gate.send_rest(pool)
+                pool.hold(False)
                 pool.submit(count_lines)
                 later = evaluate(
                     PROMPT, samples, gw, step=2, pool=pool,

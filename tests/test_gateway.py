@@ -45,6 +45,12 @@ def req(role=Role.GRADIENT, user="hello", step=0, system=""):
     return ChatRequest(role=role, system=system, user=user, step=step)
 
 
+def test_negative_step_is_refused():
+    with pytest.raises(ValueError) as raised:
+        req(step=-1)
+    assert str(raised.value) == "step must be nonnegative, got -1"
+
+
 class TestScriptedBackend:
     def test_step_keyed_replay(self):
         gw = scripted_gateway(
@@ -171,6 +177,13 @@ class TestFixtureFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="line 26: invalid JSON"):
             ScriptedBackend.from_jsonl(path)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + self.GOOD.encode() + b"\n")
+        backend = ScriptedBackend.from_jsonl(path)
+        engine = EngineConfig(name="scripted")
+        assert backend.complete(req(Role.FORWARD), engine) == "r"
 
     def test_blank_lines_and_crlf_are_skipped(self, tmp_path):
         path = tmp_path / "fixtures.jsonl"
@@ -886,6 +899,34 @@ class TestConnectionPool:
         assert len(posts) == 2
         assert keepalive.connections == 2
         assert sleeps == []
+
+    def test_reply_cut_after_its_headers_is_retried_on_a_new_connection(
+        self, keepalive, monkeypatch
+    ):
+        """The cut connection is closed and never handed out again: a later
+        call goes out on the connection of the retry."""
+        from promptreg import gateway
+
+        made, connect = [], gateway._connect
+
+        def recording_connect(*args):
+            made.append(connect(*args))
+            return made[-1]
+
+        monkeypatch.setattr(gateway, "_connect", recording_connect)
+        keepalive.cut_next = True
+        posts = keepalive.script(ok_reply("cut"), ok_reply("one"),
+                                 ok_reply("two"))
+        sleeps = []
+        backend = HttpBackend(sleep=sleeps.append)
+        with closing(backend):
+            for expected in ("one", "two"):
+                got = backend.complete(req(), engine_at(keepalive.url))
+                assert got == expected
+            assert made[0].sock is None
+        assert sleeps == [1.0]
+        assert len(posts) == 3
+        assert len(made) == keepalive.connections == 2
 
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="delayed ACK timing as on Linux")

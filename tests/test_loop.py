@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import Future
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from conftest import DATA_DIR, scripted_gateway
+from conftest import DATA_DIR, scripted_gateway, within
 from promptreg import loop
 from promptreg.errors import (
     BackendUnavailableError,
@@ -1108,51 +1108,77 @@ class TestCallPool:
         self, tmp_path, monkeypatch, cap
     ):
         """Each step's diagnosis is submitted right behind its batch's
-        forward calls, so those never wait for it, and the last step's
-        unsent validation calls right behind the diagnosis. Every gate's own
-        validation calls are background work too."""
-        submitted = []
+        forward calls, so those never wait for it, and the hold on the last
+        gate's unsent validation calls is released right behind the
+        diagnosis, or after the last step; no validation call is sent while
+        it is held. Every gate's validation calls are background work."""
+        events = []
+
+        class Sent(deque):
+            # The pool takes a task off this queue under the lock that
+            # ``hold`` takes, so sends and holds are recorded in order.
+            def popleft(self):
+                events.append(("sent", None))
+                return super().popleft()
 
         class Recording(CallPool):
+            def __init__(self, cap):
+                super().__init__(cap)
+                self._queues = (self._queues[0], Sent())
+
             def submit(self, fn, /, *args, **kwargs):
-                submitted.append((fn.__name__, args))
+                events.append((fn.__name__, args))
                 return super().submit(fn, *args, **kwargs)
 
             def submit_background(self, fn, /, *args, **kwargs):
-                # A gate queues its own calls through a wrapper that counts
-                # its results, and the calls it sends again bare.
-                resent = fn.__name__ == "run_one"
-                submitted.append(("resent" if resent else "gate", args))
+                events.append(("gate", args))
                 return super().submit_background(fn, *args, **kwargs)
+
+            def hold(self, held=True):
+                with self._cond:
+                    events.append(("hold", held))
+                    super().hold(held)
 
         monkeypatch.setattr(loop, "call_pool", lambda cap: Recording(cap))
         run_dir = tmp_path / "run"
         self.run_with(run_dir, ScriptedBackend.from_jsonl(FIXTURES), cap)
         config = golden_config(run_dir)
         train = loop.load_dataset(config.train_path)
+        # Calls on hold may be sent while a later step queues its calls.
+        queued = [event for event in events if event[0] != "sent"]
         diagnoses = [
-            (at, args[0]) for at, (name, args) in enumerate(submitted)
+            (at, args[0]) for at, (name, args) in enumerate(queued)
             if name == "_regularization_phase"
         ]
         assert [step for _, step in diagnoses] == list(range(12))
         for at, step in diagnoses:
             batch = next_batch(train, step, config.batch_size, config.seed)
-            assert submitted[at - len(batch):at] == [
+            assert queued[at - len(batch):at] == [
                 ("run_one", (sample,)) for sample in batch
             ]
-        resent = [at for at, (name, _) in enumerate(submitted)
-                  if name == "resent"]
-        assert resent
-        for at in resent:
-            if at < diagnoses[-1][0]:
-                assert submitted[at - 1][0] in (
-                    "_regularization_phase", "resent"
-                )
+        releases = [at for at, event in enumerate(queued)
+                    if event == ("hold", False)]
+        assert releases[:-1] == [at + 1 for at, _ in diagnoses]
+        assert releases[-1] > diagnoses[-1][0] + 1
+        # The validation calls queued and not yet sent at each hold.
+        unsent, held, on_hold = 0, False, []
+        for name, value in events:
+            if name == "gate":
+                unsent += 1
+            elif name == "sent":
+                assert not held
+                unsent -= 1
+            elif name == "hold":
+                if value:
+                    on_hold.append(unsent)
+                held = value
+        assert any(on_hold)
         val = loop.load_dataset(config.val_path)
         applied = [json.loads(line)["update"] == "applied"
                    for line in GOLDEN_TRACE.read_text().splitlines()]
-        assert [args for name, args in submitted if name == "gate"] == \
+        assert [args for name, args in events if name == "gate"] == \
             [(sample,) for sample in val] * sum(applied)
+        assert len(on_hold) == sum(applied)
         assert (run_dir / TRACE_FILE).read_bytes() == GOLDEN_TRACE.read_bytes()
 
     @pytest.mark.parametrize("cap", [2, 3, 8])
@@ -1202,7 +1228,7 @@ VAL_QUESTIONS = [s.question for s in loop.load_dataset(DATA_DIR / "val.jsonl")]
 def last_validation_call(step):
     """Matches the last validation call of ``step``'s gate. The golden
     gates are decided by their first six results, so at caps 2 and 3 it is
-    withdrawn."""
+    held."""
     return lambda r: (r.role == Role.FORWARD and r.step == step
                       and r.user == VAL_QUESTIONS[-1]
                       and r.system != DEFAULT_INITIAL_PROMPT)
@@ -1299,23 +1325,69 @@ class TestCommitPipeline:
         assert_commits_split_transcript(run_dir)
 
     @pytest.mark.parametrize("cap", [2, 3])
-    def test_gate_returns_once_its_withdrawal_has_ended(
+    def test_gate_returns_once_its_hold_is_set(
         self, tmp_path, monkeypatch, cap
     ):
-        """A pool task that decides a gate withdraws its unsent calls one
-        slow cancel at a time. The gate returns only once all are
-        withdrawn, so the next step sends every one of them again, and no
-        report waits on a call never sent."""
-        cancel = Future.cancel
+        """A gate sets the pool's hold slowly, from the pool task that
+        decides it or from the loop's thread. The gate returns only once the
+        hold is set, so the next step's release comes after it: every call
+        is sent, and none waits on a hold that nothing releases."""
+        hold = CallPool.hold
 
-        def slow_cancel(future):
-            if threading.current_thread() is not threading.main_thread():
+        def slow_hold(pool, held=True):
+            if held:
                 time.sleep(0.01)
-            return cancel(future)
+            hold(pool, held)
 
-        monkeypatch.setattr(Future, "cancel", slow_cancel)
+        monkeypatch.setattr(CallPool, "hold", slow_hold)
+        run_dir = tmp_path / "run"
+        within(30, self.run_with, run_dir, GOLDEN_BACKEND, cap)
+        assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_failure_before_the_release_sends_the_calls_on_hold(
+        self, tmp_path, monkeypatch, uninterrupted, cap
+    ):
+        """Step 3 fails before it queues anything, while step 2's gate holds
+        its unsent validation calls. The run releases them, step 2 commits
+        once they land, the step's error is the one raised, and the run
+        resumes."""
+        next_batch = loop.next_batch
+
+        def failing(train, step, *args):
+            if step == 3:
+                raise Crash("step 3")
+            return next_batch(train, step, *args)
+
+        monkeypatch.setattr(loop, "next_batch", failing)
+        run_dir = tmp_path / "run"
+        transcript = run_dir / TRANSCRIPT_FILE
+        config = golden_config(run_dir, concurrency_cap=cap)
+        run = OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript))
+        with pytest.raises(Crash):
+            within(30, run.run)
+        assert commits(run_dir)[-1]["step_completed"] == 2
+        monkeypatch.undo()
+        OptimizationRun(config, gateway_over(GOLDEN_BACKEND, transcript)).run()
+        assert_resumed_to(uninterrupted, run_dir, cap)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_golden_run_cancels_no_future(self, tmp_path, monkeypatch, cap):
+        """A decided gate's unsent calls wait on the hold, each on the one
+        future it was queued with. A cancel of a future already done, as
+        ``Executor.map`` makes, cancels nothing and is not counted."""
+        cancel, cancelled = Future.cancel, []
+
+        def recording_cancel(future):
+            done = cancel(future)
+            if done:
+                cancelled.append(future)
+            return done
+
+        monkeypatch.setattr(Future, "cancel", recording_cancel)
         run_dir = tmp_path / "run"
         self.run_with(run_dir, GOLDEN_BACKEND, cap)
+        assert cancelled == []
         assert transcript_roles(run_dir / TRANSCRIPT_FILE) == GOLDEN_CALLS
 
     def test_failed_commit_behind_a_failed_step_raises_the_steps_error(
@@ -1630,6 +1702,18 @@ class TestInputDigests:
         return OptimizationRun(
             config, Gateway.scripted(FIXTURES, transcript_path=transcript)
         ).run(**kwargs)
+
+    def test_dataset_with_a_byte_order_mark_is_digested_as_its_bytes(
+        self, tmp_path
+    ):
+        """A dataset saved with a UTF-8 byte order mark loads as the one
+        without it; its digest is of the bytes on disk, the mark included."""
+        path = tmp_path / "val.jsonl"
+        data = b"\xef\xbb\xbf" + (DATA_DIR / "val.jsonl").read_bytes()
+        path.write_bytes(data)
+        samples, digest = loop._load_input(str(path))
+        assert samples == loop.load_dataset(DATA_DIR / "val.jsonl")
+        assert digest == hashlib.sha256(data).hexdigest()
 
     def test_every_commit_line_records_the_digests(self, tmp_path):
         config = self.config(tmp_path)

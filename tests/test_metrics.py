@@ -155,6 +155,27 @@ class TestDiagnosticsInvariants:
             )
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ScopeEstimate(1.5), "mean_scope must lie in [0, 1], got 1.5"),
+        (lambda: ChannelDiagnostics(0.0, False, False, frozenset(), "?"),
+         "invalid sign '?'"),
+        (lambda: ChannelDiagnostics(0.0, False, False,
+                                    frozenset({Channel.SCOPE}), "0"),
+         "SCOPE membership inconsistent with b_w"),
+        (lambda: inefficiency(-1, ScopeEstimate(0.5)),
+         "capacity must be nonnegative, got -1"),
+    ],
+    ids=["scope-above-one", "unknown-sign", "scope-without-b_w",
+         "negative-capacity"],
+)
+def test_out_of_range_value_is_refused(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 @given(
     prev=st.integers(min_value=1, max_value=10_000),
     curr=st.integers(min_value=1, max_value=10_000),

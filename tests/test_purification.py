@@ -114,6 +114,11 @@ class TestGenerateRawGradient:
         assert PROMPT.text in sent
         assert CTX.sample_input in sent
 
+    def test_no_contexts_refused(self):
+        with pytest.raises(ValueError) as raised:
+            generate_raw_gradient(PROMPT, [], scripted_gateway([]), step=0)
+        assert str(raised.value) == "contexts must be nonempty"
+
 
 def purifier_fixture(response, step=0):
     return {

@@ -15,6 +15,7 @@ from promptreg.regularization import (
     MODE_GENERALIZE,
     MODE_STRONG,
     NEUTRAL_DIFF,
+    RegGradient,
     RuleChange,
     SemanticDiff,
     diagnose,
@@ -47,6 +48,18 @@ def down_gateway() -> Gateway:
         engines=RoleAssignment.uniform(EngineConfig(name="down")),
         backends={role: DownBackend() for role in Role},
     )
+
+
+@pytest.mark.parametrize(
+    "guidance, mode, message",
+    [("", MODE_STRONG, "guidance must be nonempty"),
+     ("be brief", "NOPE", "unknown mode 'NOPE'")],
+    ids=["empty-guidance", "unknown-mode"],
+)
+def test_malformed_reg_gradient_is_refused(guidance, mode, message):
+    with pytest.raises(ValueError) as raised:
+        RegGradient(guidance, mode)
+    assert str(raised.value) == message
 
 
 class TestModeRouting:

@@ -31,6 +31,27 @@ def bank_with(*counts: int) -> RuleBank:
     )
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Rule("R1", "rule 1", 0), "mention_count must be positive"),
+        (lambda: RuleBankOp(kind="DELETE"), "unknown op kind 'DELETE'"),
+        (lambda: RuleBankOp(kind=INCREMENT), "INCREMENT requires rule_id"),
+        (lambda: canonicalize_and_match("", RuleBank(), scripted_gateway([]), 0),
+         "accepted gradient must be nonempty"),
+        (lambda: apply_ops(
+            bank_with(1), [RuleBankOp(kind=INCREMENT, rule_id="R2")], 0),
+         "INCREMENT of unknown rule R2"),
+    ],
+    ids=["no-mentions", "unknown-kind", "increment-without-id",
+         "empty-gradient", "increment-of-unknown-rule"],
+)
+def test_malformed_input_is_refused(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
 class TestApplyOps:
     def test_insert_into_empty(self):
         bank = RuleBank()
