@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import closing
 from dataclasses import MISSING, asdict, fields
@@ -43,14 +44,35 @@ from .metrics import PromptVersion
 from .rulebank import load_rulebank, summarize
 
 
+# Each engines-file field, with a check of its value and what it must be.
+_TEXT = (lambda value: type(value) is str, "text")
+_NUMBER = (lambda value: type(value) in (int, float) and math.isfinite(value),
+           "a finite number")
+_ENGINE_FIELDS = {
+    "endpoint": _TEXT, "model_id": _TEXT, "auth_env_var": _TEXT,
+    "max_new_tokens": (lambda value: type(value) is int and value >= 1,
+                       "an integer of at least 1"),
+    "temperature": _NUMBER, "top_p": _NUMBER,
+}
+
+
 def _engines(document: dict) -> tuple[dict[str, EngineConfig], dict[str, str]]:
     engines = {
         name: EngineConfig(name=name, **spec)
         for name, spec in document["engines"].items()
     }
     roles = {**document.get("roles", {})}
+    for role, name in roles.items():
+        if type(name) is not str:
+            raise ValueError(f"role {role}: engine {name!r} is not a name")
     # A document of the wrong shape is reported before any engine in it.
     for engine in engines.values():
+        for field, (valid, kind) in _ENGINE_FIELDS.items():
+            value = getattr(engine, field)
+            if not valid(value):
+                raise ValueError(
+                    f"engine {engine.name}: {field} {value!r} is not {kind}"
+                )
         check_endpoint(engine)
     return engines, roles
 
@@ -62,7 +84,8 @@ def _build_gateway(
     **engine_flags: str | None,
 ) -> Gateway:
     """The scripted gateway over ``fixtures`` or the HTTP one over
-    ``engines_file``; a role's engine flag needs the latter."""
+    ``engines_file``; a role's engine flag needs the latter. A role without
+    a flag gets the forward role's engine."""
     if (fixtures is None) == (engines_file is None):
         raise click.UsageError("give exactly one of --fixtures and --engines")
     if fixtures is not None:
@@ -76,6 +99,8 @@ def _build_gateway(
 
     def pick(role: Role) -> EngineConfig:
         key = role.value.lower()
+        if f"{key}_engine" not in engine_flags:
+            return pick(Role.FORWARD)
         # An empty flag names no engine; it does not defer to the roles map.
         name = engine_flags[f"{key}_engine"]
         name = role_names.get(key) if name is None else name
@@ -95,7 +120,12 @@ def _build_gateway(
 
 def _report(document: dict) -> EvalReport:
     per_sample = tuple(SampleResult(**r) for r in document["per_sample"])
-    return EvalReport(**{**document, "per_sample": per_sample})
+    report = EvalReport(**{**document, "per_sample": per_sample})
+    if type(report.accuracy) not in (int, float) or not 0 <= report.accuracy <= 1:
+        raise ValueError(f"accuracy {report.accuracy!r} is not a number in [0, 1]")
+    if type(report.prompt) is not str:
+        raise ValueError(f"prompt {report.prompt!r} is not text")
+    return report
 
 
 def _read_prompt(path: str) -> str:
@@ -207,16 +237,14 @@ def optimize(train, val, run_dir, initial_prompt_file, **flags) -> None:
 @click.option("--dataset", required=True, type=INPUT_FILE)
 @click.option("--out-report", type=click.Path(dir_okay=False), default=None)
 @click.option("--gap", "gap_report", type=click.Path(), default=None,
-              help="Second report JSON treated as the training-side report.")
-@click.option("--dataset-name", default="")
-@click.option("--engine-name", default="")
+              help="Report of the same prompt on the training side.")
 @click.option("--concurrency-cap", type=click.IntRange(min=1), default=1,
               show_default=True)
-@click.option("--prompt-version", default=0, show_default=True)
-@add_options(backend_options)
+# Forward calls only: --fixtures, --engines and --forward-engine.
+@add_options(backend_options[:3])
 def evaluate_cmd(
-    prompt_file, dataset, out_report, gap_report, dataset_name, engine_name,
-    concurrency_cap, prompt_version, **backend_flags,
+    prompt_file, dataset, out_report, gap_report, concurrency_cap,
+    **backend_flags,
 ) -> None:
     """Score a prompt on a dataset with strict exact match."""
     if out_report and not Path(out_report).parent.is_dir():
@@ -224,30 +252,28 @@ def evaluate_cmd(
             f"directory does not exist: {Path(out_report).parent}",
             param_hint="'--out-report'",
         )
-    prompt = PromptVersion.create(
-        _read_prompt(prompt_file), version=prompt_version
-    )
+    prompt = PromptVersion.create(_read_prompt(prompt_file))
     samples = load_dataset(dataset)
     train_report = (
         read_json(gap_report, "report", click.UsageError, _report)
         if gap_report else None
     )
+    if train_report is not None and train_report.prompt != prompt.text:
+        raise click.BadParameter(
+            f"report of another prompt: {gap_report}", param_hint="'--gap'"
+        )
     with closing(_build_gateway(None, **backend_flags)) as gateway:
         report = evaluate(
             prompt, samples, gateway,
             concurrency_cap=concurrency_cap,
-            dataset_name=dataset_name or Path(dataset).stem,
-            engine_name=engine_name,
+            dataset_name=Path(dataset).stem,
+            engine_name=gateway.engine(Role.FORWARD).name,
         )
     if out_report:
         write_json(out_report, asdict(report))
     click.echo(f"accuracy={report.accuracy:.4f}")
     if train_report is not None:
-        try:
-            gap = generalization_gap(report, train_report)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-        click.echo(f"gap={gap:+.4f}")
+        click.echo(f"gap={generalization_gap(report, train_report):+.4f}")
 
 
 @main.group()

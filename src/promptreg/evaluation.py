@@ -57,7 +57,7 @@ class SampleResult:
 class EvalReport:
     dataset: str
     engine: str
-    prompt_version: int
+    prompt: str
     accuracy: float
     per_sample: tuple[SampleResult, ...]
 
@@ -382,7 +382,7 @@ def evaluate(
         return EvalReport(
             dataset=dataset_name,
             engine=engine_name,
-            prompt_version=prompt.version,
+            prompt=prompt.text,
             accuracy=sum(r.correct for r in results) / len(results),
             per_sample=tuple(results),
         )
@@ -400,9 +400,7 @@ def evaluate(
 
 def generalization_gap(report_ood: EvalReport, report_train: EvalReport) -> float:
     """Training-distribution accuracy minus OOD accuracy; positive is degradation."""
-    if report_ood.prompt_version != report_train.prompt_version:
-        raise ValueError(
-            "generalization gap requires reports for the same prompt version"
-        )
+    if report_ood.prompt != report_train.prompt:
+        raise ValueError("generalization gap requires reports for the same prompt")
     return report_train.accuracy - report_ood.accuracy
 

@@ -69,9 +69,6 @@ class RoleAssignment:
     regularization: EngineConfig
     optimizer: EngineConfig
 
-    def for_role(self, role: Role) -> EngineConfig:
-        return getattr(self, role.value.lower())
-
     @classmethod
     def uniform(cls, engine: EngineConfig) -> "RoleAssignment":
         return cls(forward=engine, gradient=engine, regularization=engine,
@@ -438,7 +435,8 @@ class Gateway:
                 raise ConfigError(f"no backend for role {role.value}")
         # Each role's (engine, backend), looked up once here, not per call.
         self._routes = {
-            role: (engines.for_role(role), backends[role]) for role in Role
+            role: (getattr(engines, role.value.lower()), backends[role])
+            for role in Role
         }
         self._transcript = Appender(transcript_path) if transcript_path else None
         # The last step committed, or None before the first ``committed``
@@ -467,6 +465,10 @@ class Gateway:
             backends={role: backend for role in Role},
             transcript_path=transcript_path,
         )
+
+    def engine(self, role: Role) -> EngineConfig:
+        """The engine that answers ``role``'s requests."""
+        return self._routes[role][0]
 
     def complete(self, request: ChatRequest) -> str:
         engine, backend = self._routes[request.role]

@@ -90,11 +90,11 @@ def read_json(
     error: type[Exception],
     build: Callable[[Any], T],
 ) -> T:
-    """``build`` applied to the JSON document at ``path``; a file that cannot
-    be read or decoded (nesting too deep included), or a document ``build``
-    rejects, raises ``error``."""
+    """``build`` applied to the JSON document at ``path``, a leading UTF-8
+    byte order mark skipped; a file that cannot be read or decoded (nesting
+    too deep included), or a document ``build`` rejects, raises ``error``."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return build(json.load(handle))
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
             RecursionError) as exc:

@@ -3,15 +3,17 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from conftest import DATA_DIR, ok_reply
-from promptreg.cli import main
-from promptreg.gateway import Gateway
+from promptreg.cli import _build_gateway, main
+from promptreg.gateway import Gateway, Role
 from promptreg.loop import (
     DEFAULT_INITIAL_PROMPT,
     OptimizationRun,
@@ -80,6 +82,19 @@ OPTIMIZE_OPTIONS = {
     "--help",
 }
 
+# The options of evaluate: its inputs and outputs, and the backend's with the
+# forward role's engine flag alone, since it makes forward calls only.
+EVALUATE_OPTIONS = {
+    "--prompt-file", "--dataset", "--out-report", "--gap", "--concurrency-cap",
+    "--fixtures", "--engines", "--forward-engine", "--help",
+}
+
+
+def listed_options(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0, result.output
+    return sorted(re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE))
+
 
 class TestOptimize:
     def test_happy_path(self, runner, tmp_path):
@@ -90,10 +105,7 @@ class TestOptimize:
         assert (tmp_path / "run" / "trace.jsonl").exists()
 
     def test_help_lists_every_option(self, runner):
-        result = runner.invoke(main, ["optimize", "--help"])
-        assert result.exit_code == 0, result.output
-        listed = re.findall(r"^  (--[a-z-]+)", result.output, re.MULTILINE)
-        assert sorted(listed) == sorted(OPTIMIZE_OPTIONS)
+        assert listed_options(runner, "optimize") == sorted(OPTIMIZE_OPTIONS)
 
     def test_defaults_are_run_config_defaults(self, runner, tmp_path):
         # One step-less reply per role: every gradient is rejected, so no
@@ -282,7 +294,21 @@ class TestOptimize:
         assert (tmp_path / "afile").read_text() == "kept"
 
 
+PROMPT = "Reply with the letter."
+
+
+def report_text(accuracy, prompt=PROMPT):
+    """A --gap report of ``prompt`` at ``accuracy``."""
+    return json.dumps({
+        "dataset": "train", "engine": "scripted", "prompt": prompt,
+        "accuracy": accuracy, "per_sample": [],
+    })
+
+
 class TestEvaluate:
+    def test_help_lists_every_option(self, runner):
+        assert listed_options(runner, "evaluate") == sorted(EVALUATE_OPTIONS)
+
     def test_accuracy_line(self, runner, tmp_path):
         prompt_file = tmp_path / "p.txt"
         prompt_file.write_text("Reply with the letter.")
@@ -393,9 +419,11 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "engines_text",
         [None, "{broken", "[]", '{"engines": {"a": {"colour": "red"}}}',
-         '{"engines": {"a": {}}, "roles": ["a"]}'],
+         '{"engines": {"a": {}}, "roles": ["a"]}',
+         '{"engines": {"a": {"endpoint": "http://127.0.0.1:9/"}}, '
+         '"roles": {"forward": ["a"]}}'],
         ids=["missing", "not-json", "list-document", "unknown-field",
-             "roles-not-object"],
+             "roles-not-object", "role-not-a-name"],
     )
     def test_unreadable_engines_file_is_usage_error(
         self, runner, tmp_path, engines_text
@@ -413,7 +441,7 @@ class TestEvaluate:
     def evaluate_with_gap(self, runner, tmp_path, gap_text):
         """Evaluate a 2-question dataset at accuracy 0.5, with --gap."""
         prompt_file = tmp_path / "p.txt"
-        prompt_file.write_text("Reply with the letter.")
+        prompt_file.write_text(PROMPT)
         dataset = tmp_path / "d.jsonl"
         dataset.write_text(
             json.dumps({"question": "q0", "answer": "A"}) + "\n"
@@ -424,7 +452,7 @@ class TestEvaluate:
             json.dumps({"role": "FORWARD", "response": "Answer: A"}) + "\n"
         )
         train_report = tmp_path / "train_report.json"
-        train_report.write_text(gap_text)
+        train_report.write_text(gap_text, encoding="utf-8")
         return runner.invoke(
             main,
             ["evaluate", "--prompt-file", str(prompt_file),
@@ -433,32 +461,49 @@ class TestEvaluate:
              "--gap", str(train_report)],
         )
 
-    @staticmethod
-    def report_text(accuracy, prompt_version=0):
-        return json.dumps({
-            "dataset": "train", "engine": "", "accuracy": accuracy,
-            "prompt_version": prompt_version, "per_sample": [],
-        })
-
     def test_report_and_gap(self, runner, tmp_path):
-        result = self.evaluate_with_gap(
-            runner, tmp_path, self.report_text(0.75)
-        )
+        result = self.evaluate_with_gap(runner, tmp_path, report_text(0.75))
         assert result.exit_code == 0, result.output
         assert "accuracy=0.5000" in result.output
         assert "gap=+0.2500" in result.output
-        saved = json.loads((tmp_path / "report.json").read_text())
-        assert saved["accuracy"] == 0.5
-        assert len(saved["per_sample"]) == 2
+        # The dataset file's stem, the forward engine's name, the prompt text.
+        assert json.loads((tmp_path / "report.json").read_text()) == {
+            "dataset": "d", "engine": "scripted", "prompt": PROMPT,
+            "accuracy": 0.5,
+            "per_sample": [
+                {"correct": True, "extracted": "A", "raw_output": "Answer: A"},
+                {"correct": False, "extracted": "A", "raw_output": "Answer: A"},
+            ],
+        }
+
+    def test_gap_report_with_a_byte_order_mark_is_read(self, runner, tmp_path):
+        result = self.evaluate_with_gap(
+            runner, tmp_path, "\ufeff" + report_text(0.75)
+        )
+        assert result.exit_code == 0, result.output
+        assert "gap=+0.2500" in result.output
 
     def test_gap_against_another_prompt_version_is_usage_error(
         self, runner, tmp_path
     ):
-        result = self.evaluate_with_gap(
-            runner, tmp_path, self.report_text(0.75, prompt_version=5)
+        """A report that evaluate wrote for one prompt, given as --gap for
+        another, is refused before any call: the second evaluation's
+        fixture file answers nothing, so a call would abort it (exit 1)."""
+        fixtures = tmp_path / "f.jsonl"
+        fixtures.write_text(
+            json.dumps({"role": "FORWARD", "response": "Answer: A"}) + "\n"
         )
-        assert result.exit_code == 2
-        assert "same prompt version" in result.output
+        dataset = json.dumps({"question": "q", "answer": "A"}) + "\n"
+        args = self.evaluate_args(tmp_path, dataset, fixtures)
+        report = tmp_path / "report.json"
+        result = runner.invoke(main, args + ["--out-report", str(report)])
+        assert result.exit_code == 0, result.output
+        (tmp_path / "p.txt").write_text("Reply with the number.")
+        fixtures.write_text("")
+        result = runner.invoke(main, args + ["--gap", str(report)])
+        assert result.exit_code == 2, result.output
+        assert f"report of another prompt: {report}" in result.output
+        assert "accuracy=" not in result.output
         assert "gap=" not in result.output
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -473,16 +518,32 @@ class TestEvaluate:
         assert "accuracy=" not in result.output
 
     @pytest.mark.parametrize(
-        "gap_text",
-        ["{broken", json.dumps({"accuracy": 0.75})],
-        ids=["not-json", "missing-fields"],
+        "gap_text, reason",
+        [("{broken", "Expecting property name"),
+         (json.dumps({"accuracy": 0.75}), "'per_sample'"),
+         (report_text("0.75"), "accuracy '0.75' is not a number in [0, 1]"),
+         (report_text(True), "accuracy True is not a number in [0, 1]"),
+         (report_text(1.5), "accuracy 1.5 is not a number in [0, 1]"),
+         (report_text(float("nan")), "accuracy nan is not a number in [0, 1]"),
+         (report_text(0.75, prompt=5), "prompt 5 is not text"),
+         (json.dumps({"dataset": "train", "engine": "", "accuracy": 0.75,
+                      "prompt_version": 0, "per_sample": []}),
+          "unexpected keyword argument 'prompt_version'")],
+        ids=["not-json", "missing-fields", "accuracy-text", "accuracy-bool",
+             "accuracy-above-one", "accuracy-nan", "prompt-not-text",
+             "prompt-version"],
     )
     def test_unreadable_gap_report_is_usage_error(
-        self, runner, tmp_path, gap_text
+        self, runner, tmp_path, gap_text, reason
     ):
+        """A report that is not one evaluate writes, a report written before
+        reports named their prompt included, is refused before any call."""
         result = self.evaluate_with_gap(runner, tmp_path, gap_text)
-        assert result.exit_code == 2
-        assert "report unreadable" in result.output
+        assert result.exit_code == 2, result.output
+        path = tmp_path / "train_report.json"
+        assert f"report unreadable: {path}: " in result.output
+        assert reason in result.output
+        assert "accuracy=" not in result.output
 
 
 ROLES = ["forward", "gradient", "regularization", "optimizer"]
@@ -490,9 +551,8 @@ ROLES = ["forward", "gradient", "regularization", "optimizer"]
 
 class TestEvaluateOverHttp:
     """``evaluate --engines`` against the loopback server of
-    ``conftest``: engine choice per role, credentials and the request body.
-    Only the forward role reaches the wire; every role is picked when the
-    gateway is built."""
+    ``conftest``: engine choice, credentials and the request body. evaluate
+    makes forward calls only, so it picks the forward role's engine alone."""
 
     def engines_file(self, tmp_path, url, roles) -> str:
         path = tmp_path / "e.json"
@@ -556,7 +616,9 @@ class TestEvaluateOverHttp:
         assert body["model"] == "big-model"
         assert "Authorization" not in headers
 
-    @pytest.mark.parametrize("role", ROLES)
+    # evaluate has the engine flag of the forward role alone; TestBuildGateway
+    # checks every role's flag of optimize.
+    @pytest.mark.parametrize("role", ["forward"])
     def test_each_role_reads_the_roles_map_and_its_flag(
         self, runner, tmp_path, loopback, role
     ):
@@ -569,13 +631,67 @@ class TestEvaluateOverHttp:
         result = self.invoke(runner, tmp_path, engines, f"--{role}-engine", "big")
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("role", ["forward"])
     def test_role_without_engine_is_usage_error(self, runner, tmp_path, role):
         roles = {r: "big" for r in ROLES if r != role}
         engines = self.engines_file(tmp_path, "http://127.0.0.1:9/", roles)
         result = self.invoke(runner, tmp_path, engines)
         assert result.exit_code == 2, result.output
         assert f"no engine configured for role {role}" in result.output
+
+    def test_only_the_forward_role_is_read(self, runner, tmp_path, loopback):
+        """The roles map's other entries may be absent or name no engine."""
+        posts = loopback.script(ok_reply("Answer: 4"))
+        engines = self.engines_file(
+            tmp_path, loopback.url, {"forward": "big", "gradient": "nope"}
+        )
+        report = tmp_path / "report.json"
+        result = self.invoke(runner, tmp_path, engines, "--out-report", str(report))
+        assert result.exit_code == 0, result.output
+        [(_, body)] = posts
+        assert body["model"] == "big-model"
+        assert json.loads(report.read_text())["engine"] == "big"
+
+    def test_engines_file_with_a_byte_order_mark_is_read(
+        self, runner, tmp_path, loopback
+    ):
+        posts = loopback.script(ok_reply("Answer: 4"))
+        engines = Path(self.engines_file(
+            tmp_path, loopback.url, dict.fromkeys(ROLES, "big")
+        ))
+        engines.write_text("\ufeff" + engines.read_text(), encoding="utf-8")
+        result = self.invoke(runner, tmp_path, str(engines))
+        assert result.exit_code == 0, result.output
+        assert len(posts) == 1
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [("endpoint", 5, "text"), ("model_id", None, "text"),
+         ("auth_env_var", 5, "text"),
+         ("max_new_tokens", 0, "an integer of at least 1"),
+         ("max_new_tokens", True, "an integer of at least 1"),
+         ("max_new_tokens", 64.0, "an integer of at least 1"),
+         ("temperature", float("nan"), "a finite number"),
+         ("temperature", "0.3", "a finite number"),
+         ("top_p", float("inf"), "a finite number"),
+         ("top_p", False, "a finite number")],
+        ids=["endpoint-number", "model-null", "auth-number", "tokens-zero",
+             "tokens-bool", "tokens-float", "temperature-nan",
+             "temperature-text", "top-p-infinite", "top-p-bool"],
+    )
+    def test_engine_field_of_another_type_is_usage_error_before_any_call(
+        self, runner, tmp_path, loopback, field, value, kind
+    ):
+        loopback.script(ok_reply("Answer: 4"))
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({
+            "engines": {"small": {"endpoint": loopback.url, field: value}},
+            "roles": {"forward": "small"},
+        }))
+        result = self.invoke(runner, tmp_path, str(path))
+        assert result.exit_code == 2, result.output
+        assert f"engine small: {field} {value!r} is not {kind}" in result.output
+        assert loopback.received == []
 
     @pytest.mark.parametrize(
         "spec",
@@ -615,6 +731,10 @@ class TestEvaluateOverHttp:
         assert "--out-report" in result.output
         assert message in result.output
         assert loopback.received == []
+
+
+# Each command with the role of each engine flag it has.
+ENGINE_FLAGS = [("optimize", role) for role in ROLES] + [("evaluate", "forward")]
 
 
 class TestBackendInput:
@@ -659,7 +779,7 @@ class TestBackendInput:
             result, tmp_path, "give exactly one of --fixtures and --engines"
         )
 
-    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("command, role", ENGINE_FLAGS, indirect=["command"])
     def test_empty_engine_name_is_unknown(
         self, runner, tmp_path, monkeypatch, command, role
     ):
@@ -680,7 +800,7 @@ class TestBackendInput:
             result, tmp_path, "unknown engine name: \n"
         )
 
-    @pytest.mark.parametrize("role", ROLES)
+    @pytest.mark.parametrize("command, role", ENGINE_FLAGS, indirect=["command"])
     def test_engine_flag_without_engines(self, runner, tmp_path, command, role):
         result = runner.invoke(main, command + [
             "--fixtures", FIXTURES, f"--{role}-engine", "big",
@@ -688,6 +808,76 @@ class TestBackendInput:
         self.assert_refused_before_any_call(
             result, tmp_path, f"--{role}-engine needs --engines"
         )
+
+
+class TestBuildGateway:
+    """``_build_gateway`` under optimize's engine flags, one per role: each
+    role's engine, from its flag or else the roles map, read back through
+    ``Gateway.engine``. No call is made."""
+
+    FLAGS = dict.fromkeys(f"{role}_engine" for role in ROLES)
+
+    def engines_file(self, tmp_path, roles) -> str:
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({
+            "engines": {"small": {"endpoint": "http://127.0.0.1:9/",
+                                  "model_id": "small-model"},
+                        "big": {"endpoint": "http://127.0.0.1:9/",
+                                "model_id": "big-model"}},
+            "roles": roles,
+        }))
+        return str(path)
+
+    def models(self, engines, **flags):
+        """Each role's model, in ``ROLES`` order."""
+        with closing(
+            _build_gateway(None, None, engines, **self.FLAGS | flags)
+        ) as gateway:
+            return [gateway.engine(Role(role.upper())).model_id
+                    for role in ROLES]
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_each_role_reads_the_roles_map_and_its_flag(self, tmp_path, role):
+        engines = self.engines_file(
+            tmp_path, dict.fromkeys(ROLES, "small") | {role: "nope"}
+        )
+        with pytest.raises(click.UsageError, match="unknown engine name: nope"):
+            self.models(engines)
+        assert self.models(engines, **{f"{role}_engine": "big"}) == [
+            "big-model" if r == role else "small-model" for r in ROLES
+        ]
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_role_without_engine_is_usage_error(self, tmp_path, role):
+        engines = self.engines_file(
+            tmp_path, {r: "big" for r in ROLES if r != role}
+        )
+        with pytest.raises(click.UsageError,
+                           match=f"no engine configured for role {role}"):
+            self.models(engines)
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_empty_engine_name_is_unknown(self, tmp_path, role):
+        engines = self.engines_file(tmp_path, dict.fromkeys(ROLES, "big"))
+        with pytest.raises(click.UsageError, match="unknown engine name: $"):
+            self.models(engines, **{f"{role}_engine": ""})
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_engine_flag_without_engines(self, role):
+        with pytest.raises(click.UsageError,
+                           match=f"--{role}-engine needs --engines"):
+            _build_gateway(None, FIXTURES, None,
+                           **self.FLAGS | {f"{role}_engine": "big"})
+
+    def test_role_without_a_flag_gets_the_forward_engine(self, tmp_path):
+        """evaluate's case: the forward engine flag alone."""
+        engines = self.engines_file(tmp_path, {"forward": "small"})
+        with closing(
+            _build_gateway(None, None, engines, forward_engine="big")
+        ) as gateway:
+            assert {gateway.engine(role).model_id for role in Role} == {
+                "big-model"
+            }
 
 
 class TestRulebankShow:
@@ -716,6 +906,14 @@ class TestRulebankShow:
         path.write_text("{broken")
         result = runner.invoke(main, ["rulebank", "show", "--file", str(path)])
         assert result.exit_code == 2
+
+    def test_bank_with_a_byte_order_mark_is_read(self, runner, tmp_path):
+        path = tmp_path / "bank.json"
+        save_rulebank(RuleBank(), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        result = runner.invoke(main, ["rulebank", "show", "--file", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "(empty)"
 
 
 def edit_commit(text, index, edit):

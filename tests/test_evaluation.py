@@ -386,12 +386,11 @@ class TestCallPool:
 
 
 class TestGeneralizationGap:
-    def make(self, acc, version=0):
+    def make(self, acc, prompt="p"):
         from promptreg.evaluation import EvalReport
 
         return EvalReport(
-            dataset="d", engine="e", prompt_version=version,
-            accuracy=acc, per_sample=(),
+            dataset="d", engine="e", prompt=prompt, accuracy=acc, per_sample=(),
         )
 
     def test_positive_gap(self):
@@ -405,4 +404,4 @@ class TestGeneralizationGap:
 
     def test_version_mismatch(self):
         with pytest.raises(ValueError):
-            generalization_gap(self.make(0.5, 0), self.make(0.5, 1))
+            generalization_gap(self.make(0.5, "p"), self.make(0.5, "q"))
